@@ -14,7 +14,6 @@
 #include "util/audit.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
-#include "workload/trace_cache.hh"
 
 namespace antsim {
 namespace bench {
@@ -55,8 +54,8 @@ parseOptions(int argc, const char *const *argv,
     std::vector<std::string> known = {
         "samples",   "seed",        "pes",         "csv",
         "chunk",     "audit",       "threads",     "json",
-        "networks",  "trace-cache", "trace-out",   "log-level",
-        "simd",      "estimate",    "metrics-out", "host-trace-out"};
+        "networks",  "trace-out",   "log-level",   "simd",
+        "estimate",  "metrics-out", "host-trace-out"};
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     // Environment first, flags after: --log-level wins over
     // ANTSIM_LOG_LEVEL, --trace-out wins over ANTSIM_TRACE.
@@ -158,10 +157,6 @@ parseOptions(int argc, const char *const *argv,
                env != nullptr && env[0] != '\0') {
         options.estimate = true;
     }
-    // --trace-cache=false turns the plane cache off (A/B timing runs);
-    // the default is the ANTSIM_TRACE_CACHE environment setting.
-    trace_cache::setEnabled(
-        g_cli->getBool("trace-cache", trace_cache::enabled()));
     if (cli_out != nullptr)
         *cli_out = g_cli.get();
 

@@ -18,7 +18,6 @@
 #include "util/bfloat16.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
-#include "workload/trace_cache.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {

@@ -7,7 +7,7 @@
 #
 # Each successful suite run also appends one JSON line to
 # BENCH_history.jsonl at the repo root (timestamp, headline geomeans,
-# stage wall clocks, trace-cache roll-up), building a perf trajectory
+# stage wall clocks, planes generated), building a perf trajectory
 # across commits; `scripts/check_perf.py --trend` prints the delta of
 # the newest entry against the previous one.
 #
@@ -73,8 +73,8 @@ python3 "${repo_root}/scripts/validate_report.py" \
 
 # Append this run's headline numbers to the perf trajectory. The entry
 # is one JSON object per line (jsonl): summary geomeans and stage wall
-# clocks verbatim, plus a trace-cache roll-up summed over every run's
-# profile.census section.
+# clocks verbatim, plus the planes-generated count summed over every
+# run's profile.census section.
 history="${repo_root}/BENCH_history.jsonl"
 python3 - "${merged}" "${history}" "${smoke}" <<'PY'
 import json
@@ -88,10 +88,11 @@ summary = merged.get("summary", {})
 
 census = {}
 for run in merged.get("runs", {}).values():
-    for key, value in run.get("profile", {}).get("census", {}).items():
-        if key in ("trace_cache_hits", "trace_cache_misses",
-                   "trace_planes_generated") and isinstance(value, int):
-            census[key] = census.get(key, 0) + value
+    value = run.get("profile", {}).get("census", {}).get(
+        "trace_planes_generated")
+    if isinstance(value, int):
+        census["trace_planes_generated"] = (
+            census.get("trace_planes_generated", 0) + value)
 
 entry = {
     "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

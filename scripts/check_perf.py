@@ -13,8 +13,8 @@ known-good smoke run. REPORT.json is a merged BENCH_antsim.json (see
 scripts/bench_all.sh); its summary.stage_seconds is compared stage by
 stage and the check fails if any stage exceeds factor * baseline
 (default 2x -- wide enough for machine-to-machine variance, narrow
-enough to catch an accidental revert of the census/trace-cache fast
-paths).
+enough to catch an accidental revert of the census engine or the fused
+plane generator).
 
 When the baseline carries an "estimate_speedup_min" number, the
 report's summary.estimate_speedup (the bench/sweep_dse wall-clock
@@ -42,7 +42,7 @@ sub-50ms stages are timer noise, not signal.
 
 --trend is informational, never a gate: it reads the BENCH_history.jsonl
 appended by scripts/bench_all.sh (one JSON object per suite run:
-timestamp, geomeans, stage seconds, trace-cache roll-up) and prints the
+timestamp, geomeans, stage seconds, planes generated) and prints the
 delta of the newest entry against the one before it. Machine-to-machine
 variance makes an automatic gate on history meaningless; the value is a
 human-readable trajectory in the CI log.

@@ -27,8 +27,8 @@ contract instead of the simulated-time one:
 
 Default output is a per-PE-lane table -- active / startup / idle-scan
 cycles, utilization over the lane's makespan, span and task counts --
-followed by instant-event totals (accumulator bank conflicts,
-trace-cache hits/misses) and the --top longest chunk tasks.
+followed by instant-event totals (accumulator bank conflicts, span
+budget overruns) and the --top longest chunk tasks.
 
 --check additionally validates structure and exits non-zero on any
 violation:
@@ -332,11 +332,6 @@ def main(argv):
         print("\ninstants:")
         for name in sorted(instants):
             print("  {:<24} {}".format(name, instants[name]))
-        hits = instants.get("trace_cache_hit", 0)
-        misses = instants.get("trace_cache_miss", 0)
-        if hits + misses:
-            print("  trace-cache hit rate     {:.1f}%".format(
-                100.0 * hits / (hits + misses)))
 
     if top > 0 and tasks:
         tasks.sort(reverse=True)

@@ -218,9 +218,9 @@ antsim_runner_units_total 12
 # TYPE antsim_pool_worker_busy_ns_total counter
 antsim_pool_worker_busy_ns_total{worker="0"} 100
 antsim_pool_worker_busy_ns_total{worker="1"} 90
-# HELP antsim_trace_cache_entries planes resident
-# TYPE antsim_trace_cache_entries gauge
-antsim_trace_cache_entries 3
+# HELP antsim_pool_workers largest pool worker count seen
+# TYPE antsim_pool_workers gauge
+antsim_pool_workers 3
 # HELP antsim_unit_wall_ns wall nanoseconds per unit
 # TYPE antsim_unit_wall_ns histogram
 antsim_unit_wall_ns_bucket{le="0"} 0

@@ -6,7 +6,7 @@
 #include "conv/problem_spec.hh"
 #include "util/logging.hh"
 #include "verify/audit_hooks.hh"
-#include "workload/trace_cache.hh"
+#include "workload/tracegen.hh"
 
 namespace antsim {
 namespace estimate {

@@ -17,11 +17,6 @@ namespace {
 constexpr const char *kCounterNames[kNumCounters] = {
     "pool_parallel_fors",
     "pool_items",
-    "trace_cache_hits",
-    "trace_cache_misses",
-    "trace_cache_inserts",
-    "trace_cache_evictions",
-    "trace_cache_evicted_bytes",
     "arena_allocs",
     "arena_alloc_bytes",
     "arena_slabs",
@@ -35,11 +30,6 @@ constexpr const char *kCounterNames[kNumCounters] = {
 constexpr const char *kCounterHelp[kNumCounters] = {
     "parallelFor jobs issued by the thread pool",
     "work items scheduled across all parallelFor jobs",
-    "trace-cache lookups served from the cache",
-    "trace-cache lookups that generated a plane",
-    "planes inserted into the trace cache",
-    "planes evicted from the trace cache (FIFO over budget)",
-    "payload bytes released by trace-cache evictions",
     "blocks carved by Arena::alloc",
     "bytes carved by Arena::alloc including alignment padding",
     "slabs (re)allocated by Arena::reset",
@@ -65,8 +55,6 @@ constexpr const char *kWorkerCounterHelp[kNumWorkerCounters] = {
 };
 
 constexpr const char *kGaugeNames[kNumGauges] = {
-    "trace_cache_resident_bytes",
-    "trace_cache_entries",
     "pool_max_job_items",
     "pool_workers",
     "arena_highwater_bytes",
@@ -74,8 +62,6 @@ constexpr const char *kGaugeNames[kNumGauges] = {
 };
 
 constexpr const char *kGaugeHelp[kNumGauges] = {
-    "payload bytes currently resident in the trace cache",
-    "planes currently resident in the trace cache",
     "largest parallelFor item count seen (pending-depth proxy)",
     "largest pool worker count seen",
     "largest Arena used() watermark seen across all arenas",
@@ -85,13 +71,11 @@ constexpr const char *kGaugeHelp[kNumGauges] = {
 constexpr const char *kHistNames[kNumHists] = {
     "unit_wall_ns",
     "pool_job_items",
-    "trace_cache_plane_bytes",
 };
 
 constexpr const char *kHistHelp[kNumHists] = {
     "host wall nanoseconds per simulated unit",
     "item count per parallelFor job",
-    "payload bytes per plane inserted into the trace cache",
 };
 
 /**
@@ -237,12 +221,6 @@ snapshot()
         snap.gaugePeak[g] =
             reg.gaugePeak[g].load(std::memory_order_relaxed);
     }
-    snap.cacheShardsUsed =
-        reg.cacheShardCount.load(std::memory_order_relaxed);
-    for (std::size_t s = 0; s < snap.cacheShardsUsed; ++s) {
-        snap.cacheShardEntries[s] =
-            reg.cacheShardEntries[s].load(std::memory_order_relaxed);
-    }
     for (std::size_t w = kMaxWorkers; w-- > 0;) {
         for (std::size_t c = 0; c < kNumWorkerCounters; ++c) {
             if (snap.workers[w][c] != 0) {
@@ -290,18 +268,6 @@ toPrometheus(const Snapshot &snap)
                            (std::string(kGaugeHelp[g]) + " (peak)").c_str(),
                            "gauge");
         appendSampleI(out, peak, snap.gaugePeak[g]);
-    }
-
-    {
-        const std::string family = "antsim_trace_cache_shard_entries";
-        appendFamilyHeader(out, family,
-                           "planes resident per trace-cache shard",
-                           "gauge");
-        for (std::uint32_t s = 0; s < snap.cacheShardsUsed; ++s) {
-            appendSampleI(out,
-                          family + "{shard=\"" + std::to_string(s) + "\"}",
-                          snap.cacheShardEntries[s]);
-        }
     }
 
     {
@@ -391,9 +357,6 @@ reset()
         cell.store(0, std::memory_order_relaxed);
     for (auto &cell : reg.gaugePeak)
         cell.store(0, std::memory_order_relaxed);
-    for (auto &cell : reg.cacheShardEntries)
-        cell.store(0, std::memory_order_relaxed);
-    reg.cacheShardCount.store(0, std::memory_order_relaxed);
 }
 
 } // namespace metrics

@@ -2,9 +2,9 @@
  * @file
  * Host-side metrics registry: counters, gauges, and fixed-bin
  * histograms describing the *simulator's own* execution (thread-pool
- * utilization, trace-cache residency, arena high-water marks, stage
- * wall-clock) -- the complement of src/obs/trace.hh, which records the
- * *modeled hardware's* cycles.
+ * utilization, arena high-water marks, stage wall-clock) -- the
+ * complement of src/obs/trace.hh, which records the *modeled
+ * hardware's* cycles.
  *
  * Layering: the producer API below is entirely header-inline (C++17
  * inline variables hold the registry state), so ant_util code -- the
@@ -54,16 +54,6 @@ enum class Counter : unsigned {
     PoolParallelFors = 0,
     /** Work items scheduled across all parallelFor jobs. */
     PoolItems,
-    /** Trace-cache lookups served from the cache. */
-    TraceCacheHits,
-    /** Trace-cache lookups that generated (cache off counts too). */
-    TraceCacheMisses,
-    /** Planes inserted into the trace cache. */
-    TraceCacheInserts,
-    /** Planes evicted from the trace cache (FIFO, over budget). */
-    TraceCacheEvictions,
-    /** Payload bytes released by trace-cache evictions. */
-    TraceCacheEvictedBytes,
     /** Arena blocks carved by Arena::alloc. */
     ArenaAllocs,
     /** Bytes carved by Arena::alloc (with alignment padding). */
@@ -107,13 +97,9 @@ constexpr std::size_t kMaxWorkers = 64;
 
 /** Process-wide gauges (live value + tracked peak). */
 enum class Gauge : unsigned {
-    /** Payload bytes currently resident in the trace cache. */
-    TraceCacheResidentBytes = 0,
-    /** Planes currently resident in the trace cache. */
-    TraceCacheEntries,
     /** Largest parallelFor item count seen (queue-depth proxy: the
      *  pool runs one job at a time, so pending depth == job items). */
-    PoolMaxJobItems,
+    PoolMaxJobItems = 0,
     /** Largest pool worker count seen. */
     PoolWorkers,
     /** Largest Arena::used() watermark seen across all arenas. */
@@ -126,17 +112,12 @@ enum class Gauge : unsigned {
 constexpr std::size_t kNumGauges =
     static_cast<std::size_t>(Gauge::NumGauges);
 
-/** Trace-cache shard slots for the occupancy gauge (>= kShards). */
-constexpr std::size_t kMaxCacheShards = 32;
-
 /** Host-side distributions. */
 enum class Hist : unsigned {
     /** Wall nanoseconds of one simulated unit. */
     UnitWallNs = 0,
     /** Item count of each parallelFor job. */
     PoolJobItems,
-    /** Payload bytes of each plane inserted into the trace cache. */
-    TraceCachePlaneBytes,
     NumHists
 };
 
@@ -218,9 +199,6 @@ struct Registry
     std::vector<std::unique_ptr<MetricShard>> shards;
     std::array<std::atomic<std::int64_t>, kNumGauges> gaugeValue{};
     std::array<std::atomic<std::int64_t>, kNumGauges> gaugePeak{};
-    std::array<std::atomic<std::int64_t>, kMaxCacheShards>
-        cacheShardEntries{};
-    std::atomic<std::uint32_t> cacheShardCount{0};
 };
 
 inline Registry &
@@ -324,33 +302,6 @@ workerCount(std::uint32_t worker, WorkerCounter c, std::uint64_t delta)
     }
 }
 
-/** Add @p delta (may be negative) to gauge @p g; tracks the peak. */
-inline void
-gaugeAdd(Gauge g, std::int64_t delta)
-{
-    if (detail::t_shard == nullptr)
-        return;
-    detail::Registry &reg = detail::registry();
-    const std::size_t i = static_cast<std::size_t>(g);
-    const std::int64_t now =
-        reg.gaugeValue[i].fetch_add(delta, std::memory_order_relaxed) +
-        delta;
-    detail::raiseTo(reg.gaugePeak[i], now);
-}
-
-/**
- * Overwrite gauge @p g with @p value without touching its peak.
- * Unlike the guarded hot-path helpers this works unattached: it is
- * for cold-path corrections (e.g. trace_cache::reset zeroing the
- * residency gauges after dropping every shard).
- */
-inline void
-gaugeSet(Gauge g, std::int64_t value)
-{
-    detail::registry().gaugeValue[static_cast<std::size_t>(g)].store(
-        value, std::memory_order_relaxed);
-}
-
 /** Raise gauge @p g to at least @p value (max-watermark semantics). */
 inline void
 gaugeMax(Gauge g, std::int64_t value)
@@ -361,29 +312,6 @@ gaugeMax(Gauge g, std::int64_t value)
     const std::size_t i = static_cast<std::size_t>(g);
     detail::raiseTo(reg.gaugeValue[i], value);
     detail::raiseTo(reg.gaugePeak[i], value);
-}
-
-/**
- * Publish the live entry count of trace-cache shard @p index out of
- * @p shard_count total shards (drives the per-shard occupancy gauge).
- */
-inline void
-cacheShardSet(std::size_t index, std::int64_t entries,
-              std::size_t shard_count)
-{
-    if (detail::t_shard == nullptr || index >= kMaxCacheShards)
-        return;
-    detail::Registry &reg = detail::registry();
-    reg.cacheShardEntries[index].store(entries,
-                                       std::memory_order_relaxed);
-    std::uint32_t cur =
-        reg.cacheShardCount.load(std::memory_order_relaxed);
-    const auto want = static_cast<std::uint32_t>(
-        shard_count < kMaxCacheShards ? shard_count : kMaxCacheShards);
-    while (cur < want &&
-           !reg.cacheShardCount.compare_exchange_weak(
-               cur, want, std::memory_order_relaxed)) {
-    }
 }
 
 /** Record one sample into host histogram @p h. */
@@ -430,29 +358,6 @@ nowNs()
             .count());
 }
 
-/** Live process-wide total of counter @p c (heartbeat; locks). */
-inline std::uint64_t
-counterTotal(Counter c)
-{
-    detail::Registry &reg = detail::registry();
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    std::uint64_t total = 0;
-    for (const auto &s : reg.shards) {
-        total += s->counters[static_cast<std::size_t>(c)].load(
-            std::memory_order_relaxed);
-    }
-    return total;
-}
-
-/** Live value of gauge @p g. */
-inline std::int64_t
-gaugeValue(Gauge g)
-{
-    return detail::registry()
-        .gaugeValue[static_cast<std::size_t>(g)]
-        .load(std::memory_order_relaxed);
-}
-
 // ------------------------------------------------------------------
 // Consumer API (metrics.cc, ant_obs): snapshot/merge, name catalog,
 // Prometheus text exposition, reset. Callers link ant_obs.
@@ -469,8 +374,6 @@ struct Snapshot
     std::array<std::uint64_t, kNumStages> stageCalls{};
     std::array<std::int64_t, kNumGauges> gaugeValue{};
     std::array<std::int64_t, kNumGauges> gaugePeak{};
-    std::array<std::int64_t, kMaxCacheShards> cacheShardEntries{};
-    std::uint32_t cacheShardsUsed = 0;
     struct HistData
     {
         std::array<std::uint64_t, kHistBins> bins{};

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <unordered_set>
 
 #include "util/logging.hh"
 
@@ -96,7 +95,7 @@ appendCompleteEvent(std::string &out, const char *name,
 void
 appendInstantEvent(std::string &out, const char *name,
                    const std::string &cat, std::uint32_t tid,
-                   std::uint64_t ts, const std::string &args_json)
+                   std::uint64_t ts)
 {
     out += "{\"name\":";
     appendJsonString(out, name);
@@ -106,10 +105,6 @@ appendInstantEvent(std::string &out, const char *name,
     appendU64(out, tid);
     out += ",\"ts\":";
     appendU64(out, ts);
-    if (!args_json.empty()) {
-        out += ",\"args\":";
-        out += args_json;
-    }
     out += "},\n";
 }
 
@@ -281,12 +276,6 @@ TraceSink::toChromeJson(std::uint32_t num_pes) const
         out += "}},\n";
     }
 
-    // Logical trace-cache classification: the first lookup of a key in
-    // unit order is a miss, later ones hits. The physical outcome
-    // depends on worker interleaving; this logical view is what a
-    // single-threaded run would observe and is thread-count stable.
-    std::unordered_set<std::uint64_t> seen_keys;
-
     std::size_t i = 0;
     for (std::size_t r = 0; r < run_sizes.size(); ++r) {
         for (std::size_t u = 0; u < run_sizes[r]; ++u, ++i) {
@@ -319,22 +308,11 @@ TraceSink::toChromeJson(std::uint32_t num_pes) const
                 switch (ins.kind) {
                   case InstantKind::AccumBankConflict:
                     appendInstantEvent(out, "accum_bank_conflict", "accum",
-                                       tid, base + ins.at, "");
+                                       tid, base + ins.at);
                     break;
-                  case InstantKind::TraceCacheLookup: {
-                      const bool hit = !seen_keys.insert(ins.arg).second;
-                      std::string args = "{\"key_hash\":";
-                      appendU64(args, ins.arg);
-                      args += "}";
-                      appendInstantEvent(out,
-                                         hit ? "trace_cache_hit"
-                                             : "trace_cache_miss",
-                                         "cache", tid, base + ins.at, args);
-                      break;
-                  }
                   case InstantKind::SpanBudgetExceeded:
                     appendInstantEvent(out, "span_budget_exceeded", "pe",
-                                       tid, base + ins.at, "");
+                                       tid, base + ins.at);
                     break;
                   default:
                     ANT_PANIC("unknown instant kind");

@@ -6,8 +6,8 @@
  * spend wall-clock time"; this layer answers "where did the *modeled
  * hardware* spend cycles". PE models mirror their cycle accounting
  * into a per-unit UnitRecorder as run-length-coded spans (startup /
- * active / idle-scan), mark instants (accumulator-bank conflicts,
- * trace-cache lookups), and record distribution samples
+ * active / idle-scan), mark instants (accumulator-bank conflicts),
+ * and record distribution samples
  * (src/obs/histogram.hh). The runner wraps every simulated (layer,
  * phase, sample) unit in a ScopedUnitTrace, so each unit's buffer is
  * filled on whichever worker runs it and then filed into the
@@ -17,10 +17,7 @@
  * (DESIGN.md), buffers land in preallocated task-index slots, and the
  * exporter walks runs and units in index order -- so the emitted
  * Chrome trace JSON is byte-identical for every --threads value
- * (trace_determinism_test). Trace-cache lookups are recorded as key
- * hashes and classified hit/miss *logically* at export time (first
- * occurrence in unit order = miss), because the physical outcome
- * depends on worker scheduling.
+ * (trace_determinism_test).
  *
  * Overhead: when tracing is off (the default), every instrumentation
  * site reduces to one thread-local pointer load and branch --
@@ -69,8 +66,6 @@ const char *spanKindName(SpanKind kind);
 enum class InstantKind : unsigned {
     /** Two same-cycle valid products mapped to one accumulator bank. */
     AccumBankConflict = 0,
-    /** Plane lookup in the workload trace cache (arg = key hash). */
-    TraceCacheLookup,
     /** The unit exceeded the span budget; later spans were dropped. */
     SpanBudgetExceeded,
     NumKinds
@@ -96,8 +91,6 @@ struct Instant
 {
     std::uint64_t at = 0;
     InstantKind kind = InstantKind::AccumBankConflict;
-    /** Kind-specific payload (TraceCacheLookup: plane-key hash). */
-    std::uint64_t arg = 0;
 };
 
 /**
@@ -130,16 +123,16 @@ class UnitRecorder
         } else if (!truncated_) {
             truncated_ = true;
             instants_.push_back(
-                {cursor_, InstantKind::SpanBudgetExceeded, 0});
+                {cursor_, InstantKind::SpanBudgetExceeded});
         }
         cursor_ += cycles;
     }
 
     /** Record a point event at the current cursor. */
     void
-    instant(InstantKind kind, std::uint64_t arg = 0)
+    instant(InstantKind kind)
     {
-        instants_.push_back({cursor_, kind, arg});
+        instants_.push_back({cursor_, kind});
     }
 
     /** Open a chunk-pair task span at the current cursor. */

@@ -6,7 +6,7 @@
 #include "conv/census.hh"
 #include "report/profiler.hh"
 #include "util/logging.hh"
-#include "workload/trace_cache.hh"
+#include "workload/tracegen.hh"
 
 namespace antsim {
 
@@ -188,9 +188,9 @@ hostMetricsToJson(const obs::metrics::Snapshot &snap)
     for (std::size_t i = 0; i < m::kNumGauges; ++i) {
         const auto gauge = static_cast<m::Gauge>(i);
         Json entry = Json::object();
-        // Gauges are signed (add/sub deltas) but every catalogued gauge
-        // tracks a resource quantity, so negatives only arise from an
-        // accounting bug; clamp rather than emit a negative byte count.
+        // Gauges are signed but every catalogued gauge tracks a resource
+        // quantity, so negatives only arise from an accounting bug;
+        // clamp rather than emit a negative byte count.
         entry.set("value", static_cast<std::uint64_t>(
                                std::max<std::int64_t>(0, snap.gaugeValue[i])));
         entry.set("peak", static_cast<std::uint64_t>(
@@ -228,11 +228,6 @@ hostMetricsToJson(const obs::metrics::Snapshot &snap)
         workers.push(std::move(entry));
     }
     json.set("workers", std::move(workers));
-
-    Json cache_shards = Json::array();
-    for (std::size_t s = 0; s < snap.cacheShardsUsed; ++s)
-        cache_shards.push(snap.cacheShardEntries[s]);
-    json.set("cache_shards", std::move(cache_shards));
 
     Json hists = Json::array();
     for (std::size_t i = 0; i < m::kNumHists; ++i) {
@@ -311,17 +306,14 @@ profileToJson()
     }
     json.set("stages", std::move(stages));
 
-    // Census-engine and trace-cache totals (process-wide; like the
-    // stage timings they live in the profile section only, so the
-    // deterministic report body stays byte-identical whether the cache
-    // or the census fast paths ran).
+    // Census-engine and plane-generation totals (process-wide; like
+    // the stage timings they live in the profile section only, so the
+    // deterministic report body stays byte-identical whether or not the
+    // census fast paths ran).
     CounterSet census;
     census.set(Counter::CensusTablesBuilt, census_stats::tablesBuilt());
     census.set(Counter::CensusRectQueries, census_stats::rectQueries());
-    census.set(Counter::TraceCacheHits, trace_cache::hits());
-    census.set(Counter::TraceCacheMisses, trace_cache::misses());
-    census.set(Counter::TracePlanesGenerated,
-               trace_cache::planesGenerated());
+    census.set(Counter::TracePlanesGenerated, tracePlanesGenerated());
     json.set("census", counterSetToJson(census));
     return json;
 }

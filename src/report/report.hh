@@ -129,11 +129,11 @@ Json histogramsToJson(const obs::HistogramRegistry &hists);
 /**
  * Serialize a host-metrics snapshot (obs/metrics.hh) as the report's
  * host_metrics section: counters, gauges with peaks, per-stage wall
- * nanoseconds, per-worker pool accounting, trace-cache shard
- * occupancy, and log2 histograms. Everything here is host-side
- * wall-clock accounting -- like the profile section it is never
- * byte-stable across runs, which is why RunReport only embeds it when
- * metrics collection was explicitly enabled.
+ * nanoseconds, per-worker pool accounting, and log2 histograms.
+ * Everything here is host-side wall-clock accounting -- like the
+ * profile section it is never byte-stable across runs, which is why
+ * RunReport only embeds it when metrics collection was explicitly
+ * enabled.
  */
 Json hostMetricsToJson(const obs::metrics::Snapshot &snap);
 

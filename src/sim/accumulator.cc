@@ -28,7 +28,7 @@ Accumulator::offer(float image_value, std::uint32_t x, std::uint32_t y,
             (out->y * output_.width() + out->x) % kBanks;
         const std::uint32_t bit = 1u << bank;
         if (groupBanks_ & bit)
-            rec->instant(obs::InstantKind::AccumBankConflict, bank);
+            rec->instant(obs::InstantKind::AccumBankConflict);
         groupBanks_ |= bit;
     }
     bank_.write(1, counters);

@@ -35,8 +35,6 @@ constexpr std::array<const char *, kNumCounters> kCounterNames = {
     "tasks_processed",    // TasksProcessed
     "census_tables_built",    // CensusTablesBuilt
     "census_rect_queries",    // CensusRectQueries
-    "trace_cache_hits",       // TraceCacheHits
-    "trace_cache_misses",     // TraceCacheMisses
     "trace_planes_generated", // TracePlanesGenerated
 };
 

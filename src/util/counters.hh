@@ -58,10 +58,6 @@ enum class Counter : unsigned {
     CensusTablesBuilt,
     /** O(1) census rectangle/histogram queries answered. */
     CensusRectQueries,
-    /** Trace-cache lookups that reused an already-generated plane. */
-    TraceCacheHits,
-    /** Trace-cache lookups that had to generate the plane. */
-    TraceCacheMisses,
     /** Sparse planes generated and CSR-compressed. */
     TracePlanesGenerated,
     NumCounters

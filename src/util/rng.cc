@@ -143,11 +143,4 @@ Rng::state() const
     return {s_[0], s_[1], s_[2], s_[3]};
 }
 
-void
-Rng::setState(const std::array<std::uint64_t, 4> &state)
-{
-    for (std::size_t i = 0; i < 4; ++i)
-        s_[i] = state[i];
-}
-
 } // namespace antsim

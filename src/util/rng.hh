@@ -65,14 +65,10 @@ class Rng
 
     /**
      * The generator's full 256-bit state. Two Rng objects with equal
-     * state produce identical streams forever; the trace cache
-     * (src/workload/trace_cache) keys planes by the state a generation
-     * would start from and restores the post-generation state on a hit.
+     * state produce identical streams forever, so tests compare states
+     * to prove two generation paths consumed the same draws.
      */
     std::array<std::uint64_t, 4> state() const;
-
-    /** Restore a state captured by state(). */
-    void setState(const std::array<std::uint64_t, 4> &state);
 
   private:
     std::uint64_t s_[4];

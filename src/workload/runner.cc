@@ -312,28 +312,9 @@ runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
                 units_done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (logLevel() >= LogLevel::Info &&
                 (done % heartbeat_step == 0 || done == units.size())) {
-                if (obs::metrics::shard() != nullptr) {
-                    // Live metric snapshot alongside the progress line:
-                    // cache effectiveness and residency while running.
-                    ANT_INFORM(
-                        run_label, ": ", done, "/", units.size(),
-                        " units simulated (last: ", layer.name, "/",
-                        kPhaseNames[unit.phase], "; cache ",
-                        obs::metrics::counterTotal(
-                            obs::metrics::Counter::TraceCacheHits),
-                        " hits / ",
-                        obs::metrics::counterTotal(
-                            obs::metrics::Counter::TraceCacheMisses),
-                        " misses, ",
-                        obs::metrics::gaugeValue(
-                            obs::metrics::Gauge::TraceCacheResidentBytes) /
-                            (1024 * 1024),
-                        " MiB resident)");
-                } else {
-                    ANT_INFORM(run_label, ": ", done, "/", units.size(),
-                               " units simulated (last: ", layer.name,
-                               "/", kPhaseNames[unit.phase], ")");
-                }
+                ANT_INFORM(run_label, ": ", done, "/", units.size(),
+                           " units simulated (last: ", layer.name, "/",
+                           kPhaseNames[unit.phase], ")");
             }
         });
 

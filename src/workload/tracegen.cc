@@ -1,11 +1,245 @@
 #include "tracegen.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <functional>
+
 #include "tensor/sparsify.hh"
 #include "util/bfloat16.hh"
 #include "util/logging.hh"
-#include "workload/trace_cache.hh"
+#include "util/simd.hh"
+
+#if defined(__x86_64__)
+#define ANTSIM_X86_SIMD 1
+#include <immintrin.h>
+#endif
 
 namespace antsim {
+
+namespace {
+
+/** dst[i] = |src[i]| (sign-bit clear, bit-identical to std::fabs). */
+void
+absArrayScalar(const float *src, float *dst, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] = std::fabs(src[i]);
+}
+
+/** Count of data[i] strictly greater than @p threshold. */
+std::size_t
+countGreaterScalar(const float *data, std::size_t n, float threshold)
+{
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        count += data[i] > threshold ? 1 : 0;
+    return count;
+}
+
+#ifdef ANTSIM_X86_SIMD
+
+__attribute__((target("avx2"))) void
+absArrayAvx2(const float *src, float *dst, std::size_t n)
+{
+    const __m256 mask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        _mm256_storeu_ps(dst + i,
+                         _mm256_and_ps(_mm256_loadu_ps(src + i), mask));
+    }
+    for (; i < n; ++i)
+        dst[i] = std::fabs(src[i]);
+}
+
+__attribute__((target("avx2"))) std::size_t
+countGreaterAvx2(const float *data, std::size_t n, float threshold)
+{
+    const __m256 t = _mm256_set1_ps(threshold);
+    std::size_t count = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        // GT_OQ matches the scalar ordered > (the generated magnitudes
+        // are never NaN either way).
+        const int mask = _mm256_movemask_ps(
+            _mm256_cmp_ps(_mm256_loadu_ps(data + i), t, _CMP_GT_OQ));
+        count += static_cast<unsigned>(__builtin_popcount(
+            static_cast<unsigned>(mask)));
+    }
+    for (; i < n; ++i)
+        count += data[i] > threshold ? 1 : 0;
+    return count;
+}
+
+#endif // ANTSIM_X86_SIMD
+
+void
+absArray(const float *src, float *dst, std::size_t n)
+{
+#ifdef ANTSIM_X86_SIMD
+    if (simd::avx2Enabled()) {
+        absArrayAvx2(src, dst, n);
+        return;
+    }
+#endif
+    absArrayScalar(src, dst, n);
+}
+
+std::size_t
+countGreater(const float *data, std::size_t n, float threshold)
+{
+#ifdef ANTSIM_X86_SIMD
+    if (simd::avx2Enabled())
+        return countGreaterAvx2(data, n, threshold);
+#endif
+    return countGreaterScalar(data, n, threshold);
+}
+
+std::atomic<std::uint64_t> g_planes_generated{0};
+
+/**
+ * Emit one surviving inner-plane value into the CSR arrays under
+ * construction. Quantizes to bf16 exactly where the legacy pipeline
+ * does (after sparsification, before compression) and drops values the
+ * rounding flushed to zero, as fromDense would.
+ */
+inline void
+emitValue(float value, std::uint32_t x, std::uint32_t y,
+          const PlaneRecipe &recipe, std::vector<float> &values,
+          std::vector<std::uint32_t> &columns,
+          std::vector<std::uint32_t> &row_counts)
+{
+    const float quantized = bf16Round(value);
+    if (quantized == 0.0f)
+        return;
+    values.push_back(quantized);
+    columns.push_back(recipe.offset + recipe.dilation * x);
+    ++row_counts[recipe.offset + recipe.dilation * y];
+}
+
+} // namespace
+
+CsrMatrix
+generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
+{
+    ANT_ASSERT(recipe.height > 0 && recipe.width > 0,
+               "plane recipe needs positive inner dims");
+    ANT_ASSERT(recipe.dilation >= 1, "dilation must be at least 1");
+    ANT_ASSERT(recipe.offset +
+                       recipe.dilation * (recipe.height - 1) <
+                   recipe.outHeight &&
+               recipe.offset + recipe.dilation * (recipe.width - 1) <
+                   recipe.outWidth,
+               "embedded plane does not fit: inner ", recipe.height, "x",
+               recipe.width, " offset ", recipe.offset, " dilation ",
+               recipe.dilation, " into ", recipe.outHeight, "x",
+               recipe.outWidth);
+
+    g_planes_generated.fetch_add(1, std::memory_order_relaxed);
+
+    std::vector<float> values;
+    std::vector<std::uint32_t> columns;
+    // Count entries per embedded row, prefix-summed into rowPtr below.
+    // Thread-local scratch: benchmarks generate hundreds of thousands
+    // of planes per run and the per-plane malloc shows up.
+    static thread_local std::vector<std::uint32_t> row_counts;
+    row_counts.assign(recipe.outHeight + 1, 0);
+
+    if (recipe.method == SparsifyMethod::Bernoulli) {
+        // Same draw sequence as bernoulliPlane: one Bernoulli trial per
+        // cell in row-major order, one normal per surviving cell.
+        const double keep_p = 1.0 - recipe.sparsity;
+        const std::size_t expected = static_cast<std::size_t>(
+            static_cast<double>(recipe.height) * recipe.width * keep_p);
+        values.reserve(expected);
+        columns.reserve(expected);
+        for (std::uint32_t y = 0; y < recipe.height; ++y) {
+            for (std::uint32_t x = 0; x < recipe.width; ++x) {
+                if (!rng.bernoulli(keep_p))
+                    continue;
+                float f = static_cast<float>(rng.normal());
+                if (f == 0.0f)
+                    f = 1e-6f;
+                emitValue(f, x, y, recipe, values, columns, row_counts);
+            }
+        }
+    } else {
+        // Same draw sequence as randomDensePlane: one normal per cell,
+        // then the topKSparsify selection. The kept set is the first
+        // `keep` cells under (magnitude desc, position asc) -- i.e.,
+        // every cell whose magnitude beats the keep-th largest, plus
+        // the earliest-position ties at exactly that threshold -- so a
+        // scalar magnitude nth_element plus a tie budget reproduces the
+        // legacy index-vector selection bit for bit at a fraction of
+        // the memory traffic. Scratch buffers persist per thread:
+        // benchmarks generate hundreds of thousands of planes.
+        const std::size_t total =
+            static_cast<std::size_t>(recipe.height) * recipe.width;
+        static thread_local std::vector<float> data;
+        static thread_local std::vector<float> mags;
+        data.resize(total);
+        for (auto &v : data) {
+            float f = static_cast<float>(rng.normal());
+            if (f == 0.0f)
+                f = 1e-6f;
+            v = f;
+        }
+        const auto keep = static_cast<std::size_t>(std::llround(
+            static_cast<double>(total) * (1.0 - recipe.sparsity)));
+        float threshold = 0.0f;
+        std::size_t tie_budget = total;
+        if (keep < total && keep > 0) {
+            mags.resize(total);
+            absArray(data.data(), mags.data(), total);
+            std::nth_element(mags.begin(),
+                             mags.begin() +
+                                 static_cast<std::ptrdiff_t>(keep - 1),
+                             mags.end(), std::greater<float>());
+            threshold = mags[keep - 1];
+            // The partition puts every magnitude above the threshold
+            // into the first `keep` slots, so counting strict winners
+            // only needs that prefix.
+            const std::size_t above =
+                countGreater(mags.data(), keep, threshold);
+            tie_budget = keep - above;
+        }
+        values.reserve(keep);
+        columns.reserve(keep);
+        std::size_t idx = 0;
+        for (std::uint32_t y = 0; y < recipe.height && keep > 0; ++y) {
+            for (std::uint32_t x = 0; x < recipe.width; ++x, ++idx) {
+                const float mag = std::fabs(data[idx]);
+                if (mag < threshold)
+                    continue;
+                if (mag == threshold) {
+                    if (tie_budget == 0)
+                        continue;
+                    --tie_budget;
+                }
+                emitValue(data[idx], x, y, recipe, values, columns,
+                          row_counts);
+            }
+        }
+    }
+
+    // row_counts -> rowPtr (exclusive prefix): shift then accumulate.
+    std::vector<std::uint32_t> row_ptr(recipe.outHeight + 1, 0);
+    for (std::uint32_t y = 0; y < recipe.outHeight; ++y)
+        row_ptr[y + 1] = row_ptr[y] + row_counts[y];
+
+    CsrMatrix plane =
+        CsrMatrix::fromRaw(recipe.outHeight, recipe.outWidth,
+                           std::move(values), std::move(columns),
+                           std::move(row_ptr));
+    return recipe.rotate ? plane.rotated180() : plane;
+}
+
+std::uint64_t
+tracePlanesGenerated()
+{
+    return g_planes_generated.load(std::memory_order_relaxed);
+}
 
 PlaneRecipe
 convImageRecipe(const ConvLayer &layer, TrainingPhase phase,
@@ -124,9 +358,8 @@ makeConvPhaseTask(const ConvLayer &layer, TrainingPhase phase,
                   const SparsityProfile &profile, Rng &rng)
 {
     // Image plane first, then the kernel stack -- the draw order this
-    // API has always used. Planes go through the trace cache: a repeat
-    // of the same (seed stream, recipe) reuses the shared plane and
-    // fast-forwards rng as if it had generated.
+    // API has always used (layer_replay and the estimator rely on it;
+    // tests/workload_test.cc pins it).
     //
     //  - forward:  task per input channel c -- image = A[c], kernels =
     //    W[k][c] for every output channel k;
@@ -140,15 +373,15 @@ makeConvPhaseTask(const ConvLayer &layer, TrainingPhase phase,
     const PlaneRecipe kernel_recipe =
         convKernelRecipe(layer, phase, profile, specs);
 
-    std::shared_ptr<const CsrMatrix> image =
-        cachedCsrPlane(image_recipe, rng);
+    auto image = std::make_unique<const CsrMatrix>(
+        generateCsrPlane(image_recipe, rng));
     const std::uint32_t stack_size = phase == TrainingPhase::Backward
         ? layer.inChannels
         : layer.outChannels;
-    std::vector<std::shared_ptr<const CsrMatrix>> kernels;
+    std::vector<CsrMatrix> kernels;
     kernels.reserve(stack_size);
     for (std::uint32_t i = 0; i < stack_size; ++i)
-        kernels.push_back(cachedCsrPlane(kernel_recipe, rng));
+        kernels.push_back(generateCsrPlane(kernel_recipe, rng));
 
     switch (phase) {
       case TrainingPhase::Forward:

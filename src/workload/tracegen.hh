@@ -18,6 +18,12 @@
  * Bernoulli masking (ReSprop/SWAT-style targets) or magnitude top-K
  * (the paper's synthetic ResNet50/transformer/RNN path). Everything is
  * keyed by a deterministic seed hierarchy so runs reproduce bit-for-bit.
+ *
+ * Every plane comes from one fused generator, generateCsrPlane, which
+ * draws the identical random stream as the legacy generatePlane ->
+ * bf16Round -> embedPlane -> fromDense -> rotated180 pipeline but
+ * emits CSR directly, skipping the dense intermediates (bit-identical
+ * output; proven by tests/census_property_test.cc).
  */
 
 #ifndef ANTSIM_WORKLOAD_TRACEGEN_HH
@@ -25,14 +31,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "tensor/csr.hh"
 #include "util/rng.hh"
 #include "workload/layer.hh"
 
 namespace antsim {
-
-struct PlaneRecipe;
 
 /** How a target sparsity is imposed on a plane. */
 enum class SparsifyMethod {
@@ -41,6 +46,56 @@ enum class SparsifyMethod {
     /** Keep the top (1 - sparsity) fraction by magnitude. */
     TopK,
 };
+
+/**
+ * Everything that determines a generated plane besides the Rng state:
+ * the inner generated dims, how it is sparsified, how it is embedded
+ * into the padded/dilated output plane, and whether the CSR is rotated
+ * by 180 degrees (backward-phase kernels).
+ */
+struct PlaneRecipe
+{
+    /** Generated (inner) plane height. */
+    std::uint32_t height = 0;
+    /** Generated (inner) plane width. */
+    std::uint32_t width = 0;
+    /** Target sparsity in [0, 1]. */
+    double sparsity = 0.0;
+    /** Masking method. */
+    SparsifyMethod method = SparsifyMethod::Bernoulli;
+    /** Embedded plane height (== height when not embedded). */
+    std::uint32_t outHeight = 0;
+    /** Embedded plane width (== width when not embedded). */
+    std::uint32_t outWidth = 0;
+    /** Embedding border offset. */
+    std::uint32_t offset = 0;
+    /** Embedding dilation (backward-phase zero-dilation). */
+    std::uint32_t dilation = 1;
+    /** Rotate the final CSR by 180 degrees (backward kernels). */
+    bool rotate = false;
+
+    /** Recipe for a plane used as-is (no embedding, no rotation). */
+    static PlaneRecipe
+    plain(std::uint32_t height, std::uint32_t width, double sparsity,
+          SparsifyMethod method)
+    {
+        return {height, width, sparsity, method, height, width, 0, 1,
+                false};
+    }
+};
+
+/**
+ * Generate the plane described by (@p recipe, @p rng) as CSR directly.
+ * Consumes exactly the same random stream and produces bit-identical
+ * values/columns/rowPtr arrays as the legacy dense pipeline.
+ */
+CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
+
+/**
+ * Planes generateCsrPlane has built in this process (a relaxed atomic,
+ * reported in the run report's profile section only).
+ */
+std::uint64_t tracePlanesGenerated();
 
 /** Target sparsities of the three training tensors. */
 struct SparsityProfile
@@ -55,9 +110,11 @@ struct SparsityProfile
     SparsifyMethod method = SparsifyMethod::Bernoulli;
 
     /**
-     * SWAT-style: weights and activations sparsified to the target;
-     * the activation gradients inherit the activations' ReLU zero mask
-     * (Sec. 2.1), so they reach (at least) the same sparsity.
+     * SWAT-style: weights, activations and activation gradients all
+     * sparsified to the target, each by its own independent Bernoulli
+     * mask. (The paper's gradients inherit the activations' ReLU zero
+     * mask, Sec. 2.1; no run path models that correlation --
+     * reluCorrelatedPair in tensor/sparsify is exercised by tests only.)
      */
     static SparsityProfile
     swat(double target)
@@ -107,12 +164,10 @@ struct PlanePair
 struct StackTask
 {
     ProblemSpec spec;
-    /**
-     * Immutable shared planes: tasks from the trace cache alias the
-     * cached planes instead of owning copies (src/workload/trace_cache).
-     */
-    std::vector<std::shared_ptr<const CsrMatrix>> kernels;
-    std::shared_ptr<const CsrMatrix> image;
+    /** The kernel stack, in generation order. */
+    std::vector<CsrMatrix> kernels;
+    /** The stationary image plane (read as `*task.image`). */
+    std::unique_ptr<const CsrMatrix> image;
 
     /** Borrowed pointer view for PeModel::runStack. */
     std::vector<const CsrMatrix *>
@@ -120,8 +175,8 @@ struct StackTask
     {
         std::vector<const CsrMatrix *> ptrs;
         ptrs.reserve(kernels.size());
-        for (const auto &k : kernels)
-            ptrs.push_back(k.get());
+        for (const CsrMatrix &k : kernels)
+            ptrs.push_back(&k);
         return ptrs;
     }
 };

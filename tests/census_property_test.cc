@@ -1,7 +1,7 @@
 /**
  * @file
  * Property tests of the shared census engine (conv/census.hh) and the
- * fused CSR plane generator (workload/trace_cache.hh):
+ * fused CSR plane generator (workload/tracegen.hh):
  *
  *  - CensusContext::countProducts must be counter-for-counter
  *    identical to the brute-force countProducts over randomized
@@ -18,7 +18,6 @@
 #include "conv/census.hh"
 #include "conv/outer_product.hh"
 #include "tensor/sparsify.hh"
-#include "workload/trace_cache.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {

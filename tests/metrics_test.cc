@@ -54,7 +54,7 @@ TEST(MetricsTest, AttachRefusedWhileDisabled)
     // Recording without a shard must be a harmless no-op.
     m::count(m::Counter::RunnerUnits);
     m::histRecord(m::Hist::UnitWallNs, 7);
-    m::gaugeAdd(m::Gauge::TraceCacheResidentBytes, 100);
+    m::gaugeMax(m::Gauge::PoolWorkers, 100);
 }
 
 TEST(MetricsTest, HistBucketBoundaries)
@@ -141,17 +141,16 @@ TEST(MetricsTest, PrometheusExpositionIsConsistent)
 {
     // Hand-built snapshot: toPrometheus is a pure function of it.
     m::Snapshot snap;
-    snap.counters[static_cast<std::size_t>(m::Counter::TraceCacheHits)] =
-        42;
+    snap.counters[static_cast<std::size_t>(m::Counter::RunnerUnits)] = 42;
     snap.workersUsed = 2;
     snap.workers[0][static_cast<std::size_t>(m::WorkerCounter::Items)] =
         30;
     snap.workers[1][static_cast<std::size_t>(m::WorkerCounter::Items)] =
         12;
     snap.gaugeValue[static_cast<std::size_t>(
-        m::Gauge::TraceCacheResidentBytes)] = 100;
+        m::Gauge::ArenaHighWaterBytes)] = 100;
     snap.gaugePeak[static_cast<std::size_t>(
-        m::Gauge::TraceCacheResidentBytes)] = 250;
+        m::Gauge::ArenaHighWaterBytes)] = 250;
     snap.stageNs[0] = 5000;
     snap.stageCalls[0] = 2;
     m::Snapshot::HistData &hist =
@@ -168,16 +167,15 @@ TEST(MetricsTest, PrometheusExpositionIsConsistent)
     // Dump fixpoint: serialization is deterministic byte for byte.
     EXPECT_EQ(text, m::toPrometheus(snap));
 
-    EXPECT_EQ(sampleValue(text, "antsim_trace_cache_hits_total"), 42u);
+    EXPECT_EQ(sampleValue(text, "antsim_runner_units_total"), 42u);
     EXPECT_EQ(sampleValue(
                   text, "antsim_pool_worker_items_total{worker=\"0\"}"),
               30u);
     EXPECT_EQ(sampleValue(
                   text, "antsim_pool_worker_items_total{worker=\"1\"}"),
               12u);
-    EXPECT_EQ(sampleValue(text, "antsim_trace_cache_resident_bytes"),
-              100u);
-    EXPECT_EQ(sampleValue(text, "antsim_trace_cache_resident_bytes_peak"),
+    EXPECT_EQ(sampleValue(text, "antsim_arena_highwater_bytes"), 100u);
+    EXPECT_EQ(sampleValue(text, "antsim_arena_highwater_bytes_peak"),
               250u);
     EXPECT_EQ(
         sampleValue(
@@ -203,17 +201,10 @@ TEST(MetricsTest, GaugesTrackPeaks)
     m::threadAttach();
     m::reset();
 
-    m::gaugeAdd(m::Gauge::TraceCacheResidentBytes, 100);
-    m::gaugeAdd(m::Gauge::TraceCacheResidentBytes, 50);
-    m::gaugeAdd(m::Gauge::TraceCacheResidentBytes, -120);
     m::gaugeMax(m::Gauge::PoolWorkers, 5);
     m::gaugeMax(m::Gauge::PoolWorkers, 3);
 
     const m::Snapshot snap = m::snapshot();
-    const auto resident =
-        static_cast<std::size_t>(m::Gauge::TraceCacheResidentBytes);
-    EXPECT_EQ(snap.gaugeValue[resident], 30);
-    EXPECT_EQ(snap.gaugePeak[resident], 150);
     const auto workers = static_cast<std::size_t>(m::Gauge::PoolWorkers);
     EXPECT_EQ(snap.gaugeValue[workers], 5);
     EXPECT_EQ(snap.gaugePeak[workers], 5);
@@ -229,7 +220,6 @@ TEST(MetricsTest, ResetRestoresZeroRegistryWithoutDetaching)
     m::count(m::Counter::ArenaAllocs, 7);
     m::histRecord(m::Hist::PoolJobItems, 123);
     m::gaugeMax(m::Gauge::ArenaHighWaterBytes, 999);
-    m::cacheShardSet(0, 4, 16);
 
     m::reset();
     EXPECT_NE(m::shard(), nullptr) << "reset must not detach shards";
@@ -241,7 +231,6 @@ TEST(MetricsTest, ResetRestoresZeroRegistryWithoutDetaching)
         EXPECT_EQ(snap.gaugeValue[g], 0) << "gauge " << g;
         EXPECT_EQ(snap.gaugePeak[g], 0) << "gauge peak " << g;
     }
-    EXPECT_EQ(snap.cacheShardsUsed, 0u);
     for (std::size_t h = 0; h < m::kNumHists; ++h) {
         EXPECT_EQ(snap.hists[h].count, 0u) << "hist " << h;
         EXPECT_EQ(snap.hists[h].sum, 0u) << "hist " << h;

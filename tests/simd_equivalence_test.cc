@@ -156,7 +156,7 @@ TEST(SimdEquivalence, MatmulStatsBitIdenticalScalarVsAvx2)
 {
     ANTSIM_REQUIRE_AVX2();
     // Matmul exercises the CSC image path and the AntPe matmul window
-    // walk on top of the shared CSR/census/trace-cache kernels.
+    // walk on top of the shared CSR/census/plane-generator kernels.
     std::vector<std::unique_ptr<PeModel>> pes;
     pes.push_back(std::make_unique<ScnnPe>());
     pes.push_back(std::make_unique<AntPe>());

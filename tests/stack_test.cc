@@ -294,8 +294,8 @@ TEST(StackTask, ForwardTaskShape)
     EXPECT_EQ(task.kernels.size(), 16u);
     EXPECT_EQ(task.image->height(), 16u);
     EXPECT_EQ(task.kernelPtrs().size(), 16u);
-    for (const auto &k : task.kernels)
-        EXPECT_EQ(k->height(), 3u);
+    for (const CsrMatrix &k : task.kernels)
+        EXPECT_EQ(k.height(), 3u);
 }
 
 TEST(StackTask, UpdateTaskShape)
@@ -305,7 +305,7 @@ TEST(StackTask, UpdateTaskShape)
     const StackTask task = makeConvPhaseTask(
         layer, TrainingPhase::Update, SparsityProfile::swat(0.9), rng);
     EXPECT_EQ(task.kernels.size(), 16u);
-    EXPECT_EQ(task.kernels[0]->height(), 14u);
+    EXPECT_EQ(task.kernels[0].height(), 14u);
     EXPECT_EQ(task.spec.outH(), 3u);
 }
 

@@ -167,6 +167,40 @@ TEST(Tracegen, DeterministicGivenSameRngSeed)
     EXPECT_EQ(p1.image, p2.image);
 }
 
+TEST(Tracegen, StackTaskEqualsPlaneByPlaneGeneration)
+{
+    // The task-level draw order (image first, then every kernel of the
+    // stack) is what the per-layer replay and the estimator assume.
+    const ConvLayer layer{"s2", 4, 8, 28, 28, 3, 2, 1};
+    const PhaseSpecs specs = layer.phaseSpecs();
+    for (const SparsifyMethod method :
+         {SparsifyMethod::Bernoulli, SparsifyMethod::TopK}) {
+        const SparsityProfile profile{0.7, 0.5, 0.8, method};
+        for (const TrainingPhase phase :
+             {TrainingPhase::Forward, TrainingPhase::Backward,
+              TrainingPhase::Update}) {
+            Rng task_rng(21);
+            const StackTask task =
+                makeConvPhaseTask(layer, phase, profile, task_rng);
+
+            Rng plane_rng(21);
+            EXPECT_EQ(*task.image,
+                      generateCsrPlane(
+                          convImageRecipe(layer, phase, profile, specs),
+                          plane_rng));
+            const PlaneRecipe kernel_recipe =
+                convKernelRecipe(layer, phase, profile, specs);
+            ASSERT_EQ(task.kernels.size(),
+                      phase == TrainingPhase::Backward ? layer.inChannels
+                                                       : layer.outChannels);
+            for (const CsrMatrix &kernel : task.kernels)
+                EXPECT_EQ(kernel, generateCsrPlane(kernel_recipe, plane_rng));
+            EXPECT_EQ(task_rng.state(), plane_rng.state())
+                << "phase " << static_cast<int>(phase);
+        }
+    }
+}
+
 TEST(Tracegen, MatmulPairShapes)
 {
     const MatmulLayer layer{"mm", 300, 8, 8, 1200};
