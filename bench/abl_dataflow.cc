@@ -33,19 +33,17 @@ main(int argc, char **argv)
                  "ker-stat energy red."});
     for (double sparsity : {0.5, 0.9}) {
         const auto profile = SparsityProfile::swat(sparsity);
-        const auto scnn_stats =
-            bench::runConv(scnn, layers, profile, options);
-
         AntPeConfig img_cfg;
         AntPe img_pe(img_cfg);
         AntPeConfig ker_cfg;
         ker_cfg.dataflow = AntDataflow::KernelStationary;
         AntPe ker_pe(ker_cfg);
 
-        const auto img_stats =
-            bench::runConv(img_pe, layers, profile, options);
-        const auto ker_stats =
-            bench::runConv(ker_pe, layers, profile, options);
+        const auto stats = bench::runConv({&scnn, &img_pe, &ker_pe}, layers,
+                                          profile, options);
+        const NetworkStats &scnn_stats = stats[0];
+        const NetworkStats &img_stats = stats[1];
+        const NetworkStats &ker_stats = stats[2];
         char label[16];
         std::snprintf(label, sizeof(label), "%.0f%%", sparsity * 100);
         table.addRow({label,

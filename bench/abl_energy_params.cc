@@ -34,10 +34,10 @@ main(int argc, char **argv)
     ScnnPe scnn;
     AntPe ant;
     // Counters are independent of the energy table: run once.
-    const auto scnn_stats =
-        bench::runConv(scnn, layers, profile, options);
-    const auto ant_stats =
-        bench::runConv(ant, layers, profile, options);
+    const auto stats =
+        bench::runConv({&scnn, &ant}, layers, profile, options);
+    const NetworkStats &scnn_stats = stats[0];
+    const NetworkStats &ant_stats = stats[1];
 
     Table table({"SRAM read (pJ)", "index op (pJ)", "SCNN+ energy (uJ)",
                  "ANT energy (uJ)", "Energy reduction"});

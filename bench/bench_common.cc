@@ -204,20 +204,6 @@ emitTable(const Table &table, const BenchOptions &options)
     g_report.addTable(name, table);
 }
 
-NetworkStats
-runNetwork(PeModel &pe, const NamedNetwork &network, double target_sparsity,
-           const RunConfig &config)
-{
-    const SparsityProfile profile = network.syntheticTopK
-        ? SparsityProfile::topK(target_sparsity)
-        : SparsityProfile::swat(target_sparsity);
-    // Label the trace run and heartbeat lines after the model and
-    // network; the label never influences simulation results.
-    RunConfig labeled = config;
-    labeled.runLabel = pe.name() + "/" + network.name;
-    return runConvNetwork(pe, network.layers, profile, labeled);
-}
-
 namespace {
 
 /** Describe @p pe for estimation; fatal when no analytical model. */
@@ -232,42 +218,84 @@ describeOrDie(const PeModel &pe)
     return *desc;
 }
 
+/**
+ * runConv with each trace run labelled "<model name><label_suffix>";
+ * the label never influences simulation results.
+ */
+std::vector<NetworkStats>
+runConvLabelled(const std::vector<PeModel *> &pes,
+                const std::vector<ConvLayer> &layers,
+                const SparsityProfile &profile, const BenchOptions &options,
+                const std::string &label_suffix)
+{
+    if (options.estimate) {
+        std::vector<NetworkStats> stats;
+        for (const PeModel *pe : pes) {
+            stats.push_back(estimate::estimateConvNetwork(
+                describeOrDie(*pe), layers, profile, options.run));
+        }
+        return stats;
+    }
+    std::vector<ModelRun> models;
+    for (PeModel *pe : pes)
+        models.emplace_back(*pe, pe->name() + label_suffix);
+    return runConvNetwork(models, layers, profile, options.run);
+}
+
 } // namespace
+
+std::vector<NetworkStats>
+runNetwork(const std::vector<PeModel *> &pes, const NamedNetwork &network,
+           double target_sparsity, const BenchOptions &options)
+{
+    const SparsityProfile profile = network.syntheticTopK
+        ? SparsityProfile::topK(target_sparsity)
+        : SparsityProfile::swat(target_sparsity);
+    return runConvLabelled(pes, network.layers, profile, options,
+                           "/" + network.name);
+}
 
 NetworkStats
 runNetwork(PeModel &pe, const NamedNetwork &network, double target_sparsity,
            const BenchOptions &options)
 {
-    if (!options.estimate)
-        return runNetwork(pe, network, target_sparsity, options.run);
-    const SparsityProfile profile = network.syntheticTopK
-        ? SparsityProfile::topK(target_sparsity)
-        : SparsityProfile::swat(target_sparsity);
-    return estimate::estimateConvNetwork(describeOrDie(pe), network.layers,
-                                         profile, options.run);
+    return std::move(
+        runNetwork({&pe}, network, target_sparsity, options).front());
+}
+
+std::vector<NetworkStats>
+runConv(const std::vector<PeModel *> &pes,
+        const std::vector<ConvLayer> &layers, const SparsityProfile &profile,
+        const BenchOptions &options)
+{
+    return runConvLabelled(pes, layers, profile, options, "");
 }
 
 NetworkStats
 runConv(PeModel &pe, const std::vector<ConvLayer> &layers,
         const SparsityProfile &profile, const BenchOptions &options)
 {
-    if (!options.estimate) {
-        RunConfig labeled = options.run;
-        labeled.runLabel = pe.name();
-        return runConvNetwork(pe, layers, profile, labeled);
-    }
-    return estimate::estimateConvNetwork(describeOrDie(pe), layers, profile,
-                                         options.run);
+    return std::move(runConv({&pe}, layers, profile, options).front());
 }
 
-NetworkStats
-runMatmul(PeModel &pe, const std::vector<MatmulLayer> &layers,
-          double sparsity, SparsifyMethod method, const BenchOptions &options)
+std::vector<NetworkStats>
+runMatmul(const std::vector<PeModel *> &pes,
+          const std::vector<MatmulLayer> &layers, double sparsity,
+          SparsifyMethod method, const BenchOptions &options)
 {
-    if (!options.estimate)
-        return runMatmulNetwork(pe, layers, sparsity, method, options.run);
-    return estimate::estimateMatmulNetwork(describeOrDie(pe), layers,
-                                           sparsity, method, options.run);
+    if (options.estimate) {
+        std::vector<NetworkStats> stats;
+        for (const PeModel *pe : pes) {
+            stats.push_back(estimate::estimateMatmulNetwork(
+                describeOrDie(*pe), layers, sparsity, method, options.run));
+        }
+        return stats;
+    }
+    // Matmul runs keep the runner's generic trace label.
+    std::vector<ModelRun> models;
+    for (PeModel *pe : pes)
+        models.emplace_back(*pe);
+    return runMatmulNetwork(models, layers, sparsity, method, options.run);
 }
 
 RunReport &

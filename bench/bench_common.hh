@@ -129,32 +129,45 @@ void printHeader(const std::string &experiment,
  */
 void emitTable(const Table &table, const BenchOptions &options);
 
-/** Memoized network stats: run a PE model over a named network. */
-NetworkStats runNetwork(PeModel &pe, const NamedNetwork &network,
-                        double target_sparsity, const RunConfig &config);
+/*
+ * Estimate-aware run helpers. By default every model of @p pes runs in
+ * one multi-model runner call, so each trace plane is generated once
+ * and simulated on all of them (workload/runner.hh); under --estimate
+ * each model gets the analytical fast path in turn. Fatal when
+ * --estimate is set and a model has no analytical model. The
+ * multi-model forms return one NetworkStats per model, in order.
+ */
 
 /**
- * Estimate-aware counterpart: cycle-level simulation by default, the
- * analytical fast path under --estimate. Fatal when --estimate is set
- * and no analytical model exists for @p pe's dynamic type.
+ * Run models over a named network at its default profile for
+ * @p target_sparsity (top-K on the synthetic ResNet50 path, SWAT
+ * otherwise). Trace runs are labelled "<model>/<network>".
  */
+std::vector<NetworkStats> runNetwork(const std::vector<PeModel *> &pes,
+                                     const NamedNetwork &network,
+                                     double target_sparsity,
+                                     const BenchOptions &options);
 NetworkStats runNetwork(PeModel &pe, const NamedNetwork &network,
                         double target_sparsity,
                         const BenchOptions &options);
 
 /**
- * Estimate-aware runConvNetwork for benches that build their own
- * SparsityProfile (fig10/fig11 resprop points) instead of a
- * NamedNetwork's default.
+ * Run models over conv layers with a caller-built SparsityProfile
+ * (e.g. fig10/fig11 resprop points). Trace runs are labelled by model.
  */
+std::vector<NetworkStats> runConv(const std::vector<PeModel *> &pes,
+                                  const std::vector<ConvLayer> &layers,
+                                  const SparsityProfile &profile,
+                                  const BenchOptions &options);
 NetworkStats runConv(PeModel &pe, const std::vector<ConvLayer> &layers,
                      const SparsityProfile &profile,
                      const BenchOptions &options);
 
-/** Estimate-aware runMatmulNetwork (transformer/RNN suites). */
-NetworkStats runMatmul(PeModel &pe, const std::vector<MatmulLayer> &layers,
-                       double sparsity, SparsifyMethod method,
-                       const BenchOptions &options);
+/** Run models over a matmul suite (transformer/RNN). */
+std::vector<NetworkStats> runMatmul(const std::vector<PeModel *> &pes,
+                                    const std::vector<MatmulLayer> &layers,
+                                    double sparsity, SparsifyMethod method,
+                                    const BenchOptions &options);
 
 /** The process-wide run report the binary accumulates into. */
 RunReport &report();

@@ -38,10 +38,10 @@ main(int argc, char **argv)
 
     for (const auto &network :
          bench::selectNetworks(figure9Networks(), options)) {
-        const auto scnn_stats =
-            bench::runNetwork(scnn, network, 0.9, options);
-        const auto ant_stats =
-            bench::runNetwork(ant, network, 0.9, options);
+        const auto stats =
+            bench::runNetwork({&scnn, &ant}, network, 0.9, options);
+        const NetworkStats &scnn_stats = stats[0];
+        const NetworkStats &ant_stats = stats[1];
         const auto row =
             compareNetworks(network.name, scnn_stats, ant_stats, energy);
         table.addRow({row.label, Table::times(row.speedup),

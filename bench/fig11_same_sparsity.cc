@@ -44,10 +44,10 @@ main(int argc, char **argv)
     Rollup rollup;
     for (const auto &[grad_sp, act_sp] : points) {
         const auto profile = SparsityProfile::resprop(grad_sp, act_sp);
-        const auto scnn_stats =
-            bench::runConv(scnn, layers, profile, options);
-        const auto ant_stats =
-            bench::runConv(ant, layers, profile, options);
+        const auto stats =
+            bench::runConv({&scnn, &ant}, layers, profile, options);
+        const NetworkStats &scnn_stats = stats[0];
+        const NetworkStats &ant_stats = stats[1];
         std::ostringstream label;
         label << static_cast<int>(grad_sp * 100) << "%/"
               << static_cast<int>(act_sp * 100) << "%";

@@ -39,10 +39,10 @@ main(int argc, char **argv)
         acfg.n = n;
         acfg.k = 4 * n; // keep the FNIR window proportionally sized
         AntPe ant(acfg);
-        const auto scnn_stats =
-            bench::runConv(scnn, layers, profile, options);
-        const auto ant_stats =
-            bench::runConv(ant, layers, profile, options);
+        const auto stats =
+            bench::runConv({&scnn, &ant}, layers, profile, options);
+        const NetworkStats &scnn_stats = stats[0];
+        const NetworkStats &ant_stats = stats[1];
         std::ostringstream label;
         label << n << "x" << n;
         table.addRow(

@@ -30,20 +30,26 @@ main(int argc, char **argv)
     const auto profile = SparsityProfile::swat(0.9);
     const EnergyModel energy;
 
+    // SCNN+ and every k on one generated trace.
     ScnnPe scnn;
-    const auto scnn_stats =
-        bench::runConv(scnn, layers, profile, options);
+    std::vector<AntPe> ants;
+    std::vector<PeModel *> pes = {&scnn};
+    for (const std::uint32_t k : {4u, 8u, 16u, 32u}) {
+        AntPeConfig acfg;
+        acfg.k = k;
+        ants.emplace_back(acfg);
+    }
+    for (AntPe &ant : ants)
+        pes.push_back(&ant);
+    const auto stats = bench::runConv(pes, layers, profile, options);
+    const NetworkStats &scnn_stats = stats[0];
 
     Table table({"FNIR inputs (k)", "Speedup vs SCNN+",
                  "Energy reduction"});
-    for (std::uint32_t k : {4u, 8u, 16u, 32u}) {
-        AntPeConfig acfg;
-        acfg.k = k;
-        AntPe ant(acfg);
-        const auto ant_stats =
-            bench::runConv(ant, layers, profile, options);
+    for (std::size_t i = 0; i < ants.size(); ++i) {
+        const NetworkStats &ant_stats = stats[i + 1];
         table.addRow(
-            {std::to_string(k),
+            {std::to_string(ants[i].config().k),
              Table::times(speedupOf(scnn_stats, ant_stats)),
              Table::times(energyRatioOf(scnn_stats, ant_stats, energy))});
     }

@@ -30,10 +30,6 @@ main(int argc, char **argv)
     const auto profile = SparsityProfile::swat(0.9);
     const EnergyModel energy;
 
-    ScnnPe scnn;
-    const auto scnn_stats =
-        bench::runConv(scnn, layers, profile, options);
-
     struct Variant
     {
         const char *name;
@@ -44,17 +40,28 @@ main(int argc, char **argv)
                                 {"s condition only", false, true},
                                 {"both conditions", true, true}};
 
-    Table table({"Variant", "Speedup vs SCNN+", "Energy reduction",
-                 "RCPs avoided"});
-    double r_only_speedup = 0.0;
-    double both_speedup = 0.0;
+    // SCNN+ and every variant on one generated trace.
+    ScnnPe scnn;
+    std::vector<AntPe> ants;
+    std::vector<PeModel *> pes = {&scnn};
     for (const auto &variant : variants) {
         AntPeConfig acfg;
         acfg.useRCondition = variant.use_r;
         acfg.useSCondition = variant.use_s;
-        AntPe ant(acfg);
-        const auto ant_stats =
-            bench::runConv(ant, layers, profile, options);
+        ants.emplace_back(acfg);
+    }
+    for (AntPe &ant : ants)
+        pes.push_back(&ant);
+    const auto stats = bench::runConv(pes, layers, profile, options);
+    const NetworkStats &scnn_stats = stats[0];
+
+    Table table({"Variant", "Speedup vs SCNN+", "Energy reduction",
+                 "RCPs avoided"});
+    double r_only_speedup = 0.0;
+    double both_speedup = 0.0;
+    for (std::size_t i = 0; i < ants.size(); ++i) {
+        const Variant &variant = variants[i];
+        const NetworkStats &ant_stats = stats[i + 1];
         const double speedup = speedupOf(scnn_stats, ant_stats);
         if (variant.use_r && !variant.use_s)
             r_only_speedup = speedup;

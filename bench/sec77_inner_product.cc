@@ -39,14 +39,12 @@ main(int argc, char **argv)
     std::vector<double> ant_over_td;
     for (const auto &network :
          bench::selectNetworks(figure9Networks(), options)) {
-        const auto dense_stats =
-            bench::runNetwork(dense, network, 0.9, options);
-        const auto td_stats =
-            bench::runNetwork(tensordash, network, 0.9, options);
-        const auto scnn_stats =
-            bench::runNetwork(scnn, network, 0.9, options);
-        const auto ant_stats =
-            bench::runNetwork(ant, network, 0.9, options);
+        const auto stats = bench::runNetwork(
+            {&dense, &tensordash, &scnn, &ant}, network, 0.9, options);
+        const NetworkStats &dense_stats = stats[0];
+        const NetworkStats &td_stats = stats[1];
+        const NetworkStats &scnn_stats = stats[2];
+        const NetworkStats &ant_stats = stats[3];
 
         const double td_speedup = speedupOf(dense_stats, td_stats);
         const double ant_td = speedupOf(td_stats, ant_stats);

@@ -43,12 +43,11 @@ main(int argc, char **argv)
                  "Speedup vs SCNN+", "Energy reduction"});
     for (const auto &workload : workloads) {
         for (double sparsity : {0.0, 0.5, 0.9}) {
-            const auto ant_stats = bench::runMatmul(
-                ant, workload.layers, sparsity, SparsifyMethod::TopK,
-                options);
-            const auto scnn_stats = bench::runMatmul(
-                scnn, workload.layers, sparsity, SparsifyMethod::TopK,
-                options);
+            const auto stats =
+                bench::runMatmul({&ant, &scnn}, workload.layers, sparsity,
+                                 SparsifyMethod::TopK, options);
+            const NetworkStats &ant_stats = stats[0];
+            const NetworkStats &scnn_stats = stats[1];
             std::ostringstream sp;
             sp << static_cast<int>(sparsity * 100) << "%";
             table.addRow(

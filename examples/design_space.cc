@@ -41,17 +41,24 @@ main(int argc, char **argv)
         ScnnPeConfig scfg;
         scfg.n = n;
         ScnnPe scnn(scfg);
-        const auto scnn_stats =
-            runConvNetwork(scnn, layers, profile, config);
+        // SCNN+(n) and every ANT (n, k) point on one generated trace.
+        std::vector<AntPe> ants;
         for (std::uint32_t k : {8u, 16u, 32u}) {
             if (k < n)
                 continue;
             AntPeConfig acfg;
             acfg.n = n;
             acfg.k = k;
-            AntPe ant(acfg);
-            const auto ant_stats =
-                runConvNetwork(ant, layers, profile, config);
+            ants.emplace_back(acfg);
+        }
+        std::vector<ModelRun> models = {{scnn}};
+        for (AntPe &ant : ants)
+            models.emplace_back(ant);
+        const auto stats = runConvNetwork(models, layers, profile, config);
+        const NetworkStats &scnn_stats = stats[0];
+        for (std::size_t i = 0; i < ants.size(); ++i) {
+            const std::uint32_t k = ants[i].config().k;
+            const NetworkStats &ant_stats = stats[i + 1];
             const auto area = estimateFnirArea(n, k);
             std::ostringstream area_str;
             area_str.precision(4);

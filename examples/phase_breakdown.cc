@@ -67,8 +67,10 @@ main(int argc, char **argv)
     ScnnPe scnn;
     AntPe ant;
     const EnergyModel energy;
-    const auto scnn_stats = runConvNetwork(scnn, layers, profile, config);
-    const auto ant_stats = runConvNetwork(ant, layers, profile, config);
+    const auto stats =
+        runConvNetwork({{scnn}, {ant}}, layers, profile, config);
+    const NetworkStats &scnn_stats = stats[0];
+    const NetworkStats &ant_stats = stats[1];
 
     Table table({"Phase", "Model", "PE cycles", "mults", "valid", "RCP",
                  "avoided", "energy (uJ)"});

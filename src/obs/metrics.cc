@@ -17,8 +17,6 @@ namespace {
 constexpr const char *kCounterNames[kNumCounters] = {
     "pool_parallel_fors",
     "pool_items",
-    "arena_allocs",
-    "arena_alloc_bytes",
     "arena_slabs",
     "arena_slab_bytes",
     "aligned_vec_grows",
@@ -30,14 +28,12 @@ constexpr const char *kCounterNames[kNumCounters] = {
 constexpr const char *kCounterHelp[kNumCounters] = {
     "parallelFor jobs issued by the thread pool",
     "work items scheduled across all parallelFor jobs",
-    "blocks carved by Arena::alloc",
-    "bytes carved by Arena::alloc including alignment padding",
     "slabs (re)allocated by Arena::reset",
     "slab bytes allocated by Arena::reset",
     "AlignedVec growth reallocations",
     "bytes allocated by AlignedVec growths",
-    "network-run invocations (conv or matmul)",
-    "simulated (layer, phase, sample) units completed",
+    "model runs, one per PE model of each runner call",
+    "generated units completed, each simulated on every model of its call",
 };
 
 constexpr const char *kWorkerCounterNames[kNumWorkerCounters] = {
@@ -64,7 +60,7 @@ constexpr const char *kGaugeNames[kNumGauges] = {
 constexpr const char *kGaugeHelp[kNumGauges] = {
     "largest parallelFor item count seen (pending-depth proxy)",
     "largest pool worker count seen",
-    "largest Arena used() watermark seen across all arenas",
+    "largest arena slab capacity in bytes seen",
     "largest AlignedVec capacity in bytes seen across all vectors",
 };
 
@@ -74,7 +70,7 @@ constexpr const char *kHistNames[kNumHists] = {
 };
 
 constexpr const char *kHistHelp[kNumHists] = {
-    "host wall nanoseconds per simulated unit",
+    "host wall nanoseconds per generated unit, all models included",
     "item count per parallelFor job",
 };
 

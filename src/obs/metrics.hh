@@ -54,10 +54,6 @@ enum class Counter : unsigned {
     PoolParallelFors = 0,
     /** Work items scheduled across all parallelFor jobs. */
     PoolItems,
-    /** Arena blocks carved by Arena::alloc. */
-    ArenaAllocs,
-    /** Bytes carved by Arena::alloc (with alignment padding). */
-    ArenaAllocBytes,
     /** Arena slabs (re)allocated by Arena::reset. */
     ArenaSlabs,
     /** Slab bytes allocated by Arena::reset. */
@@ -66,9 +62,12 @@ enum class Counter : unsigned {
     AlignedVecGrows,
     /** Bytes allocated by AlignedVec growths. */
     AlignedVecGrowBytes,
-    /** runConvNetwork / runMatmulNetwork invocations. */
+    /** Model runs: one per PE model of each runner call. */
     RunnerRuns,
-    /** Simulated (layer, phase, sample) units completed. */
+    /**
+     * Generated (layer, phase, sample) units completed; each is
+     * simulated on every model of its call.
+     */
     RunnerUnits,
     NumCounters
 };
@@ -102,7 +101,7 @@ enum class Gauge : unsigned {
     PoolMaxJobItems = 0,
     /** Largest pool worker count seen. */
     PoolWorkers,
-    /** Largest Arena::used() watermark seen across all arenas. */
+    /** Largest arena slab capacity seen. */
     ArenaHighWaterBytes,
     /** Largest AlignedVec capacity in bytes seen across all vectors. */
     AlignedVecHighWaterBytes,
@@ -114,7 +113,10 @@ constexpr std::size_t kNumGauges =
 
 /** Host-side distributions. */
 enum class Hist : unsigned {
-    /** Wall nanoseconds of one simulated unit. */
+    /**
+     * Wall nanoseconds of one generated unit: trace generation,
+     * chunking, and its simulation on every model of the call.
+     */
     UnitWallNs = 0,
     /** Item count of each parallelFor job. */
     PoolJobItems,
@@ -157,8 +159,9 @@ constexpr std::size_t kNumStages = 4;
  * the owning thread is the only writer, but a heartbeat or snapshot
  * may read concurrently, and relaxed uncontended atomics cost the
  * same as plain loads/stores on every target this simulator runs on.
+ * Cache-line aligned, so no other thread's data shares its lines.
  */
-struct MetricShard
+struct alignas(64) MetricShard
 {
     std::array<std::atomic<std::uint64_t>, kNumCounters> counters{};
     std::array<std::array<std::atomic<std::uint64_t>, kNumWorkerCounters>,
@@ -189,8 +192,14 @@ inline thread_local constinit MetricShard *t_shard = nullptr;
 
 inline std::atomic<bool> g_enabled{false};
 
-/** Shard list plus the registry-global gauges. */
-struct Registry
+/**
+ * Shard list plus the registry-global gauges. Cache-line aligned:
+ * every metered arena slab reads the gauges, so a hot atomic of
+ * another module placed on their line (the trace generator's plane
+ * counter was) turns each generated plane into a cache miss under
+ * parallel load.
+ */
+struct alignas(64) Registry
 {
     std::mutex mutex;
     /** Shards live for the process lifetime: a detached thread's

@@ -201,7 +201,8 @@ recorder()
 
 /**
  * Process-wide collector of per-unit buffers, grouped into runs (one
- * run per runConvNetwork / runMatmulNetwork invocation). beginRun is
+ * run per PE model of each runConvNetwork / runMatmulNetwork call,
+ * registered in model order). beginRun is
  * called from the orchestrating thread before workers start; submit
  * is thread-safe and slot-addressed, so arrival order cannot affect
  * the exported document.

@@ -12,19 +12,18 @@ chunkByCapacity(const CsrMatrix &matrix, std::uint32_t capacity)
     ANT_ASSERT(capacity > 0, "chunk capacity must be positive");
 
     std::vector<CsrMatrix> chunks;
-    const auto entries = matrix.entries();
-    if (entries.empty()) {
-        chunks.push_back(CsrMatrix(matrix.height(), matrix.width()));
+    // A matrix that fits (the empty one included) is its own chunk.
+    if (matrix.nnz() <= capacity) {
+        chunks.push_back(matrix);
         return chunks;
     }
-
-    for (std::size_t base = 0; base < entries.size(); base += capacity) {
-        const std::size_t end =
-            std::min(base + capacity, entries.size());
-        std::vector<SparseEntry> slice(entries.begin() + base,
-                                       entries.begin() + end);
-        chunks.push_back(CsrMatrix::fromCoo(matrix.height(), matrix.width(),
-                                            std::move(slice)));
+    const std::uint64_t nnz = matrix.nnz();
+    chunks.reserve((nnz + capacity - 1) / capacity);
+    for (std::uint64_t base = 0; base < nnz; base += capacity) {
+        const std::uint64_t end = std::min<std::uint64_t>(base + capacity,
+                                                          nnz);
+        chunks.push_back(matrix.slice(static_cast<std::uint32_t>(base),
+                                      static_cast<std::uint32_t>(end)));
     }
     return chunks;
 }

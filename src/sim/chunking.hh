@@ -25,8 +25,9 @@ namespace antsim {
 /**
  * Slice a CSR matrix's entry stream into sub-matrices of at most
  * @p capacity entries each (same logical dims, disjoint entry subsets,
- * storage order preserved). An empty matrix yields one empty chunk so
- * pair enumeration stays uniform.
+ * storage order preserved). A matrix that fits -- an empty one
+ * included -- yields one chunk, a copy of itself, so pair enumeration
+ * stays uniform.
  */
 std::vector<CsrMatrix> chunkByCapacity(const CsrMatrix &matrix,
                                        std::uint32_t capacity);

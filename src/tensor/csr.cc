@@ -159,6 +159,36 @@ compressRow(const float *row, std::uint32_t n, float *out_values,
     return compressRowScalar(row, n, out_values, out_columns);
 }
 
+/**
+ * Scatter @p csr into the compressed arrays of its transpose: each
+ * column's entries in row order with their row index, and the
+ * width()+1 column pointers (which must arrive zeroed, as fresh arena
+ * blocks do). CsrMatrix::transposed and CscMatrix::fromCsr both fill
+ * their own slab with it.
+ */
+void
+transposeInto(const CsrMatrix &csr, float *out_values,
+              std::uint32_t *out_indices, std::uint32_t *out_ptr)
+{
+    const auto row_ptr = csr.rowPtr();
+    const auto cols = csr.columns();
+    const auto vals = csr.values();
+    // Count entries per column, prefix-sum into the pointers.
+    for (std::uint32_t c : cols)
+        ++out_ptr[c + 1];
+    for (std::uint32_t c = 0; c < csr.width(); ++c)
+        out_ptr[c + 1] += out_ptr[c];
+    std::vector<std::uint32_t> cursor(out_ptr, out_ptr + csr.width());
+    for (std::uint32_t y = 0; y < csr.height(); ++y) {
+        for (std::uint32_t i = row_ptr[y]; i < row_ptr[y + 1]; ++i) {
+            const std::uint32_t c = cols[i];
+            out_values[cursor[c]] = vals[i];
+            out_indices[cursor[c]] = y;
+            ++cursor[c];
+        }
+    }
+}
+
 } // namespace
 
 std::uint32_t
@@ -204,7 +234,7 @@ CsrMatrix::CsrMatrix(std::uint32_t height, std::uint32_t width)
 CsrMatrix
 CsrMatrix::fromDense(const Dense2d<float> &dense)
 {
-    CsrMatrix csr(dense.height(), dense.width());
+    CsrMatrix csr(dense.height(), dense.width(), Unallocated{});
     const float *data = dense.data().data();
     const std::size_t cells = dense.data().size();
     csr.allocateStorage(countNonzeros(data, cells));
@@ -227,15 +257,15 @@ CsrMatrix::fromDense(const Dense2d<float> &dense)
 
 CsrMatrix
 CsrMatrix::fromRaw(std::uint32_t height, std::uint32_t width,
-                   std::vector<float> values,
-                   std::vector<std::uint32_t> columns,
-                   std::vector<std::uint32_t> row_ptr)
+                   const std::vector<float> &values,
+                   const std::vector<std::uint32_t> &columns,
+                   const std::vector<std::uint32_t> &row_ptr)
 {
     ANT_ASSERT(row_ptr.size() == static_cast<std::size_t>(height) + 1,
                "rowPtr size ", row_ptr.size(), " != height+1 ", height + 1);
     ANT_ASSERT(values.size() == columns.size(),
                "values/columns size mismatch");
-    CsrMatrix csr(height, width);
+    CsrMatrix csr(height, width, Unallocated{});
     csr.allocateStorage(values.size());
     if (!values.empty()) {
         std::memcpy(csr.valuesData(), values.data(),
@@ -272,7 +302,7 @@ CsrMatrix::fromCoo(std::uint32_t height, std::uint32_t width,
         }
     }
 
-    CsrMatrix csr(height, width);
+    CsrMatrix csr(height, width, Unallocated{});
     csr.allocateStorage(unique);
     float *values = csr.valuesData();
     std::uint32_t *columns = csr.columnsData();
@@ -352,11 +382,33 @@ CsrMatrix::entries() const
 }
 
 CsrMatrix
+CsrMatrix::slice(std::uint32_t begin, std::uint32_t end) const
+{
+    ANT_ASSERT(begin <= end && end <= nnz(), "slice [", begin, ", ", end,
+               ") outside the ", nnz(), " stored entries");
+    CsrMatrix out(height_, width_, Unallocated{});
+    out.allocateStorage(end - begin);
+    if (end > begin) {
+        std::memcpy(out.valuesData(), values().data() + begin,
+                    (end - begin) * sizeof(float));
+        std::memcpy(out.columnsData(), columns().data() + begin,
+                    (end - begin) * sizeof(std::uint32_t));
+    }
+    // Each row keeps the part of its range that falls inside the slice.
+    const auto row_ptr = rowPtr();
+    std::uint32_t *out_row_ptr = out.rowPtrData();
+    for (std::uint32_t y = 0; y < height_; ++y)
+        out_row_ptr[y + 1] = std::clamp(row_ptr[y + 1], begin, end) - begin;
+    out.maybeValidate();
+    return out;
+}
+
+CsrMatrix
 CsrMatrix::rotated180() const
 {
     // Algorithm 3: remap indices only; the Values array contents do not
     // change (their order does, to restore row-major ordering).
-    CsrMatrix out(height_, width_);
+    CsrMatrix out(height_, width_, Unallocated{});
     out.allocateStorage(nnz());
     const auto row_ptr = rowPtr();
     const auto cols = columns();
@@ -385,28 +437,10 @@ CsrMatrix::rotated180() const
 CsrMatrix
 CsrMatrix::transposed() const
 {
-    CsrMatrix out(width_, height_);
+    CsrMatrix out(width_, height_, Unallocated{});
     out.allocateStorage(nnz());
-    const auto row_ptr = rowPtr();
-    const auto cols = columns();
-    const auto vals = values();
-    std::uint32_t *out_row_ptr = out.rowPtrData();
-    // Count entries per column, prefix-sum into the row pointers.
-    for (std::uint32_t c : cols)
-        ++out_row_ptr[c + 1];
-    for (std::uint32_t c = 0; c < width_; ++c)
-        out_row_ptr[c + 1] += out_row_ptr[c];
-    float *out_values = out.valuesData();
-    std::uint32_t *out_columns = out.columnsData();
-    std::vector<std::uint32_t> cursor(out_row_ptr, out_row_ptr + width_);
-    for (std::uint32_t y = 0; y < height_; ++y) {
-        for (std::uint32_t i = row_ptr[y]; i < row_ptr[y + 1]; ++i) {
-            const std::uint32_t c = cols[i];
-            out_values[cursor[c]] = vals[i];
-            out_columns[cursor[c]] = y;
-            ++cursor[c];
-        }
-    }
+    transposeInto(*this, out.valuesData(), out.columnsData(),
+                  out.rowPtrData());
     out.maybeValidate();
     return out;
 }
@@ -492,17 +526,10 @@ CscMatrix::fromDense(const Dense2d<float> &dense)
 CscMatrix
 CscMatrix::fromCsr(const CsrMatrix &csr)
 {
-    const CsrMatrix t = csr.transposed();
+    // The CSC arrays are the CSR arrays of the transpose.
     CscMatrix csc(csr.height(), csr.width());
-    csc.allocateStorage(t.nnz());
-    if (t.nnz() > 0) {
-        std::memcpy(csc.valuesData(), t.values().data(),
-                    t.nnz() * sizeof(float));
-        std::memcpy(csc.rowsData(), t.columns().data(),
-                    t.nnz() * sizeof(std::uint32_t));
-    }
-    std::memcpy(csc.colPtrData(), t.rowPtr().data(),
-                t.rowPtr().size() * sizeof(std::uint32_t));
+    csc.allocateStorage(csr.nnz());
+    transposeInto(csr, csc.valuesData(), csc.rowsData(), csc.colPtrData());
     return csc;
 }
 

@@ -16,10 +16,11 @@
  *
  * Storage layout: the three arrays are a structure-of-arrays carved
  * out of one 64-byte-aligned Arena slab (util/arena.hh), sized exactly
- * from the nnz counted before filling. Accessors hand out read-only
- * spans; the SIMD construction kernels (docs/MODEL.md Sec. 11) rely on
- * the alignment, and the exact pre-sizing removes the push_back
- * reallocation churn of the old vector-backed layout.
+ * from the nnz counted before filling. Every factory allocates exactly
+ * one slab. Accessors hand out read-only spans; the SIMD construction
+ * kernels (docs/MODEL.md Sec. 11) rely on the alignment, and the exact
+ * pre-sizing removes the push_back reallocation churn of the old
+ * vector-backed layout.
  */
 
 #ifndef ANTSIM_TENSOR_CSR_HH
@@ -69,13 +70,13 @@ class CsrMatrix
     static CsrMatrix fromDense(const Dense2d<float> &dense);
 
     /**
-     * Build directly from raw arrays.
+     * Build directly from raw arrays (copied into the matrix's slab).
      * Panics if the arrays violate the CSR invariants.
      */
     static CsrMatrix fromRaw(std::uint32_t height, std::uint32_t width,
-                             std::vector<float> values,
-                             std::vector<std::uint32_t> columns,
-                             std::vector<std::uint32_t> row_ptr);
+                             const std::vector<float> &values,
+                             const std::vector<std::uint32_t> &columns,
+                             const std::vector<std::uint32_t> &row_ptr);
 
     /**
      * Build from an unsorted coordinate list (duplicates are summed,
@@ -132,6 +133,12 @@ class CsrMatrix
     std::vector<SparseEntry> entries() const;
 
     /**
+     * The matrix holding only stored entries [@p begin, @p end) in
+     * storage order, with the same dims (a buffer-capacity chunk).
+     */
+    CsrMatrix slice(std::uint32_t begin, std::uint32_t end) const;
+
+    /**
      * Rotate the matrix by 180 degrees (Algorithm 3):
      * y' = H - y - 1, x' = W - x - 1. Values are unchanged; only the
      * index arrays are remapped, as in the ANT ROTATE-flag hardware
@@ -148,6 +155,15 @@ class CsrMatrix
     bool operator==(const CsrMatrix &o) const;
 
   private:
+    /** Tag of the constructor that leaves the slab unallocated. */
+    struct Unallocated
+    {};
+
+    /** Shape only; the factory then calls allocateStorage once. */
+    CsrMatrix(std::uint32_t height, std::uint32_t width, Unallocated)
+        : height_(height), width_(width)
+    {}
+
     /**
      * Size the arena for exactly @p nnz stored entries (guarding the
      * uint32 narrowing) plus the row-pointer array, and carve the

@@ -27,7 +27,7 @@
 #include <new>
 #include <type_traits>
 
-// Allocation accounting (counts, high-water bytes). Header-inline
+// Slab accounting (counts, bytes, largest slab). Header-inline
 // producer API only: one thread-local pointer branch when metrics are
 // off, no ant_obs link dependency.
 #include "obs/metrics.hh"
@@ -101,9 +101,16 @@ class Arena
         if (capacity_ > 0) {
             slab_ = static_cast<std::byte *>(::operator new(
                 capacity_, std::align_val_t{kAlignment}));
-            obs::metrics::count(obs::metrics::Counter::ArenaSlabs);
-            obs::metrics::count(obs::metrics::Counter::ArenaSlabBytes,
-                                capacity_);
+            // Metered per slab, not per block: a slab is the one
+            // allocation a CSR/CSC matrix makes.
+            if (obs::metrics::shard() != nullptr) {
+                obs::metrics::count(obs::metrics::Counter::ArenaSlabs);
+                obs::metrics::count(obs::metrics::Counter::ArenaSlabBytes,
+                                    capacity_);
+                obs::metrics::gaugeMax(
+                    obs::metrics::Gauge::ArenaHighWaterBytes,
+                    static_cast<std::int64_t>(capacity_));
+            }
         }
     }
 
@@ -129,14 +136,6 @@ class Arena
         if (count > 0)
             std::memset(slab_ + offset, 0, count * sizeof(T));
         used_ += bytes;
-        if (obs::metrics::shard() != nullptr) {
-            obs::metrics::count(obs::metrics::Counter::ArenaAllocs);
-            obs::metrics::count(obs::metrics::Counter::ArenaAllocBytes,
-                                bytes);
-            obs::metrics::gaugeMax(
-                obs::metrics::Gauge::ArenaHighWaterBytes,
-                static_cast<std::int64_t>(used_));
-        }
         return offset;
     }
 

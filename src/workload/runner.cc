@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "obs/host_trace.hh"
 #include "obs/metrics.hh"
@@ -41,42 +42,83 @@ recordRcpHist(obs::UnitRecorder &rec, const CounterSet &c)
     }
 }
 
-/** Run one generated plane pair through the PE, chunked to capacity. */
-CounterSet
-runPlanePair(PeModel &pe, const PlanePair &pair, std::uint32_t capacity)
+/**
+ * Run one chunk task (@p run returns its PeResult), bracket it in the
+ * unit's simulated-time trace, and add its counters to @p total.
+ */
+template <typename Run>
+void
+simulateTask(CounterSet &total, const Run &run)
 {
-    CounterSet total;
-    // Dense-tiled baselines must not have their MAC stream split by
-    // the sparse buffer capacity.
-    if (!pe.usesCompressedOperands())
-        capacity = std::numeric_limits<std::uint32_t>::max();
-    std::vector<ChunkPair> tasks;
-    std::vector<CsrMatrix> kernel_chunks;
-    std::vector<CsrMatrix> image_chunks;
-    {
-        const ScopedTimer timer(Stage::PlanBuild);
-        kernel_chunks = chunkByCapacity(pair.kernel, capacity);
-        image_chunks = chunkByCapacity(pair.image, capacity);
-        tasks = allChunkPairs(kernel_chunks, image_chunks);
-    }
     obs::UnitRecorder *rec = obs::recorder();
     if (rec)
-        recordImageRowHist(*rec, pair.image);
-    const ScopedTimer timer(Stage::PeSim);
-    for (const auto &task : tasks) {
-        if (rec)
-            rec->beginTask();
-        const PeResult r = pe.runPair(pair.spec, *task.kernel, *task.image,
-                                      /*collect_output=*/false);
-        if (rec) {
-            rec->endTask();
-            recordRcpHist(*rec, r.counters);
-        }
-        total += r.counters;
-        total.add(Counter::TasksProcessed);
+        rec->beginTask();
+    const PeResult r = run();
+    if (rec) {
+        rec->endTask();
+        recordRcpHist(*rec, r.counters);
     }
-    return total;
+    total += r.counters;
+    total.add(Counter::TasksProcessed);
 }
+
+/**
+ * Operand chunk capacity of @p pe. Dense-tiled baselines must not have
+ * their MAC stream split by the sparse buffer capacity.
+ */
+std::uint32_t
+capacityOf(const PeModel &pe, const RunConfig &config)
+{
+    return pe.usesCompressedOperands()
+        ? config.chunkCapacity
+        : std::numeric_limits<std::uint32_t>::max();
+}
+
+/**
+ * One generated operand split into buffer-capacity chunks, once per
+ * distinct capacity the unit's models ask for. An operand that fits a
+ * capacity is its own single chunk and is not copied.
+ */
+class ChunkedOperand
+{
+  public:
+    explicit ChunkedOperand(const CsrMatrix &matrix) : whole_(&matrix) {}
+
+    ChunkedOperand(const ChunkedOperand &) = delete;
+    ChunkedOperand &operator=(const ChunkedOperand &) = delete;
+
+    /** The chunks of at most @p capacity entries, in storage order. */
+    std::span<const CsrMatrix *const>
+    chunks(std::uint32_t capacity)
+    {
+        const ScopedTimer timer(Stage::PlanBuild);
+        if (whole_->nnz() <= capacity)
+            return {&whole_, 1};
+        for (const Split &split : splits_) {
+            if (split.capacity == capacity)
+                return split.views;
+        }
+        Split &split = splits_.emplace_back();
+        split.capacity = capacity;
+        split.chunks = chunkByCapacity(*whole_, capacity);
+        for (const CsrMatrix &chunk : split.chunks)
+            split.views.push_back(&chunk);
+        return split.views;
+    }
+
+  private:
+    struct Split
+    {
+        std::uint32_t capacity = 0;
+        std::vector<CsrMatrix> chunks;
+        std::vector<const CsrMatrix *> views;
+    };
+
+    const CsrMatrix *whole_;
+    /** Growing this moves Splits, which keeps their vectors' buffers:
+     *  spans handed out earlier stay valid. */
+    std::vector<Split> splits_;
+};
 
 /**
  * Per-worker PE replicas for the parallel engine. Worker 0 is the
@@ -104,6 +146,112 @@ class WorkerPes
     std::vector<std::unique_ptr<PeModel>> clones_;
 };
 
+/**
+ * The unit executor both network runners share. It simulates
+ * @p unit_count units on every model of @p models: a pool worker
+ * generates unit i's operands once, then simulates them on its own
+ * replica of each model in list order. Each (model, unit) gets its own
+ * simulated-time trace scope and host `unit` span, and its counters
+ * land in that model's slot i, so each model's slots equal those of a
+ * call of its own at every thread count.
+ *
+ * @p label_of(i) names unit i in the traces and the heartbeat.
+ * @p run_unit(i, for_each_model) generates unit i and then calls
+ * for_each_model(simulate) once; simulate(pe, capacity) runs one
+ * model's replica on the generated operands, chunked to capacity, and
+ * returns its counters.
+ *
+ * Returns the counters per model, each in unit (task-index) order.
+ */
+template <typename LabelOf, typename RunUnit>
+std::vector<std::vector<CounterSet>>
+runUnits(const std::vector<ModelRun> &models, const RunConfig &config,
+         const char *generic_label, std::size_t unit_count,
+         const LabelOf &label_of, const RunUnit &run_unit)
+{
+    config.validate();
+    ANT_ASSERT(!models.empty(), "a network run needs at least one model");
+
+    // Register one trace run per model in list order before any worker
+    // starts, so run indices match one call per model.
+    obs::TraceSink *const sink = obs::traceSink();
+    std::vector<std::string> labels;
+    std::vector<std::size_t> trace_runs;
+    std::string call_label;
+    for (const ModelRun &model : models) {
+        labels.push_back(model.label.empty() ? generic_label : model.label);
+        trace_runs.push_back(sink ? sink->beginRun(labels.back(), unit_count)
+                                  : 0);
+        call_label += (call_label.empty() ? "" : " + ") + labels.back();
+    }
+    obs::metrics::threadAttach();
+    obs::metrics::count(obs::metrics::Counter::RunnerRuns, models.size());
+    const obs::host::ScopedSpan host_run_span("run", call_label);
+
+    // Progress heartbeat: ~8 info-level lines per call, counted with a
+    // relaxed atomic so it never perturbs simulation results.
+    const std::uint64_t heartbeat_step =
+        std::max<std::uint64_t>(1, unit_count / 8);
+    std::atomic<std::uint64_t> units_done{0};
+
+    std::vector<std::vector<CounterSet>> unit_counters(
+        models.size(), std::vector<CounterSet>(unit_count));
+    ThreadPool pool(effectiveWorkerCount(config.numThreads));
+    std::vector<WorkerPes> replicas;
+    replicas.reserve(models.size());
+    for (const ModelRun &model : models)
+        replicas.emplace_back(*model.pe, pool.threadCount());
+    pool.parallelFor(
+        0, unit_count, /*grain=*/1,
+        // antsim-lint: allow(parallel-capture-discipline) -- per-slot
+        // discipline: each task writes only unit_counters[m][i] (its
+        // own task-indexed slot of each model) plus relaxed atomics;
+        // all other captures are read-only, and each worker simulates
+        // on its private replicas[m][worker] clones
+        // (parallel_determinism_test).
+        [&](std::uint64_t i, std::uint32_t worker) {
+            // The label feeds both traces; host unit spans carry
+            // {run, unit} args to cross-link with the simulated-time
+            // trace's unit events.
+            const bool host_on = obs::host::buf() != nullptr;
+            const std::string label =
+                sink != nullptr || host_on ? label_of(i) : std::string();
+            const std::uint64_t unit_start =
+                obs::metrics::shard() != nullptr ? obs::metrics::nowNs()
+                                                 : 0;
+            const auto for_each_model = [&](const auto &simulate) {
+                for (std::size_t m = 0; m < models.size(); ++m) {
+                    const obs::ScopedUnitTrace trace(
+                        sink, trace_runs[m], i,
+                        sink ? label : std::string());
+                    const obs::host::ScopedSpan host_span(
+                        "unit", host_on ? label : std::string(),
+                        host_on ? "{\"run\":\"" + labels[m] +
+                                "\",\"unit\":" + std::to_string(i) + "}"
+                                : std::string());
+                    PeModel &pe = replicas[m][worker];
+                    unit_counters[m][i] =
+                        simulate(pe, capacityOf(pe, config));
+                }
+            };
+            run_unit(i, for_each_model);
+            if (obs::metrics::shard() != nullptr) {
+                obs::metrics::count(obs::metrics::Counter::RunnerUnits);
+                obs::metrics::histRecord(
+                    obs::metrics::Hist::UnitWallNs,
+                    obs::metrics::nowNs() - unit_start);
+            }
+            const std::uint64_t done =
+                units_done.fetch_add(1, std::memory_order_relaxed) + 1;
+            if (logLevel() >= LogLevel::Info &&
+                (done % heartbeat_step == 0 || done == unit_count)) {
+                ANT_INFORM(call_label, ": ", done, "/", unit_count,
+                           " units simulated (last: ", label_of(i), ")");
+            }
+        });
+    return unit_counters;
+}
+
 /** One simulated (layer, phase, sample) unit of a conv network run. */
 struct ConvUnit
 {
@@ -112,55 +260,6 @@ struct ConvUnit
     /** Channel index the sample maps to (seeds the unit's trace). */
     std::uint64_t taskIndex = 0;
 };
-
-/**
- * Simulate one conv unit. Pure in (config, profile, layer, unit): all
- * randomness descends from mixSeed, so the result is independent of
- * which worker runs it and in what order.
- */
-CounterSet
-runConvUnit(PeModel &pe, const ConvLayer &layer,
-            const SparsityProfile &profile, const RunConfig &config,
-            const ConvUnit &unit)
-{
-    CounterSet counters;
-    const auto phase = static_cast<TrainingPhase>(unit.phase);
-    Rng rng(mixSeed(config.seed, unit.layer, unit.phase, unit.taskIndex));
-    const StackTask task = [&] {
-        const ScopedTimer timer(Stage::TraceGen);
-        return makeConvPhaseTask(layer, phase, profile, rng);
-    }();
-    const auto kernel_ptrs = task.kernelPtrs();
-
-    // Image chunking: the stationary image must fit the 8 KB buffer;
-    // each image chunk reloads the PE (its own start-up) and
-    // re-streams the kernel stack.
-    std::uint32_t capacity = config.chunkCapacity;
-    if (!pe.usesCompressedOperands())
-        capacity = std::numeric_limits<std::uint32_t>::max();
-    std::vector<CsrMatrix> image_chunks;
-    {
-        const ScopedTimer timer(Stage::PlanBuild);
-        image_chunks = chunkByCapacity(*task.image, capacity);
-    }
-    obs::UnitRecorder *rec = obs::recorder();
-    if (rec)
-        recordImageRowHist(*rec, *task.image);
-    const ScopedTimer timer(Stage::PeSim);
-    for (const CsrMatrix &image_chunk : image_chunks) {
-        if (rec)
-            rec->beginTask();
-        const PeResult r = pe.runStack(task.spec, kernel_ptrs, image_chunk,
-                                       /*collect_output=*/false);
-        if (rec) {
-            rec->endTask();
-            recordRcpHist(*rec, r.counters);
-        }
-        counters += r.counters;
-        counters.add(Counter::TasksProcessed);
-    }
-    return counters;
-}
 
 } // namespace
 
@@ -214,15 +313,14 @@ NetworkStats::validMultFraction() const
             static_cast<double>(executed);
 }
 
-NetworkStats
-runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
+std::vector<NetworkStats>
+runConvNetwork(const std::vector<ModelRun> &models,
+               const std::vector<ConvLayer> &layers,
                const SparsityProfile &profile, const RunConfig &config)
 {
-    config.validate();
-    NetworkStats stats;
-
     // Flatten the simulated units so the pool can schedule them freely;
     // the per-layer/phase skeleton is laid down up front.
+    NetworkStats skeleton;
     std::vector<ConvUnit> units;
     for (std::size_t li = 0; li < layers.size(); ++li) {
         const ConvLayer &layer = layers[li];
@@ -245,107 +343,151 @@ runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
                                  s * ps.pairsTotal / ps.pairsSimulated});
             }
         }
-        stats.layers.push_back(std::move(layer_stats));
+        skeleton.layers.push_back(std::move(layer_stats));
     }
 
-    // Simulate every unit on a worker-private PE replica. Each unit's
-    // counters land in the slot keyed by its task index, so nothing
-    // downstream depends on scheduling.
-    obs::TraceSink *const sink = obs::traceSink();
-    const std::string run_label =
-        config.runLabel.empty() ? "conv_network" : config.runLabel;
-    std::size_t trace_run = 0;
-    if (sink)
-        trace_run = sink->beginRun(run_label, units.size());
-    obs::metrics::threadAttach();
-    obs::metrics::count(obs::metrics::Counter::RunnerRuns);
-    const obs::host::ScopedSpan host_run_span("run", run_label);
-
-    // Progress heartbeat: ~8 info-level lines per run, counted with a
-    // relaxed atomic so it never perturbs simulation results.
-    const std::uint64_t heartbeat_step =
-        std::max<std::uint64_t>(1, units.size() / 8);
-    std::atomic<std::uint64_t> units_done{0};
-
-    std::vector<CounterSet> unit_counters(units.size());
-    ThreadPool pool(effectiveWorkerCount(config.numThreads));
-    const WorkerPes worker_pes(pe, pool.threadCount());
-    pool.parallelFor(
-        0, units.size(), /*grain=*/1,
-        // antsim-lint: allow(parallel-capture-discipline) -- per-slot
-        // discipline: each task writes only unit_counters[i] (its own
-        // task-indexed slot) plus relaxed atomics; all other captures
-        // are read-only, and each worker simulates on its private
-        // worker_pes[worker] clone (parallel_determinism_test).
-        [&](std::uint64_t i, std::uint32_t worker) {
-            const ConvUnit &unit = units[i];
-            const ConvLayer &layer = layers[unit.layer];
-            // The label feeds both traces; host unit spans carry
-            // {run, unit} args to cross-link with the simulated-time
-            // trace's unit events.
-            const bool host_on = obs::host::buf() != nullptr;
-            std::string label;
-            if (sink != nullptr || host_on) {
-                label = layer.name + "/" + kPhaseNames[unit.phase] +
-                    "#" + std::to_string(unit.taskIndex);
+    const auto label_of = [&](std::uint64_t i) {
+        const ConvUnit &unit = units[i];
+        return layers[unit.layer].name + "/" + kPhaseNames[unit.phase] +
+            "#" + std::to_string(unit.taskIndex);
+    };
+    // A unit is a pure function of (config, profile, layer, unit): all
+    // randomness descends from mixSeed, so the result is independent of
+    // which worker runs it and in what order.
+    const auto run_unit = [&](std::uint64_t i, const auto &for_each_model) {
+        const ConvUnit &unit = units[i];
+        Rng rng(mixSeed(config.seed, unit.layer, unit.phase, unit.taskIndex));
+        const StackTask task = [&] {
+            const ScopedTimer timer(Stage::TraceGen);
+            return makeConvPhaseTask(layers[unit.layer],
+                                     static_cast<TrainingPhase>(unit.phase),
+                                     profile, rng);
+        }();
+        const auto kernel_ptrs = task.kernelPtrs();
+        // Image chunking: the stationary image must fit the 8 KB
+        // buffer; each image chunk reloads the PE (its own start-up)
+        // and re-streams the kernel stack.
+        ChunkedOperand image(*task.image);
+        for_each_model([&](PeModel &pe, std::uint32_t capacity) {
+            const auto image_chunks = image.chunks(capacity);
+            if (obs::UnitRecorder *rec = obs::recorder())
+                recordImageRowHist(*rec, *task.image);
+            const ScopedTimer timer(Stage::PeSim);
+            CounterSet counters;
+            for (const CsrMatrix *chunk : image_chunks) {
+                simulateTask(counters, [&] {
+                    return pe.runStack(task.spec, kernel_ptrs, *chunk,
+                                       /*collect_output=*/false);
+                });
             }
-            const obs::ScopedUnitTrace trace(
-                sink, trace_run, i, sink ? label : std::string());
-            const obs::host::ScopedSpan host_span(
-                "unit", host_on ? label : std::string(),
-                host_on ? "{\"run\":\"" + run_label + "\",\"unit\":" +
-                        std::to_string(i) + "}"
-                        : std::string());
-            const std::uint64_t unit_start =
-                obs::metrics::shard() != nullptr ? obs::metrics::nowNs()
-                                                 : 0;
-            unit_counters[i] =
-                runConvUnit(worker_pes[worker], layer, profile, config,
-                            unit);
-            if (obs::metrics::shard() != nullptr) {
-                obs::metrics::count(obs::metrics::Counter::RunnerUnits);
-                obs::metrics::histRecord(
-                    obs::metrics::Hist::UnitWallNs,
-                    obs::metrics::nowNs() - unit_start);
-            }
-            const std::uint64_t done =
-                units_done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (logLevel() >= LogLevel::Info &&
-                (done % heartbeat_step == 0 || done == units.size())) {
-                ANT_INFORM(run_label, ": ", done, "/", units.size(),
-                           " units simulated (last: ", layer.name, "/",
-                           kPhaseNames[unit.phase], ")");
-            }
+            return counters;
         });
+    };
+    const std::vector<std::vector<CounterSet>> unit_counters = runUnits(
+        models, config, "conv_network", units.size(), label_of, run_unit);
 
-    // Ordered reduction: fold the per-unit counters back into the
-    // (layer, phase) skeleton in task-index order -- the exact order
-    // the serial loop accumulated them -- then scale and audit each
-    // phase as before. Bit-identical for every thread count.
+    // Ordered reduction, per model: fold the per-unit counters back
+    // into the (layer, phase) skeleton in task-index order -- the exact
+    // order the serial loop accumulated them -- then scale and audit
+    // each phase. Bit-identical for every thread count.
     const ScopedTimer reduce_timer(Stage::Reduce);
-    std::uint64_t scaled_sets = 0;
-    std::size_t next_unit = 0;
-    for (LayerStats &layer_stats : stats.layers) {
-        for (unsigned pi = 0; pi < 3; ++pi) {
-            if (!config.phases[pi])
-                continue;
-            PhaseStats &ps = layer_stats.phases[pi];
-            for (std::uint64_t s = 0; s < ps.pairsSimulated; ++s)
-                ps.counters += unit_counters[next_unit++];
-            ps.counters.scale(ps.pairsTotal, ps.pairsSimulated);
-            // Rational scaling rounds each counter independently, so
-            // the additive laws hold only up to a couple of counts.
-            verify::auditAggregateOrPanic("scaled phase counters",
-                                          ps.counters, /*slack=*/2);
-            ++scaled_sets;
-            stats.total += ps.counters;
+    std::vector<NetworkStats> results;
+    for (const std::vector<CounterSet> &counters : unit_counters) {
+        NetworkStats stats = skeleton;
+        std::uint64_t scaled_sets = 0;
+        std::size_t next_unit = 0;
+        for (LayerStats &layer_stats : stats.layers) {
+            for (unsigned pi = 0; pi < 3; ++pi) {
+                if (!config.phases[pi])
+                    continue;
+                PhaseStats &ps = layer_stats.phases[pi];
+                for (std::uint64_t s = 0; s < ps.pairsSimulated; ++s)
+                    ps.counters += counters[next_unit++];
+                ps.counters.scale(ps.pairsTotal, ps.pairsSimulated);
+                // Rational scaling rounds each counter independently,
+                // so the additive laws hold only up to a couple of
+                // counts.
+                verify::auditAggregateOrPanic("scaled phase counters",
+                                              ps.counters, /*slack=*/2);
+                ++scaled_sets;
+                stats.total += ps.counters;
+            }
         }
+        ANT_ASSERT(next_unit == units.size(),
+                   "parallel reduction consumed every unit exactly once");
+        verify::auditAggregateOrPanic("conv network totals", stats.total,
+                                      2 * scaled_sets);
+        results.push_back(std::move(stats));
     }
-    ANT_ASSERT(next_unit == units.size(),
-               "parallel reduction consumed every unit exactly once");
-    verify::auditAggregateOrPanic("conv network totals", stats.total,
-                                  2 * scaled_sets);
-    return stats;
+    return results;
+}
+
+std::vector<NetworkStats>
+runMatmulNetwork(const std::vector<ModelRun> &models,
+                 const std::vector<MatmulLayer> &layers, double sparsity,
+                 SparsifyMethod method, const RunConfig &config)
+{
+    const auto label_of = [&](std::uint64_t li) { return layers[li].name; };
+    const auto run_unit = [&](std::uint64_t li, const auto &for_each_model) {
+        Rng rng(mixSeed(config.seed, li, 0, 0));
+        const PlanePair pair = [&] {
+            const ScopedTimer timer(Stage::TraceGen);
+            return makeMatmulPair(layers[li], sparsity, method, rng);
+        }();
+        ChunkedOperand kernel(pair.kernel);
+        ChunkedOperand image(pair.image);
+        for_each_model([&](PeModel &pe, std::uint32_t capacity) {
+            const auto kernel_chunks = kernel.chunks(capacity);
+            const auto image_chunks = image.chunks(capacity);
+            if (obs::UnitRecorder *rec = obs::recorder())
+                recordImageRowHist(*rec, pair.image);
+            const ScopedTimer timer(Stage::PeSim);
+            // Every (kernel chunk, image chunk) pair is one task,
+            // kernel chunks outermost (allChunkPairs' order).
+            CounterSet counters;
+            for (const CsrMatrix *kernel_chunk : kernel_chunks) {
+                for (const CsrMatrix *image_chunk : image_chunks) {
+                    simulateTask(counters, [&] {
+                        return pe.runPair(pair.spec, *kernel_chunk,
+                                          *image_chunk,
+                                          /*collect_output=*/false);
+                    });
+                }
+            }
+            return counters;
+        });
+    };
+    const std::vector<std::vector<CounterSet>> unit_counters = runUnits(
+        models, config, "matmul_network", layers.size(), label_of, run_unit);
+
+    const ScopedTimer reduce_timer(Stage::Reduce);
+    std::vector<NetworkStats> results;
+    for (const std::vector<CounterSet> &counters : unit_counters) {
+        NetworkStats stats;
+        for (std::size_t li = 0; li < layers.size(); ++li) {
+            LayerStats layer_stats;
+            layer_stats.name = layers[li].name;
+            PhaseStats &ps = layer_stats.phases[0];
+            ps.pairsTotal = 1;
+            ps.pairsSimulated = 1;
+            ps.counters += counters[li];
+            stats.total += ps.counters;
+            stats.layers.push_back(std::move(layer_stats));
+        }
+        verify::auditAggregateOrPanic("matmul network totals", stats.total,
+                                      /*slack=*/0);
+        results.push_back(std::move(stats));
+    }
+    return results;
+}
+
+NetworkStats
+runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
+               const SparsityProfile &profile, const RunConfig &config)
+{
+    return std::move(
+        runConvNetwork({{pe, config.runLabel}}, layers, profile, config)
+            .front());
 }
 
 NetworkStats
@@ -353,82 +495,9 @@ runMatmulNetwork(PeModel &pe, const std::vector<MatmulLayer> &layers,
                  double sparsity, SparsifyMethod method,
                  const RunConfig &config)
 {
-    config.validate();
-    NetworkStats stats;
-
-    obs::TraceSink *const sink = obs::traceSink();
-    const std::string run_label =
-        config.runLabel.empty() ? "matmul_network" : config.runLabel;
-    std::size_t trace_run = 0;
-    if (sink)
-        trace_run = sink->beginRun(run_label, layers.size());
-    obs::metrics::threadAttach();
-    obs::metrics::count(obs::metrics::Counter::RunnerRuns);
-    const obs::host::ScopedSpan host_run_span("run", run_label);
-    const std::uint64_t heartbeat_step =
-        std::max<std::uint64_t>(1, layers.size() / 8);
-    std::atomic<std::uint64_t> layers_done{0};
-
-    std::vector<CounterSet> layer_counters(layers.size());
-    ThreadPool pool(effectiveWorkerCount(config.numThreads));
-    const WorkerPes worker_pes(pe, pool.threadCount());
-    pool.parallelFor(
-        0, layers.size(), /*grain=*/1,
-        // antsim-lint: allow(parallel-capture-discipline) -- per-slot
-        // discipline: each task writes only layer_counters[li] (its
-        // own layer-indexed slot) plus relaxed atomics; other captures
-        // are read-only, and each worker simulates on its private
-        // worker_pes[worker] clone (parallel_determinism_test).
-        [&](std::uint64_t li, std::uint32_t worker) {
-            const bool host_on = obs::host::buf() != nullptr;
-            const obs::ScopedUnitTrace trace(
-                sink, trace_run, li,
-                sink ? layers[li].name : std::string());
-            const obs::host::ScopedSpan host_span(
-                "unit", host_on ? layers[li].name : std::string(),
-                host_on ? "{\"run\":\"" + run_label + "\",\"unit\":" +
-                        std::to_string(li) + "}"
-                        : std::string());
-            const std::uint64_t unit_start =
-                obs::metrics::shard() != nullptr ? obs::metrics::nowNs()
-                                                 : 0;
-            Rng rng(mixSeed(config.seed, li, 0, 0));
-            const PlanePair pair = [&] {
-                const ScopedTimer timer(Stage::TraceGen);
-                return makeMatmulPair(layers[li], sparsity, method, rng);
-            }();
-            layer_counters[li] = runPlanePair(worker_pes[worker], pair,
-                                              config.chunkCapacity);
-            if (obs::metrics::shard() != nullptr) {
-                obs::metrics::count(obs::metrics::Counter::RunnerUnits);
-                obs::metrics::histRecord(
-                    obs::metrics::Hist::UnitWallNs,
-                    obs::metrics::nowNs() - unit_start);
-            }
-            const std::uint64_t done =
-                layers_done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (logLevel() >= LogLevel::Info &&
-                (done % heartbeat_step == 0 || done == layers.size())) {
-                ANT_INFORM(run_label, ": ", done, "/", layers.size(),
-                           " layers simulated (last: ", layers[li].name,
-                           ")");
-            }
-        });
-
-    const ScopedTimer reduce_timer(Stage::Reduce);
-    for (std::size_t li = 0; li < layers.size(); ++li) {
-        LayerStats layer_stats;
-        layer_stats.name = layers[li].name;
-        PhaseStats &ps = layer_stats.phases[0];
-        ps.pairsTotal = 1;
-        ps.pairsSimulated = 1;
-        ps.counters += layer_counters[li];
-        stats.total += ps.counters;
-        stats.layers.push_back(std::move(layer_stats));
-    }
-    verify::auditAggregateOrPanic("matmul network totals", stats.total,
-                                  /*slack=*/0);
-    return stats;
+    return std::move(runMatmulNetwork({{pe, config.runLabel}}, layers,
+                                      sparsity, method, config)
+                         .front());
 }
 
 double

@@ -1,13 +1,15 @@
 /**
  * @file
- * Experiment runner: simulate a network's training convolutions on an
- * accelerator model and aggregate counters.
+ * Experiment runner: simulate a network's training convolutions on one
+ * or more accelerator models and aggregate counters.
  *
- * A conv layer expands into outChannels x inChannels plane pairs per
- * phase. The runner simulates a deterministic sample of those pairs
- * (counters are linear in the pair count, so scaling the sampled
- * counters by pairsTotal/pairsSampled is unbiased; see DESIGN.md) and
- * accumulates per-phase, per-layer, and network totals.
+ * A conv layer phase expands into stackTaskCount() channel-batched
+ * stack tasks: one stationary image plane plus the kernel stack that
+ * streams against it (tracegen.hh StackTask). The runner simulates a
+ * deterministic sample of those tasks (counters are linear in the task
+ * count, so scaling the sampled counters by pairsTotal/pairsSimulated
+ * is unbiased; see DESIGN.md) and accumulates per-phase, per-layer,
+ * and network totals. A matmul layer is one (kernel, image) plane pair.
  *
  * Accelerator-level cycles follow the paper's perfect-load-balance
  * assumption (Sec. 6.1): accelCycles = ceil(sum of PE task cycles /
@@ -19,6 +21,14 @@
  * each worker simulates on its own PeModel::clone(), and the per-unit
  * CounterSets are reduced in task-index order -- so NetworkStats is
  * bit-identical for every thread count (parallel_determinism_test).
+ *
+ * Multi-model calls (the ModelRun overloads) generate each unit's
+ * trace once and simulate it on every model in list order. All models
+ * share the call's RunConfig; each keeps its own worker clones,
+ * per-unit slots, chunk capacity, ordered reduction and audits, and
+ * its own simulated-time trace run, registered in list order. So model
+ * m's NetworkStats and trace bytes equal those of a single-model call
+ * for model m alone, made after the calls for models 0..m-1.
  */
 
 #ifndef ANTSIM_WORKLOAD_RUNNER_HH
@@ -27,6 +37,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/energy.hh"
@@ -61,9 +72,10 @@ struct RunConfig
     std::uint32_t numThreads = 1;
 
     /**
-     * Display label of this run in the simulated-time trace and the
-     * progress heartbeat (e.g. "resnet18/ant"). Empty picks a generic
-     * name; the label never influences simulation results.
+     * Display label of a single-model run in the simulated-time trace
+     * and the progress heartbeat (e.g. "resnet18/ant"). Empty picks a
+     * generic name; the label never influences simulation results.
+     * Multi-model calls label each model by its ModelRun::label.
      */
     std::string runLabel;
 
@@ -130,13 +142,49 @@ struct NetworkStats
  */
 std::uint32_t effectiveWorkerCount(std::uint32_t requested);
 
-/** Simulate a conv network's training step on a PE model. */
+/** One PE model of a multi-model runner call. */
+struct ModelRun
+{
+    ModelRun(PeModel &model, std::string run_label = std::string())
+        : pe(&model), label(std::move(run_label))
+    {}
+
+    /** Simulated on directly by the calling thread, cloned for others. */
+    PeModel *pe;
+    /**
+     * This model's run label in the traces and the heartbeat; empty
+     * picks a generic name. Never influences simulation results.
+     */
+    std::string label;
+};
+
+/**
+ * Simulate a conv network's training step on every model of @p models,
+ * generating each unit's trace once. Returns one NetworkStats per
+ * model, in list order.
+ */
+std::vector<NetworkStats>
+runConvNetwork(const std::vector<ModelRun> &models,
+               const std::vector<ConvLayer> &layers,
+               const SparsityProfile &profile, const RunConfig &config);
+
+/** Single-model form; labels the run with RunConfig::runLabel. */
 NetworkStats runConvNetwork(PeModel &pe,
                             const std::vector<ConvLayer> &layers,
                             const SparsityProfile &profile,
                             const RunConfig &config);
 
-/** Simulate a matmul workload (all layers, single pairs) on a PE. */
+/**
+ * Simulate a matmul workload (all layers, single pairs) on every model
+ * of @p models, generating each layer's pair once. Returns one
+ * NetworkStats per model, in list order.
+ */
+std::vector<NetworkStats>
+runMatmulNetwork(const std::vector<ModelRun> &models,
+                 const std::vector<MatmulLayer> &layers, double sparsity,
+                 SparsifyMethod method, const RunConfig &config);
+
+/** Single-model form; labels the run with RunConfig::runLabel. */
 NetworkStats runMatmulNetwork(PeModel &pe,
                               const std::vector<MatmulLayer> &layers,
                               double sparsity, SparsifyMethod method,

@@ -100,22 +100,23 @@ std::atomic<std::uint64_t> g_planes_generated{0};
 
 /**
  * Emit one surviving inner-plane value into the CSR arrays under
- * construction. Quantizes to bf16 exactly where the legacy pipeline
- * does (after sparsification, before compression) and drops values the
- * rounding flushed to zero, as fromDense would.
+ * construction, counting it at row_ptr[row + 1]. Quantizes to bf16
+ * exactly where the legacy pipeline does (after sparsification, before
+ * compression) and drops values the rounding flushed to zero, as
+ * fromDense would.
  */
 inline void
 emitValue(float value, std::uint32_t x, std::uint32_t y,
           const PlaneRecipe &recipe, std::vector<float> &values,
           std::vector<std::uint32_t> &columns,
-          std::vector<std::uint32_t> &row_counts)
+          std::vector<std::uint32_t> &row_ptr)
 {
     const float quantized = bf16Round(value);
     if (quantized == 0.0f)
         return;
     values.push_back(quantized);
     columns.push_back(recipe.offset + recipe.dilation * x);
-    ++row_counts[recipe.offset + recipe.dilation * y];
+    ++row_ptr[recipe.offset + recipe.dilation * y + 1];
 }
 
 } // namespace
@@ -138,22 +139,21 @@ generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
 
     g_planes_generated.fetch_add(1, std::memory_order_relaxed);
 
-    std::vector<float> values;
-    std::vector<std::uint32_t> columns;
-    // Count entries per embedded row, prefix-summed into rowPtr below.
-    // Thread-local scratch: benchmarks generate hundreds of thousands
-    // of planes per run and the per-plane malloc shows up.
-    static thread_local std::vector<std::uint32_t> row_counts;
-    row_counts.assign(recipe.outHeight + 1, 0);
+    // Thread-local scratch: benchmarks generate millions of planes per
+    // run, and with the arrays reused the finished plane's arena slab
+    // is its only allocation. row_ptr counts entries per embedded row
+    // at [row + 1] and is prefix-summed below.
+    static thread_local std::vector<float> values;
+    static thread_local std::vector<std::uint32_t> columns;
+    static thread_local std::vector<std::uint32_t> row_ptr;
+    values.clear();
+    columns.clear();
+    row_ptr.assign(recipe.outHeight + 1, 0);
 
     if (recipe.method == SparsifyMethod::Bernoulli) {
         // Same draw sequence as bernoulliPlane: one Bernoulli trial per
         // cell in row-major order, one normal per surviving cell.
         const double keep_p = 1.0 - recipe.sparsity;
-        const std::size_t expected = static_cast<std::size_t>(
-            static_cast<double>(recipe.height) * recipe.width * keep_p);
-        values.reserve(expected);
-        columns.reserve(expected);
         for (std::uint32_t y = 0; y < recipe.height; ++y) {
             for (std::uint32_t x = 0; x < recipe.width; ++x) {
                 if (!rng.bernoulli(keep_p))
@@ -161,7 +161,7 @@ generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
                 float f = static_cast<float>(rng.normal());
                 if (f == 0.0f)
                     f = 1e-6f;
-                emitValue(f, x, y, recipe, values, columns, row_counts);
+                emitValue(f, x, y, recipe, values, columns, row_ptr);
             }
         }
     } else {
@@ -204,8 +204,6 @@ generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
                 countGreater(mags.data(), keep, threshold);
             tie_budget = keep - above;
         }
-        values.reserve(keep);
-        columns.reserve(keep);
         std::size_t idx = 0;
         for (std::uint32_t y = 0; y < recipe.height && keep > 0; ++y) {
             for (std::uint32_t x = 0; x < recipe.width; ++x, ++idx) {
@@ -218,21 +216,25 @@ generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
                     --tie_budget;
                 }
                 emitValue(data[idx], x, y, recipe, values, columns,
-                          row_counts);
+                          row_ptr);
             }
         }
     }
 
-    // row_counts -> rowPtr (exclusive prefix): shift then accumulate.
-    std::vector<std::uint32_t> row_ptr(recipe.outHeight + 1, 0);
+    if (recipe.rotate) {
+        // rotated180 in place: y' = H - 1 - y and x' = W - 1 - x reverse
+        // the row-major entry order, so reverse the arrays and the
+        // per-row counts, and mirror the columns.
+        std::reverse(values.begin(), values.end());
+        std::reverse(columns.begin(), columns.end());
+        for (std::uint32_t &x : columns)
+            x = recipe.outWidth - 1 - x;
+        std::reverse(row_ptr.begin() + 1, row_ptr.end());
+    }
     for (std::uint32_t y = 0; y < recipe.outHeight; ++y)
-        row_ptr[y + 1] = row_ptr[y] + row_counts[y];
-
-    CsrMatrix plane =
-        CsrMatrix::fromRaw(recipe.outHeight, recipe.outWidth,
-                           std::move(values), std::move(columns),
-                           std::move(row_ptr));
-    return recipe.rotate ? plane.rotated180() : plane;
+        row_ptr[y + 1] += row_ptr[y];
+    return CsrMatrix::fromRaw(recipe.outHeight, recipe.outWidth, values,
+                              columns, row_ptr);
 }
 
 std::uint64_t

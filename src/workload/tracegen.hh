@@ -87,7 +87,9 @@ struct PlaneRecipe
 /**
  * Generate the plane described by (@p recipe, @p rng) as CSR directly.
  * Consumes exactly the same random stream and produces bit-identical
- * values/columns/rowPtr arrays as the legacy dense pipeline.
+ * values/columns/rowPtr arrays as the legacy dense pipeline. The
+ * arrays are built in thread-local scratch (a rotation reverses them
+ * in place), so the plane's arena slab is its one allocation.
  */
 CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
 

@@ -4,7 +4,8 @@
  * backs the SoA CSR/CSC storage, and for the alignment guarantee the
  * SIMD kernels (docs/MODEL.md Sec. 11) rely on: every values/columns/
  * row-pointer buffer of every construction path starts on a 64-byte
- * boundary.
+ * boundary, and every construction path -- a generated trace plane
+ * included -- allocates exactly one slab.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "tensor/csr.hh"
 #include "tensor/sparsify.hh"
 #include "util/arena.hh"
 #include "util/rng.hh"
+#include "workload/tracegen.hh"
 
 namespace antsim {
 namespace {
@@ -150,6 +153,61 @@ TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
     };
     check_csc(CscMatrix::fromDense(plane), "csc fromDense");
     check_csc(CscMatrix::fromCsr(from_dense), "csc fromCsr");
+}
+
+/** Arena slabs the calling thread allocates while running @p build. */
+template <typename Build>
+std::uint64_t
+slabsAllocatedBy(const Build &build)
+{
+    namespace m = obs::metrics;
+    m::reset();
+    build();
+    return m::snapshot().counters[static_cast<std::size_t>(
+        m::Counter::ArenaSlabs)];
+}
+
+/** Each CSR/CSC factory, and so each generated trace plane, allocates
+ * exactly one slab (metered per slab by Arena::reset). */
+TEST(ArenaLayout, EveryFactoryAllocatesOneSlab)
+{
+    obs::metrics::setEnabled(true);
+    obs::metrics::threadAttach();
+    Rng rng(12);
+    const Dense2d<float> plane = bernoulliPlane(13, 9, 0.5, rng);
+    const CsrMatrix csr = CsrMatrix::fromDense(plane);
+    const std::vector<std::pair<const char *, std::uint64_t>> slabs = {
+        {"fromDense", slabsAllocatedBy([&] { CsrMatrix::fromDense(plane); })},
+        {"fromRaw", slabsAllocatedBy([] {
+             CsrMatrix::fromRaw(2, 3, {1.0f, 2.0f}, {0, 2}, {0, 1, 2});
+         })},
+        {"fromCoo", slabsAllocatedBy([] {
+             CsrMatrix::fromCoo(3, 3, {{1.0f, 2, 1}, {3.0f, 0, 0}});
+         })},
+        {"empty", slabsAllocatedBy([] { CsrMatrix(4, 4); })},
+        {"slice", slabsAllocatedBy([&] { csr.slice(1, 5); })},
+        {"rotated180", slabsAllocatedBy([&] { csr.rotated180(); })},
+        {"transposed", slabsAllocatedBy([&] { csr.transposed(); })},
+        {"csc fromDense", slabsAllocatedBy([&] { CscMatrix::fromDense(plane); })},
+        {"csc fromCsr", slabsAllocatedBy([&] { CscMatrix::fromCsr(csr); })},
+    };
+    for (const auto &[what, count] : slabs)
+        EXPECT_EQ(count, 1u) << what;
+
+    PlaneRecipe rotated_kernel =
+        PlaneRecipe::plain(3, 3, 0.5, SparsifyMethod::Bernoulli);
+    rotated_kernel.rotate = true;
+    PlaneRecipe padded_image =
+        PlaneRecipe::plain(30, 30, 0.9, SparsifyMethod::TopK);
+    padded_image.outHeight = padded_image.outWidth = 32;
+    padded_image.offset = 1;
+    for (const PlaneRecipe &recipe : {rotated_kernel, padded_image}) {
+        EXPECT_EQ(slabsAllocatedBy([&] { generateCsrPlane(recipe, rng); }),
+                  1u)
+            << "generated plane, rotate " << recipe.rotate;
+    }
+    obs::metrics::reset();
+    obs::metrics::setEnabled(false);
 }
 
 } // namespace

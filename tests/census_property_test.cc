@@ -10,7 +10,8 @@
  *    (x, y, s, r) coordinate;
  *  - generateCsrPlane must consume the identical random stream and
  *    emit the bit-identical CsrMatrix as the legacy dense pipeline
- *    generatePlane -> embedPlane -> fromDense -> rotated180.
+ *    generatePlane -> embedPlane -> fromDense -> rotated180, also when
+ *    differently shaped recipes share its thread-local scratch.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "conv/census.hh"
 #include "conv/outer_product.hh"
 #include "tensor/sparsify.hh"
+#include "util/thread_pool.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {
@@ -194,6 +196,73 @@ TEST(CensusProperty, FusedGeneratorMatchesLegacyPipeline)
             expectFusedMatchesLegacy(recipe, rng.next());
         }
     }
+}
+
+/**
+ * Big, small, rotated and empty recipes of both methods: the generator
+ * keeps its arrays in thread-local scratch, so a plane must not inherit
+ * anything from the (larger, smaller, rotated) plane before it.
+ */
+std::vector<PlaneRecipe>
+mixedRecipes()
+{
+    PlaneRecipe big = PlaneRecipe::plain(48, 40, 0.3,
+                                         SparsifyMethod::Bernoulli);
+    big.outHeight = 52;
+    big.outWidth = 44;
+    big.offset = 2;
+    PlaneRecipe dilated = PlaneRecipe::plain(9, 11, 0.5,
+                                             SparsifyMethod::TopK);
+    dilated.outHeight = 2 * 8 + 4;
+    dilated.outWidth = 2 * 10 + 4;
+    dilated.offset = 1;
+    dilated.dilation = 2;
+    PlaneRecipe rotated = PlaneRecipe::plain(3, 3, 0.4,
+                                             SparsifyMethod::Bernoulli);
+    rotated.rotate = true;
+    PlaneRecipe rotated_top_k = PlaneRecipe::plain(7, 5, 0.6,
+                                                   SparsifyMethod::TopK);
+    rotated_top_k.rotate = true;
+    return {big,
+            PlaneRecipe::plain(1, 1, 0.0, SparsifyMethod::Bernoulli),
+            rotated,
+            PlaneRecipe::plain(6, 6, 1.0, SparsifyMethod::Bernoulli),
+            dilated,
+            PlaneRecipe::plain(30, 30, 1.0, SparsifyMethod::TopK),
+            rotated_top_k,
+            PlaneRecipe::plain(64, 64, 0.9, SparsifyMethod::TopK)};
+}
+
+TEST(CensusProperty, FusedGeneratorScratchCarriesNoStateOnOneThread)
+{
+    const std::vector<PlaneRecipe> recipes = mixedRecipes();
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t r = 0; r < recipes.size(); ++r)
+            expectFusedMatchesLegacy(recipes[r], 1000 * round + r);
+    }
+}
+
+TEST(CensusProperty, FusedGeneratorScratchCarriesNoStateAcrossThreads)
+{
+    // Every pool thread generates an interleaved stream of the mixed
+    // recipes; each plane lands in its own slot and must equal the
+    // legacy pipeline's plane for the same (recipe, seed).
+    const std::vector<PlaneRecipe> recipes = mixedRecipes();
+    const std::size_t items = 8 * recipes.size();
+    std::vector<char> matches(items, 0);
+    ThreadPool pool(4);
+    pool.parallelFor(0, items, /*grain=*/1,
+                     [&recipes, &matches](std::uint64_t i, std::uint32_t) {
+                         const PlaneRecipe &recipe =
+                             recipes[(i * 5) % recipes.size()];
+                         Rng legacy_rng(i);
+                         Rng fused_rng(i);
+                         matches[i] = legacyPlane(recipe, legacy_rng) ==
+                                 generateCsrPlane(recipe, fused_rng) &&
+                             legacy_rng.state() == fused_rng.state();
+                     });
+    for (std::size_t i = 0; i < items; ++i)
+        EXPECT_TRUE(matches[i]) << "plane " << i;
 }
 
 TEST(CensusProperty, FusedGeneratorSparsityExtremes)

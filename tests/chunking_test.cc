@@ -108,6 +108,54 @@ TEST(Chunking, PairEnumerationIsCartesian)
     EXPECT_EQ(allChunkPairs(ac, bc).size(), ac.size() * bc.size());
 }
 
+/**
+ * Reference chunker through coordinate lists: copy the entries, copy
+ * each slice, rebuild each slice with fromCoo.
+ */
+std::vector<CsrMatrix>
+chunkViaCoo(const CsrMatrix &matrix, std::uint32_t capacity)
+{
+    std::vector<CsrMatrix> chunks;
+    const auto entries = matrix.entries();
+    if (entries.empty()) {
+        chunks.push_back(CsrMatrix(matrix.height(), matrix.width()));
+        return chunks;
+    }
+    for (std::size_t base = 0; base < entries.size(); base += capacity) {
+        const std::size_t end = std::min<std::size_t>(base + capacity,
+                                                      entries.size());
+        chunks.push_back(CsrMatrix::fromCoo(
+            matrix.height(), matrix.width(),
+            std::vector<SparseEntry>(entries.begin() + base,
+                                     entries.begin() + end)));
+    }
+    return chunks;
+}
+
+TEST(Chunking, SlicingEqualsCoordinateListPath)
+{
+    Rng rng(6);
+    for (int trial = 0; trial < 30; ++trial) {
+        const auto height = static_cast<std::uint32_t>(rng.range(1, 24));
+        const auto width = static_cast<std::uint32_t>(rng.range(1, 24));
+        const CsrMatrix m = CsrMatrix::fromDense(
+            bernoulliPlane(height, width, rng.uniform(), rng));
+        const std::uint32_t nnz = m.nnz();
+        for (const std::uint32_t capacity :
+             {1u, nnz > 1 ? nnz - 1 : 1u, std::max(nnz, 1u), nnz + 1}) {
+            const auto expected = chunkViaCoo(m, capacity);
+            const auto got = chunkByCapacity(m, capacity);
+            ASSERT_EQ(expected.size(), got.size())
+                << "trial " << trial << " capacity " << capacity;
+            for (std::size_t c = 0; c < got.size(); ++c) {
+                EXPECT_TRUE(expected[c] == got[c])
+                    << "trial " << trial << " capacity " << capacity
+                    << " chunk " << c;
+            }
+        }
+    }
+}
+
 TEST(ChunkingDeathTest, ZeroCapacityPanics)
 {
     const CsrMatrix m(2, 2);

@@ -217,7 +217,7 @@ TEST(MetricsTest, ResetRestoresZeroRegistryWithoutDetaching)
 {
     m::setEnabled(true);
     m::threadAttach();
-    m::count(m::Counter::ArenaAllocs, 7);
+    m::count(m::Counter::ArenaSlabs, 7);
     m::histRecord(m::Hist::PoolJobItems, 123);
     m::gaugeMax(m::Gauge::ArenaHighWaterBytes, 999);
 

@@ -188,15 +188,18 @@ TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
     RunConfig config;
     config.sampleCap = 2;
     config.numThreads = 2;
-    config.runLabel = "tiny/ant";
+    ScnnPe scnn;
+    AntPe ant;
+    // A multi-model call: the single-model runners forward to it.
+    const std::vector<ModelRun> models = {{scnn, "tiny/scnn"},
+                                          {ant, "tiny/ant"}};
 
     // Baseline: simulated-time tracing on (so there are sim-trace
     // bytes to compare), host metrics and host tracing off.
-    AntPe pe;
     obs::setEnabled(true);
     obs::globalSink().clear();
-    const auto plain = runConvNetwork(
-        pe, tinyNetwork(), SparsityProfile::swat(0.9), config);
+    const auto plain = runConvNetwork(models, tinyNetwork(),
+                                      SparsityProfile::swat(0.9), config);
     const std::string plain_trace = obs::globalSink().toChromeJson(64);
     obs::globalSink().clear();
 
@@ -204,24 +207,37 @@ TEST(ObsOverhead, MetricsDoNotPerturbStatsReportOrSimTrace)
     // and the host span tracer both collecting.
     obs::metrics::setEnabled(true);
     obs::metrics::threadAttach();
+    obs::metrics::reset();
     obs::host::setEnabled(true);
     obs::host::threadAttach("main");
-    const auto metered = runConvNetwork(
-        pe, tinyNetwork(), SparsityProfile::swat(0.9), config);
+    const auto metered = runConvNetwork(models, tinyNetwork(),
+                                        SparsityProfile::swat(0.9), config);
     const std::string metered_trace = obs::globalSink().toChromeJson(64);
     obs::globalSink().clear();
     obs::setEnabled(false);
     obs::metrics::setEnabled(false);
     obs::host::setEnabled(false);
 
-    // Host observability recorded something...
+    // Host observability recorded one run per model, and each generated
+    // unit once however many models simulated it...
+    ASSERT_EQ(plain.size(), 2u);
+    ASSERT_EQ(metered.size(), 2u);
+    std::uint64_t units = 0;
+    for (const LayerStats &layer : plain[0].layers)
+        for (const PhaseStats &phase : layer.phases)
+            units += phase.pairsSimulated;
     const obs::metrics::Snapshot snap = obs::metrics::snapshot();
-    EXPECT_GT(snap.counters[static_cast<std::size_t>(
+    EXPECT_EQ(snap.counters[static_cast<std::size_t>(
+                  obs::metrics::Counter::RunnerRuns)],
+              2u);
+    EXPECT_EQ(snap.counters[static_cast<std::size_t>(
                   obs::metrics::Counter::RunnerUnits)],
-              0u);
+              units);
     // ...without perturbing stats, report bytes, or sim-trace bytes.
-    expectIdenticalStats(plain, metered, "metered/ant");
-    EXPECT_EQ(reportBytes(plain), reportBytes(metered));
+    for (std::size_t m = 0; m < plain.size(); ++m) {
+        expectIdenticalStats(plain[m], metered[m], models[m].label);
+        EXPECT_EQ(reportBytes(plain[m]), reportBytes(metered[m]));
+    }
     EXPECT_EQ(plain_trace, metered_trace);
     obs::metrics::reset();
     obs::host::clear();

@@ -6,7 +6,8 @@
  * clone-per-worker + ordered-reduction design, DESIGN.md "Parallel
  * execution model"). Checked across 3 seeds and 2 networks for thread
  * counts {1, 2, 8}, plus the matmul runner and the tick-accurate
- * pipeline model's parallel plan construction.
+ * pipeline model's parallel plan construction. A multi-model call must
+ * give every model exactly what a call of its own gives it.
  */
 
 #include <gtest/gtest.h>
@@ -156,6 +157,70 @@ TEST(ParallelDeterminism, MatmulNetworkBitIdenticalAcrossThreadCounts)
                                          std::to_string(seed));
             }
         }
+    }
+}
+
+/** The 1/2/4-thread counts the multi-model checks run at. */
+constexpr std::uint32_t kMultiModelThreads[] = {1, 2, 4};
+
+TEST(ParallelDeterminism, MultiModelConvCallEqualsSingleModelCalls)
+{
+    // The dense PE (uncapped chunks) mixed with compressed PEs, and two
+    // ANT configurations that differ only in k. A small chunk capacity
+    // makes the compressed models split images the dense one keeps
+    // whole.
+    ScnnPe scnn;
+    AntPe ant;
+    DenseInnerProductPe dense;
+    TensorDashPe tensordash;
+    AntPeConfig narrow;
+    narrow.k = 8;
+    AntPe ant_k8(narrow);
+    const std::vector<PeModel *> pes = {&scnn, &ant, &dense, &tensordash,
+                                        &ant_k8};
+    std::vector<ModelRun> models;
+    for (PeModel *pe : pes)
+        models.emplace_back(*pe);
+    for (const std::uint32_t threads : kMultiModelThreads) {
+        RunConfig config;
+        config.sampleCap = 2;
+        config.chunkCapacity = 96;
+        config.numThreads = threads;
+        const auto multi = runConvNetwork(
+            models, tinyNetwork(), SparsityProfile::swat(0.5), config);
+        ASSERT_EQ(multi.size(), pes.size());
+        for (std::size_t m = 0; m < pes.size(); ++m) {
+            const auto single = runConvNetwork(
+                *pes[m], tinyNetwork(), SparsityProfile::swat(0.5), config);
+            expectIdenticalStats(single, multi[m],
+                                 pes[m]->name() + " #" + std::to_string(m) +
+                                     "/" + std::to_string(threads) +
+                                     " threads");
+        }
+    }
+}
+
+TEST(ParallelDeterminism, MultiModelMatmulCallEqualsSingleModelCalls)
+{
+    // A chunk capacity below the RNN operands' nnz splits both the
+    // kernel and the image, so the chunk-pair enumeration is exercised.
+    AntPe ant;
+    ScnnPe scnn;
+    for (const std::uint32_t threads : kMultiModelThreads) {
+        RunConfig config;
+        config.chunkCapacity = 128;
+        config.numThreads = threads;
+        const auto multi = runMatmulNetwork(
+            {{ant}, {scnn}}, rnnLayers(), 0.9, SparsifyMethod::TopK, config);
+        ASSERT_EQ(multi.size(), 2u);
+        expectIdenticalStats(
+            runMatmulNetwork(ant, rnnLayers(), 0.9, SparsifyMethod::TopK,
+                             config),
+            multi[0], "ANT/matmul/" + std::to_string(threads) + " threads");
+        expectIdenticalStats(
+            runMatmulNetwork(scnn, rnnLayers(), 0.9, SparsifyMethod::TopK,
+                             config),
+            multi[1], "SCNN/matmul/" + std::to_string(threads) + " threads");
     }
 }
 

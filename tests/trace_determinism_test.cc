@@ -5,8 +5,10 @@
  * "Determinism"). Buffers are filled on whichever worker runs a unit,
  * but they land in preallocated task-index slots and the exporter
  * walks them in index order, so worker scheduling cannot leak into the
- * document. Also pins the UnitRecorder span algebra (coalescing, task
- * spans, budget truncation) and the merged-histogram determinism.
+ * document. A multi-model call, which generates each unit once for all
+ * its models, exports the same bytes as one call per model. Also pins
+ * the UnitRecorder span algebra (coalescing, task spans, budget
+ * truncation) and the merged-histogram determinism.
  */
 
 #include <gtest/gtest.h>
@@ -91,6 +93,34 @@ TEST(TraceDeterminism, ChromeJsonByteIdenticalAcrossThreadCounts)
                << " threads diverges from serial at byte " << at << ": "
                << serial.substr(at > 40 ? at - 40 : 0, 80) << " vs "
                << parallel.substr(at > 40 ? at - 40 : 0, 80);
+    }
+}
+
+/** tracedRun's two models in one multi-model call (one trace each). */
+std::string
+multiModelTracedRun(std::uint32_t threads)
+{
+    TracingScope tracing;
+    RunConfig config;
+    config.sampleCap = 2;
+    config.numThreads = threads;
+    ScnnPe scnn;
+    AntPe ant;
+    runConvNetwork({{scnn, "scnn/resnet18-slice"},
+                    {ant, "ant/resnet18-slice"}},
+                   resnet18Slice(), SparsityProfile::swat(0.9), config);
+    return obs::globalSink().toChromeJson(config.numPes);
+}
+
+TEST(TraceDeterminism, MultiModelCallTracesLikeSequentialCalls)
+{
+    // Trace runs are registered in model order before the workers
+    // start, and every (model, unit) files its own buffer, so the
+    // document matches one call per model made in that order.
+    const std::string sequential = tracedRun(1);
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+        EXPECT_TRUE(multiModelTracedRun(threads) == sequential)
+            << "multi-model trace differs at " << threads << " threads";
     }
 }
 
