@@ -29,8 +29,8 @@ chunkByCapacity(const CsrMatrix &matrix, std::uint32_t capacity)
 }
 
 std::vector<ChunkPair>
-allChunkPairs(const std::vector<CsrMatrix> &kernels,
-              const std::vector<CsrMatrix> &images)
+allChunkPairs(std::span<const CsrMatrix> kernels,
+              std::span<const CsrMatrix> images)
 {
     std::vector<ChunkPair> pairs;
     pairs.reserve(kernels.size() * images.size());

@@ -16,6 +16,7 @@
 #define ANTSIM_SIM_CHUNKING_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/csr.hh"
@@ -39,9 +40,12 @@ struct ChunkPair
     const CsrMatrix *image;
 };
 
-/** Enumerate all chunk pairs (cartesian product of the chunk lists). */
-std::vector<ChunkPair> allChunkPairs(const std::vector<CsrMatrix> &kernels,
-                                     const std::vector<CsrMatrix> &images);
+/**
+ * Enumerate all chunk pairs (cartesian product of the chunk lists),
+ * kernel chunks outermost: the order every engine runs its tasks in.
+ */
+std::vector<ChunkPair> allChunkPairs(std::span<const CsrMatrix> kernels,
+                                     std::span<const CsrMatrix> images);
 
 } // namespace antsim
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <span>
 
@@ -63,61 +62,34 @@ simulateTask(CounterSet &total, const Run &run)
 }
 
 /**
- * Operand chunk capacity of @p pe. Dense-tiled baselines must not have
- * their MAC stream split by the sparse buffer capacity.
- */
-std::uint32_t
-capacityOf(const PeModel &pe, const RunConfig &config)
-{
-    return pe.usesCompressedOperands()
-        ? config.chunkCapacity
-        : std::numeric_limits<std::uint32_t>::max();
-}
-
-/**
- * One generated operand split into buffer-capacity chunks, once per
- * distinct capacity the unit's models ask for. An operand that fits a
- * capacity is its own single chunk and is not copied.
+ * One generated operand and its split into buffer-capacity chunks, made
+ * on first request. Dense-tiled baselines must not have their MAC
+ * stream split by the sparse buffer capacity, so they -- like every
+ * model when the operand fits -- stream the whole operand, uncopied.
  */
 class ChunkedOperand
 {
   public:
-    explicit ChunkedOperand(const CsrMatrix &matrix) : whole_(&matrix) {}
+    ChunkedOperand(const CsrMatrix &matrix, std::uint32_t capacity)
+        : whole_(&matrix), capacity_(capacity)
+    {}
 
-    ChunkedOperand(const ChunkedOperand &) = delete;
-    ChunkedOperand &operator=(const ChunkedOperand &) = delete;
-
-    /** The chunks of at most @p capacity entries, in storage order. */
-    std::span<const CsrMatrix *const>
-    chunks(std::uint32_t capacity)
+    /** The chunks @p pe streams, in storage order. */
+    std::span<const CsrMatrix>
+    chunksFor(const PeModel &pe)
     {
         const ScopedTimer timer(Stage::PlanBuild);
-        if (whole_->nnz() <= capacity)
-            return {&whole_, 1};
-        for (const Split &split : splits_) {
-            if (split.capacity == capacity)
-                return split.views;
-        }
-        Split &split = splits_.emplace_back();
-        split.capacity = capacity;
-        split.chunks = chunkByCapacity(*whole_, capacity);
-        for (const CsrMatrix &chunk : split.chunks)
-            split.views.push_back(&chunk);
-        return split.views;
+        if (!pe.usesCompressedOperands() || whole_->nnz() <= capacity_)
+            return {whole_, 1};
+        if (chunks_.empty())
+            chunks_ = chunkByCapacity(*whole_, capacity_);
+        return chunks_;
     }
 
   private:
-    struct Split
-    {
-        std::uint32_t capacity = 0;
-        std::vector<CsrMatrix> chunks;
-        std::vector<const CsrMatrix *> views;
-    };
-
     const CsrMatrix *whole_;
-    /** Growing this moves Splits, which keeps their vectors' buffers:
-     *  spans handed out earlier stay valid. */
-    std::vector<Split> splits_;
+    std::uint32_t capacity_;
+    std::vector<CsrMatrix> chunks_;
 };
 
 /**
@@ -157,9 +129,8 @@ class WorkerPes
  *
  * @p label_of(i) names unit i in the traces and the heartbeat.
  * @p run_unit(i, for_each_model) generates unit i and then calls
- * for_each_model(simulate) once; simulate(pe, capacity) runs one
- * model's replica on the generated operands, chunked to capacity, and
- * returns its counters.
+ * for_each_model(simulate) once; simulate(pe) runs one model's replica
+ * on the generated operands and returns its counters.
  *
  * Returns the counters per model, each in unit (task-index) order.
  */
@@ -229,9 +200,7 @@ runUnits(const std::vector<ModelRun> &models, const RunConfig &config,
                         host_on ? "{\"run\":\"" + labels[m] +
                                 "\",\"unit\":" + std::to_string(i) + "}"
                                 : std::string());
-                    PeModel &pe = replicas[m][worker];
-                    unit_counters[m][i] =
-                        simulate(pe, capacityOf(pe, config));
+                    unit_counters[m][i] = simulate(replicas[m][worker]);
                 }
             };
             run_unit(i, for_each_model);
@@ -367,16 +336,17 @@ runConvNetwork(const std::vector<ModelRun> &models,
         // Image chunking: the stationary image must fit the 8 KB
         // buffer; each image chunk reloads the PE (its own start-up)
         // and re-streams the kernel stack.
-        ChunkedOperand image(*task.image);
-        for_each_model([&](PeModel &pe, std::uint32_t capacity) {
-            const auto image_chunks = image.chunks(capacity);
+        ChunkedOperand image(*task.image, config.chunkCapacity);
+        for_each_model([&](PeModel &pe) {
+            const std::span<const CsrMatrix> image_chunks =
+                image.chunksFor(pe);
             if (obs::UnitRecorder *rec = obs::recorder())
                 recordImageRowHist(*rec, *task.image);
             const ScopedTimer timer(Stage::PeSim);
             CounterSet counters;
-            for (const CsrMatrix *chunk : image_chunks) {
+            for (const CsrMatrix &chunk : image_chunks) {
                 simulateTask(counters, [&] {
-                    return pe.runStack(task.spec, kernel_ptrs, *chunk,
+                    return pe.runStack(task.spec, kernel_ptrs, chunk,
                                        /*collect_output=*/false);
                 });
             }
@@ -434,25 +404,20 @@ runMatmulNetwork(const std::vector<ModelRun> &models,
             const ScopedTimer timer(Stage::TraceGen);
             return makeMatmulPair(layers[li], sparsity, method, rng);
         }();
-        ChunkedOperand kernel(pair.kernel);
-        ChunkedOperand image(pair.image);
-        for_each_model([&](PeModel &pe, std::uint32_t capacity) {
-            const auto kernel_chunks = kernel.chunks(capacity);
-            const auto image_chunks = image.chunks(capacity);
+        ChunkedOperand kernel(pair.kernel, config.chunkCapacity);
+        ChunkedOperand image(pair.image, config.chunkCapacity);
+        for_each_model([&](PeModel &pe) {
+            const std::vector<ChunkPair> tasks =
+                allChunkPairs(kernel.chunksFor(pe), image.chunksFor(pe));
             if (obs::UnitRecorder *rec = obs::recorder())
                 recordImageRowHist(*rec, pair.image);
             const ScopedTimer timer(Stage::PeSim);
-            // Every (kernel chunk, image chunk) pair is one task,
-            // kernel chunks outermost (allChunkPairs' order).
             CounterSet counters;
-            for (const CsrMatrix *kernel_chunk : kernel_chunks) {
-                for (const CsrMatrix *image_chunk : image_chunks) {
-                    simulateTask(counters, [&] {
-                        return pe.runPair(pair.spec, *kernel_chunk,
-                                          *image_chunk,
-                                          /*collect_output=*/false);
-                    });
-                }
+            for (const ChunkPair &task : tasks) {
+                simulateTask(counters, [&] {
+                    return pe.runPair(pair.spec, *task.kernel, *task.image,
+                                      /*collect_output=*/false);
+                });
             }
             return counters;
         });
@@ -486,8 +451,7 @@ runConvNetwork(PeModel &pe, const std::vector<ConvLayer> &layers,
                const SparsityProfile &profile, const RunConfig &config)
 {
     return std::move(
-        runConvNetwork({{pe, config.runLabel}}, layers, profile, config)
-            .front());
+        runConvNetwork({{pe}}, layers, profile, config).front());
 }
 
 NetworkStats
@@ -495,9 +459,8 @@ runMatmulNetwork(PeModel &pe, const std::vector<MatmulLayer> &layers,
                  double sparsity, SparsifyMethod method,
                  const RunConfig &config)
 {
-    return std::move(runMatmulNetwork({{pe, config.runLabel}}, layers,
-                                      sparsity, method, config)
-                         .front());
+    return std::move(
+        runMatmulNetwork({{pe}}, layers, sparsity, method, config).front());
 }
 
 double

@@ -72,14 +72,6 @@ struct RunConfig
     std::uint32_t numThreads = 1;
 
     /**
-     * Display label of a single-model run in the simulated-time trace
-     * and the progress heartbeat (e.g. "resnet18/ant"). Empty picks a
-     * generic name; the label never influences simulation results.
-     * Multi-model calls label each model by its ModelRun::label.
-     */
-    std::string runLabel;
-
-    /**
      * Fatal (user-error) check of the configuration. The runners call
      * it on entry so a nonsensical value -- e.g. a negative --threads
      * wrapped to four billion by an unsigned conversion -- fails with
@@ -168,7 +160,7 @@ runConvNetwork(const std::vector<ModelRun> &models,
                const std::vector<ConvLayer> &layers,
                const SparsityProfile &profile, const RunConfig &config);
 
-/** Single-model form; labels the run with RunConfig::runLabel. */
+/** Single-model form, labelled generically in the traces. */
 NetworkStats runConvNetwork(PeModel &pe,
                             const std::vector<ConvLayer> &layers,
                             const SparsityProfile &profile,
@@ -184,7 +176,7 @@ runMatmulNetwork(const std::vector<ModelRun> &models,
                  const std::vector<MatmulLayer> &layers, double sparsity,
                  SparsifyMethod method, const RunConfig &config);
 
-/** Single-model form; labels the run with RunConfig::runLabel. */
+/** Single-model form, labelled generically in the traces. */
 NetworkStats runMatmulNetwork(PeModel &pe,
                               const std::vector<MatmulLayer> &layers,
                               double sparsity, SparsifyMethod method,

@@ -65,13 +65,11 @@ tracedRun(std::uint32_t threads)
     config.numThreads = threads;
 
     ScnnPe scnn;
-    config.runLabel = "scnn/resnet18-slice";
-    runConvNetwork(scnn, resnet18Slice(), SparsityProfile::swat(0.9),
-                   config);
+    runConvNetwork({{scnn, "scnn/resnet18-slice"}}, resnet18Slice(),
+                   SparsityProfile::swat(0.9), config);
     AntPe ant;
-    config.runLabel = "ant/resnet18-slice";
-    runConvNetwork(ant, resnet18Slice(), SparsityProfile::swat(0.9),
-                   config);
+    runConvNetwork({{ant, "ant/resnet18-slice"}}, resnet18Slice(),
+                   SparsityProfile::swat(0.9), config);
     return obs::globalSink().toChromeJson(config.numPes);
 }
 
