@@ -88,13 +88,24 @@ Rng::bernoulli(double p)
 double
 Rng::normal()
 {
-    // Box-Muller; draw until the radius is non-zero so log() is finite.
+    return boxMuller(drawNormal());
+}
+
+Rng::NormalDraw
+Rng::drawNormal()
+{
+    // Draw until the radius uniform is non-zero so log() is finite.
     double u1 = uniform();
     while (u1 <= 0.0)
         u1 = uniform();
-    const double u2 = uniform();
+    return {u1, uniform()};
+}
+
+double
+Rng::boxMuller(const NormalDraw &draw)
+{
     const double two_pi = 6.283185307179586476925286766559;
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(two_pi * u2);
+    return std::sqrt(-2.0 * std::log(draw.u1)) * std::cos(two_pi * draw.u2);
 }
 
 std::vector<std::uint32_t>
@@ -114,7 +125,8 @@ std::vector<std::uint32_t>
 Rng::sampleWithoutReplacement(std::uint32_t n, std::uint32_t count)
 {
     ANT_ASSERT(count <= n, "cannot sample ", count, " items from ", n);
-    // Floyd's algorithm: O(count) expected work, deterministic given state.
+    // Floyd's algorithm, deterministic given state; the seen check
+    // scans result, so the work is O(count^2).
     std::vector<std::uint32_t> result;
     result.reserve(count);
     for (std::uint32_t j = n - count; j < n; ++j) {

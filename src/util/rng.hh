@@ -47,6 +47,29 @@ class Rng
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
     double normal();
 
+    /** The two uniforms one normal() consumes, in draw order. */
+    struct NormalDraw
+    {
+        /** Radius uniform in (0, 1): zero draws are redrawn. */
+        double u1;
+        /** Angle uniform in [0, 1). */
+        double u2;
+    };
+
+    /**
+     * Draw the uniforms of one normal(), consuming exactly its stream:
+     * u1 with its zero-rejection loop, then u2.
+     */
+    NormalDraw drawNormal();
+
+    /**
+     * The Box-Muller transform sqrt(-2 ln u1) * cos(2 pi u2), so
+     * normal() == boxMuller(drawNormal()). Its magnitude never exceeds
+     * the radius sqrt(-2 ln u1), which the top-K trace generator's
+     * pre-filter relies on (workload/tracegen.hh).
+     */
+    static double boxMuller(const NormalDraw &draw);
+
     /**
      * Deterministic Fisher-Yates shuffle of an index vector.
      * @param n Number of indices, shuffled result is a permutation of 0..n-1.
@@ -55,7 +78,9 @@ class Rng
 
     /**
      * Sample @p count distinct indices from [0, n) (Floyd's algorithm),
-     * returned unsorted. Requires count <= n.
+     * returned unsorted. Requires count <= n. Each draw is checked
+     * against the samples so far by a linear scan, so the work is
+     * O(count^2).
      */
     std::vector<std::uint32_t> sampleWithoutReplacement(std::uint32_t n,
                                                         std::uint32_t count);

@@ -160,6 +160,64 @@ TEST(PaperRegression, GoldenParallelResNet18DensityPoints)
     }
 }
 
+/** SCNN+ and ANT totals of one counter in a golden top-K run. */
+struct GoldenTotal
+{
+    Counter counter;
+    std::uint64_t scnn;
+    std::uint64_t ant;
+};
+
+void
+expectGoldenTotals(const std::vector<NetworkStats> &stats,
+                   const std::vector<GoldenTotal> &golden,
+                   const std::string &context)
+{
+    ASSERT_EQ(stats.size(), 2u);
+    for (const GoldenTotal &g : golden) {
+        EXPECT_EQ(stats[0].total.get(g.counter), g.scnn)
+            << context << " scnn " << counterName(g.counter);
+        EXPECT_EQ(stats[1].total.get(g.counter), g.ant)
+            << context << " ant " << counterName(g.counter);
+    }
+}
+
+TEST(PaperRegression, GoldenTopKTotals)
+{
+    // Golden-value lock on the top-K trace path, which the ResNet18
+    // locks above (Bernoulli masks) never run: SCNN+ and ANT totals of
+    // ResNet50 and the RNN matmuls at 90% top-K sparsity. Every counter
+    // is a pure function of the generated planes, so these move if the
+    // top-K random stream or its selection drifts.
+    ScnnPe scnn;
+    AntPe ant;
+    RunConfig cfg = fastConfig();
+    cfg.sampleCap = 2;
+    cfg.numThreads = 4;
+    expectGoldenTotals(
+        runConvNetwork({{scnn}, {ant}}, resnet50Imagenet(),
+                       SparsityProfile::topK(0.9), cfg),
+        {
+            {Counter::Cycles, 1652214636, 85066301},
+            {Counter::MultsExecuted, 26099377408, 976658408},
+            {Counter::MultsValid, 80922228, 80922228},
+            {Counter::RcpsAvoided, 0, 25122719000},
+            {Counter::SramValueReads, 1652696666, 63061854},
+        },
+        "resnet50");
+    expectGoldenTotals(
+        runMatmulNetwork({{scnn}, {ant}}, rnnLayers(), 0.9,
+                         SparsifyMethod::TopK, cfg),
+        {
+            {Counter::Cycles, 780050, 21899},
+            {Counter::MultsExecuted, 12405600, 333822},
+            {Counter::MultsValid, 118919, 118919},
+            {Counter::RcpsAvoided, 0, 12071778},
+            {Counter::SramValueReads, 781100, 22297},
+        },
+        "rnn");
+}
+
 TEST(PaperRegression, SmallLayerOverheadExists)
 {
     // Paper Sec. 7.6: on very small layers ANT can slow down (up to

@@ -107,6 +107,25 @@ TEST(Rng, NormalMomentsRoughlyStandard)
     EXPECT_NEAR(sumsq / trials, 1.0, 0.03);
 }
 
+TEST(Rng, NormalIsBoxMullerOfItsDraw)
+{
+    // The top-K trace generator draws uniforms with drawNormal and
+    // transforms only some of them: the split must reproduce normal()
+    // value for value and consume exactly its stream.
+    Rng whole(41);
+    Rng split(41);
+    for (int i = 0; i < 10000; ++i) {
+        const double x = whole.normal();
+        const Rng::NormalDraw draw = split.drawNormal();
+        ASSERT_GT(draw.u1, 0.0);
+        ASSERT_LT(draw.u1, 1.0);
+        ASSERT_GE(draw.u2, 0.0);
+        ASSERT_LT(draw.u2, 1.0);
+        ASSERT_EQ(x, Rng::boxMuller(draw)) << "draw " << i;
+        ASSERT_EQ(whole.state(), split.state()) << "draw " << i;
+    }
+}
+
 TEST(Rng, PermutationIsPermutation)
 {
     Rng rng(17);

@@ -103,8 +103,10 @@ TEST(Tracegen, ForwardPairShapes)
 {
     const ConvLayer layer = sampleLayer();
     Rng rng(1);
+    const std::uint64_t planes_before = tracePlanesGenerated();
     const PlanePair pair = makeConvPhasePair(
         layer, TrainingPhase::Forward, SparsityProfile::swat(0.9), rng);
+    EXPECT_EQ(tracePlanesGenerated() - planes_before, 2u);
     EXPECT_EQ(pair.kernel.height(), 3u);
     EXPECT_EQ(pair.image.height(), 16u);
     EXPECT_EQ(pair.spec.outH(), 14u);
@@ -180,8 +182,12 @@ TEST(Tracegen, StackTaskEqualsPlaneByPlaneGeneration)
              {TrainingPhase::Forward, TrainingPhase::Backward,
               TrainingPhase::Update}) {
             Rng task_rng(21);
+            const std::uint64_t planes_before = tracePlanesGenerated();
             const StackTask task =
                 makeConvPhaseTask(layer, phase, profile, task_rng);
+            // A task counts its image plus its whole stack at once.
+            EXPECT_EQ(tracePlanesGenerated() - planes_before,
+                      1 + task.kernels.size());
 
             Rng plane_rng(21);
             EXPECT_EQ(*task.image,
@@ -205,8 +211,10 @@ TEST(Tracegen, MatmulPairShapes)
 {
     const MatmulLayer layer{"mm", 300, 8, 8, 1200};
     Rng rng(5);
+    const std::uint64_t planes_before = tracePlanesGenerated();
     const PlanePair pair =
         makeMatmulPair(layer, 0.5, SparsifyMethod::Bernoulli, rng);
+    EXPECT_EQ(tracePlanesGenerated() - planes_before, 2u);
     EXPECT_EQ(pair.image.height(), 300u);
     EXPECT_EQ(pair.kernel.height(), 8u);
     EXPECT_EQ(pair.spec.outW(), 1200u);
