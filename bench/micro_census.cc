@@ -111,23 +111,31 @@ BM_LegacyPlanePipeline(benchmark::State &state)
 }
 BENCHMARK(BM_LegacyPlanePipeline)->Arg(32)->Arg(128);
 
+/** A padded height x width plane at 90% sparsity; items are its cells. */
 void
-BM_FusedPlaneGenerator(benchmark::State &state)
+BM_FusedPlaneGenerator(benchmark::State &state, SparsifyMethod method)
 {
-    const auto dim = static_cast<std::uint32_t>(state.range(0));
-    PlaneRecipe recipe =
-        PlaneRecipe::plain(dim, dim, 0.9, SparsifyMethod::TopK);
-    recipe.outHeight = dim + 2;
-    recipe.outWidth = dim + 2;
+    const auto height = static_cast<std::uint32_t>(state.range(0));
+    const auto width = static_cast<std::uint32_t>(state.range(1));
+    PlaneRecipe recipe = PlaneRecipe::plain(height, width, 0.9, method);
+    recipe.outHeight = height + 2;
+    recipe.outWidth = width + 2;
     recipe.offset = 1;
     for (auto _ : state) {
         Rng rng(42);
         auto csr = generateCsrPlane(recipe, rng);
         benchmark::DoNotOptimize(csr);
     }
-    state.SetItemsProcessed(state.iterations() * dim * dim);
+    state.SetItemsProcessed(state.iterations() * height * width);
 }
-BENCHMARK(BM_FusedPlaneGenerator)->Arg(32)->Arg(128);
+BENCHMARK_CAPTURE(BM_FusedPlaneGenerator, topk, SparsifyMethod::TopK)
+    ->Args({32, 32})
+    ->Args({56, 56})
+    ->Args({128, 128})
+    ->Args({72, 512});
+BENCHMARK_CAPTURE(BM_FusedPlaneGenerator, bernoulli,
+                  SparsifyMethod::Bernoulli)
+    ->Args({56, 56});
 
 } // namespace
 
