@@ -51,7 +51,8 @@
  * Besides printing, every table, key metric, and network run is
  * recorded in a process-wide RunReport; main() ends with
  * `return bench::finish(options);` which writes the --json/--csv
- * outputs (including the stage-profiler section, report/profiler.hh).
+ * outputs (including the profile section, built from the host metrics
+ * registry in obs/metrics.hh).
  */
 
 #ifndef ANTSIM_BENCH_BENCH_COMMON_HH

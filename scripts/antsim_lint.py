@@ -107,10 +107,6 @@ RULES = {
             "randomness must come from util/rng (xoshiro256**, fully "
             "specified) so runs are bit-reproducible across platforms.",
         "whitelist": (
-            # The stage profiler measures host wall-clock by design and
-            # never feeds simulated statistics (docs/MODEL.md Sec. 9).
-            "src/report/profiler.hh",
-            "src/report/profiler.cc",
             # Logging timestamps diagnostics, never simulation state.
             "src/util/logging.hh",
             "src/util/logging.cc",

@@ -7,9 +7,9 @@
 #
 # Each successful suite run also appends one JSON line to
 # BENCH_history.jsonl at the repo root (timestamp, headline geomeans,
-# stage wall clocks, planes generated), building a perf trajectory
-# across commits; `scripts/check_perf.py --trend` prints the delta of
-# the newest entry against the previous one.
+# stage wall clocks, each bench's wall clock, planes generated),
+# building a perf trajectory across commits; `scripts/check_perf.py
+# --trend` prints the delta of the newest entry against the previous.
 #
 # Usage: scripts/bench_all.sh [--smoke] [build-dir]
 #   --smoke    tiny configuration (2 samples, 2 threads) for CI: same
@@ -53,12 +53,16 @@ if [ "${smoke}" -eq 1 ]; then
 fi
 
 suite=(fig09_speedup_energy table5_rcp_avoided abl_threads sweep_dse)
+# Wall clock of each bench process, as name=nanoseconds pairs.
+walls=()
 for bench in "${suite[@]}"; do
     echo "bench_all: running ${bench}"
+    start_ns="$(date +%s%N)"
     "${bench_dir}/${bench}" "${flags[@]}" \
         --json "${report_dir}/${bench}.json" \
         --csv "${report_dir}/${bench}.csv" \
         >"${report_dir}/${bench}.log"
+    walls+=("${bench}=$(($(date +%s%N) - start_ns))")
 done
 
 merged="${repo_root}/BENCH_antsim.json"
@@ -73,15 +77,19 @@ python3 "${repo_root}/scripts/validate_report.py" \
 
 # Append this run's headline numbers to the perf trajectory. The entry
 # is one JSON object per line (jsonl): summary geomeans and stage wall
-# clocks verbatim, plus the planes-generated count summed over every
-# run's profile.census section.
+# clocks verbatim, each bench's wall clock, plus the planes-generated
+# count summed over every run's profile.census section.
 history="${repo_root}/BENCH_history.jsonl"
-python3 - "${merged}" "${history}" "${smoke}" <<'PY'
+python3 - "${merged}" "${history}" "${smoke}" "${walls[@]}" <<'PY'
 import json
 import sys
 import time
 
 merged_path, history_path, smoke = sys.argv[1], sys.argv[2], sys.argv[3]
+wall_seconds = {}
+for pair in sys.argv[4:]:
+    bench, nanos = pair.split("=")
+    wall_seconds[bench] = round(int(nanos) * 1e-9, 4)
 with open(merged_path, "r", encoding="utf-8") as handle:
     merged = json.load(handle)
 summary = merged.get("summary", {})
@@ -103,6 +111,7 @@ for key in ("speedup_geomean", "energy_reduction_geomean",
     if key in summary:
         entry[key] = summary[key]
 entry["stage_seconds"] = summary.get("stage_seconds", {})
+entry["wall_seconds"] = wall_seconds
 entry["census"] = census
 with open(history_path, "a", encoding="utf-8") as handle:
     handle.write(json.dumps(entry, sort_keys=True) + "\n")

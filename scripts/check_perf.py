@@ -42,10 +42,11 @@ sub-50ms stages are timer noise, not signal.
 
 --trend is informational, never a gate: it reads the BENCH_history.jsonl
 appended by scripts/bench_all.sh (one JSON object per suite run:
-timestamp, geomeans, stage seconds, planes generated) and prints the
-delta of the newest entry against the one before it. Machine-to-machine
-variance makes an automatic gate on history meaningless; the value is a
-human-readable trajectory in the CI log.
+timestamp, geomeans, stage seconds, each bench's wall seconds, planes
+generated) and prints the delta of the newest entry against the one
+before it. Machine-to-machine variance makes an automatic gate on
+history meaningless; the value is a human-readable trajectory in the CI
+log.
 
 --overhead gates the cost of observability itself: each BASE.json is a
 report from a metrics-off run, the METERED.json after it the same
@@ -290,20 +291,20 @@ def run_trend(args):
     for key in ("speedup_geomean", "energy_reduction_geomean",
                 "rcp_avoided_mean", "estimate_speedup"):
         delta_line(key, current.get(key), previous.get(key), "x")
-    stages_cur = current.get("stage_seconds", {})
-    stages_prev = previous.get("stage_seconds", {})
-    if isinstance(stages_cur, dict):
-        for stage in sorted(stages_cur):
-            delta_line("stage " + stage, stages_cur.get(stage),
-                       stages_prev.get(stage) if
-                       isinstance(stages_prev, dict) else None, "s")
-    census_cur = current.get("census", {})
-    census_prev = previous.get("census", {})
-    if isinstance(census_cur, dict):
-        for key in sorted(census_cur):
-            delta_line("census " + key, census_cur.get(key),
-                       census_prev.get(key) if
-                       isinstance(census_prev, dict) else None)
+    def delta_group(key, label, unit=""):
+        cur = current.get(key, {})
+        prev = previous.get(key, {})
+        if not isinstance(cur, dict):
+            return
+        if not isinstance(prev, dict):
+            prev = {}
+        for name in sorted(cur):
+            delta_line(label + " " + name, cur.get(name), prev.get(name),
+                       unit)
+
+    delta_group("stage_seconds", "stage", "s")
+    delta_group("wall_seconds", "wall", "s")
+    delta_group("census", "census")
     # Informational only: history entries come from different machines
     # and commits, so there is no threshold worth failing on.
     return 0

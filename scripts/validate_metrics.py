@@ -24,8 +24,8 @@ regression in toPrometheus fails CI before it reaches a dashboard:
     `_count` are present exactly once.
 
 --require SUBSTR (repeatable) additionally demands at least one family
-whose name contains SUBSTR -- CI uses it to assert the pool, cache,
-arena, and stage instrumentation actually recorded.
+whose name contains SUBSTR -- CI uses it to assert the pool, arena,
+stage and plane-count instrumentation actually recorded.
 
 --self-test runs the validator against built-in good and bad fixtures
 and exits non-zero on any misclassification (wired into lint.sh so the

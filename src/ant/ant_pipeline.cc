@@ -5,8 +5,8 @@
 #include <optional>
 
 #include "ant/fnir.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "report/profiler.hh"
 #include "sim/clock.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -223,7 +223,8 @@ AntPipelineModel::run(const ProblemSpec &spec, const CsrMatrix &kernel,
     // thread count.
     const std::size_t group_count = (image_entries.size() + n - 1) / n;
     std::vector<GroupPlan> plans(group_count);
-    std::optional<ScopedTimer> plan_timer(std::in_place, Stage::PlanBuild);
+    std::optional<obs::metrics::ScopedTimer> plan_timer(
+        std::in_place, obs::metrics::Stage::PlanBuild);
     ThreadPool plan_pool(num_threads);
     plan_pool.parallelFor(
         0, group_count, /*grain=*/8,

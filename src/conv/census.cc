@@ -1,7 +1,6 @@
 #include "census.hh"
 
-#include <atomic>
-
+#include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -11,6 +10,8 @@
 #endif
 
 namespace antsim {
+
+using obs::metrics::ProfileCount;
 
 namespace {
 
@@ -208,48 +209,6 @@ gatherSum(const std::uint64_t *table, const std::uint32_t *idx,
 
 } // namespace census_kernels
 
-namespace census_stats {
-
-namespace {
-
-std::atomic<std::uint64_t> g_tables_built{0};
-std::atomic<std::uint64_t> g_rect_queries{0};
-
-} // namespace
-
-void
-recordTablesBuilt(std::uint64_t count)
-{
-    g_tables_built.fetch_add(count, std::memory_order_relaxed);
-}
-
-void
-recordRectQueries(std::uint64_t count)
-{
-    g_rect_queries.fetch_add(count, std::memory_order_relaxed);
-}
-
-std::uint64_t
-tablesBuilt()
-{
-    return g_tables_built.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-rectQueries()
-{
-    return g_rect_queries.load(std::memory_order_relaxed);
-}
-
-void
-reset()
-{
-    g_tables_built.store(0, std::memory_order_relaxed);
-    g_rect_queries.store(0, std::memory_order_relaxed);
-}
-
-} // namespace census_stats
-
 CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
     : spec_(spec), kernelW_(spec.kernelW()), imageNnz_(image.nnz())
 {
@@ -264,7 +223,7 @@ CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
         entryCounts_.assign(spec.kernelH(), 0);
         for (std::uint32_t c : image.columns())
             ++entryCounts_[c];
-        census_stats::recordTablesBuilt(1);
+        obs::metrics::profileCount(ProfileCount::CensusTablesBuilt, 1);
         return;
     }
 
@@ -327,8 +286,8 @@ CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
             }
         }
     }
-    census_stats::recordTablesBuilt(static_cast<std::uint64_t>(stride) *
-                                    stride);
+    obs::metrics::profileCount(ProfileCount::CensusTablesBuilt,
+                               static_cast<std::uint64_t>(stride) * stride);
 
     // Materialize the R*S per-entry counts: one rectangle query each,
     // shared by every kernel of the stack. Kernel entry (s, r) pairs
@@ -369,8 +328,9 @@ CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
             entryCounts_[static_cast<std::size_t>(r) * kernel_w + s] = count;
         }
     }
-    census_stats::recordRectQueries(static_cast<std::uint64_t>(kernel_h) *
-                                    kernel_w);
+    obs::metrics::profileCount(ProfileCount::CensusRectQueries,
+                               static_cast<std::uint64_t>(kernel_h) *
+                                   kernel_w);
 }
 
 ProductCensus
@@ -402,7 +362,8 @@ CensusContext::countProducts(const CsrMatrix &kernel) const
         }
     }
     census.rcpProducts = census.nonzeroProducts - census.validProducts;
-    census_stats::recordRectQueries(kernel.nnz());
+    obs::metrics::profileCount(ProfileCount::CensusRectQueries,
+                               kernel.nnz());
     return census;
 }
 

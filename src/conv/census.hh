@@ -31,8 +31,9 @@
  *
  * The header also hosts ValidTable, a per-axis validity lookup that
  * replaces the division-heavy ProblemSpec::isValid in the ANT PE's
- * per-product counting loops, and the process-wide census statistics
- * surfaced in the run report's profile section.
+ * per-product counting loops. Tables built and queries answered are
+ * tallied in the host metrics registry (obs/metrics.hh ProfileCount)
+ * and surface in the run report's profile section.
  */
 
 #ifndef ANTSIM_CONV_CENSUS_HH
@@ -160,23 +161,6 @@ std::uint64_t gatherSum(const std::uint64_t *table,
                         const std::uint32_t *idx, std::size_t n);
 
 } // namespace census_kernels
-
-namespace census_stats {
-
-/** CensusContext instances built (conv summed-area or matmul histogram). */
-void recordTablesBuilt(std::uint64_t count);
-
-/** O(1) rectangle/histogram queries answered. */
-void recordRectQueries(std::uint64_t count);
-
-/** Process-wide totals (relaxed atomics, profile-section reporting). */
-std::uint64_t tablesBuilt();
-std::uint64_t rectQueries();
-
-/** Zero the totals (tests and multi-run binaries). */
-void reset();
-
-} // namespace census_stats
 
 } // namespace antsim
 

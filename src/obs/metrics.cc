@@ -74,17 +74,16 @@ constexpr const char *kHistHelp[kNumHists] = {
     "item count per parallelFor job",
 };
 
-/**
- * Host-stage names, index-matched to report/profiler.hh's Stage enum.
- * Duplicated here because ant_obs cannot include report headers
- * (layering); profiler.cc static_asserts the sizes agree and the
- * stage_profile_test report keys pin the spellings.
- */
-constexpr const char *kStageNames[kNumStages] = {
-    "trace_generation",
-    "plan_construction",
-    "pe_simulation",
-    "reduction",
+constexpr const char *kProfileCountNames[kNumProfileCounts] = {
+    "census_tables_built",
+    "census_rect_queries",
+    "trace_planes_generated",
+};
+
+constexpr const char *kProfileCountHelp[kNumProfileCounts] = {
+    "census summed-area and histogram tables built",
+    "census rectangle and histogram queries answered",
+    "planes generated by the trace task and pair builders",
 };
 
 void
@@ -156,10 +155,11 @@ histName(Hist h)
 }
 
 const char *
-stageMetricName(std::size_t stage_index)
+profileCountName(ProfileCount c)
 {
-    ANT_ASSERT(stage_index < kNumStages, "stage index out of range");
-    return kStageNames[stage_index];
+    const auto i = static_cast<std::size_t>(c);
+    ANT_ASSERT(i < kNumProfileCounts, "profile count id out of range");
+    return kProfileCountNames[i];
 }
 
 Snapshot
@@ -169,8 +169,8 @@ snapshot()
     const std::lock_guard<std::mutex> lock(reg.mutex);
     Snapshot snap;
 
-    // Shard merge: plain summation of relaxed-atomic cells, so the
-    // result is independent of shard (thread) order -- the same
+    // Block merge: plain summation of relaxed-atomic cells, so the
+    // result is independent of block (thread) order -- the same
     // order-independent discipline HistogramRegistry::operator+= gives
     // the simulated-time histograms.
     for (const auto &shard : reg.shards) {
@@ -183,12 +183,6 @@ snapshot()
                 snap.workers[w][c] +=
                     shard->workers[w][c].load(std::memory_order_relaxed);
             }
-        }
-        for (std::size_t s = 0; s < kNumStages; ++s) {
-            snap.stageNs[s] +=
-                shard->stageNs[s].load(std::memory_order_relaxed);
-            snap.stageCalls[s] +=
-                shard->stageCalls[s].load(std::memory_order_relaxed);
         }
         for (std::size_t h = 0; h < kNumHists; ++h) {
             const MetricShard::HistCells &cells = shard->hists[h];
@@ -209,6 +203,18 @@ snapshot()
             }
             data.count += count;
             data.sum += cells.sum.load(std::memory_order_relaxed);
+        }
+    }
+    for (const auto &cells : reg.profiles) {
+        for (std::size_t s = 0; s < kNumStages; ++s) {
+            snap.stageNs[s] +=
+                cells->stageNs[s].load(std::memory_order_relaxed);
+            snap.stageCalls[s] +=
+                cells->stageCalls[s].load(std::memory_order_relaxed);
+        }
+        for (std::size_t c = 0; c < kNumProfileCounts; ++c) {
+            snap.profileCounts[c] +=
+                cells->counts[c].load(std::memory_order_relaxed);
         }
     }
     for (std::size_t g = 0; g < kNumGauges; ++g) {
@@ -288,6 +294,13 @@ toPrometheus(const Snapshot &snap)
         }
     }
 
+    for (std::size_t c = 0; c < kNumProfileCounts; ++c) {
+        const std::string family =
+            std::string("antsim_") + kProfileCountNames[c] + "_total";
+        appendFamilyHeader(out, family, kProfileCountHelp[c], "counter");
+        appendSample(out, family, snap.profileCounts[c]);
+    }
+
     for (std::size_t h = 0; h < kNumHists; ++h) {
         const std::string family =
             std::string("antsim_") + kHistNames[h];
@@ -336,10 +349,6 @@ reset()
             for (auto &cell : worker)
                 cell.store(0, std::memory_order_relaxed);
         }
-        for (auto &cell : shard->stageNs)
-            cell.store(0, std::memory_order_relaxed);
-        for (auto &cell : shard->stageCalls)
-            cell.store(0, std::memory_order_relaxed);
         for (auto &hist : shard->hists) {
             for (auto &cell : hist.bins)
                 cell.store(0, std::memory_order_relaxed);
@@ -348,6 +357,14 @@ reset()
             hist.min.store(~0ull, std::memory_order_relaxed);
             hist.max.store(0, std::memory_order_relaxed);
         }
+    }
+    for (const auto &cells : reg.profiles) {
+        for (auto &cell : cells->stageNs)
+            cell.store(0, std::memory_order_relaxed);
+        for (auto &cell : cells->stageCalls)
+            cell.store(0, std::memory_order_relaxed);
+        for (auto &cell : cells->counts)
+            cell.store(0, std::memory_order_relaxed);
     }
     for (auto &cell : reg.gaugeValue)
         cell.store(0, std::memory_order_relaxed);

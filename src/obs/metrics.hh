@@ -1,35 +1,44 @@
 /**
  * @file
- * Host-side metrics registry: counters, gauges, and fixed-bin
- * histograms describing the *simulator's own* execution (thread-pool
- * utilization, arena high-water marks, stage wall-clock) -- the
- * complement of src/obs/trace.hh, which records the *modeled
- * hardware's* cycles.
+ * Host-side metrics registry: the one place the simulator counts its
+ * *own* execution -- stage wall-clock, host work counts, thread-pool
+ * utilization, arena high-water marks -- the complement of
+ * src/obs/trace.hh, which records the *modeled hardware's* cycles.
+ * Nothing here ever enters a modeled CounterSet.
+ *
+ * Two families share the registry:
+ *  - Profile cells (Stage timings via ScopedTimer, ProfileCount
+ *    tallies) are always recorded, because every report carries a
+ *    profile section. Each thread attaches its own ProfileCells block
+ *    on its first record.
+ *  - Everything else (Counter, WorkerCounter, Gauge, Hist) is opt-in
+ *    (--metrics-out / ANTSIM_METRICS) and lives in a per-thread
+ *    MetricShard that threadAttach installs only while enabled.
  *
  * Layering: the producer API below is entirely header-inline (C++17
- * inline variables hold the registry state), so ant_util code -- the
- * thread pool, the arena -- can record without linking ant_obs, which
- * itself links ant_util. Consumer-side code (snapshot, Prometheus
- * exposition, reset) lives in metrics.cc and is only called from
- * bench/report/test code, all of which links ant_obs.
+ * inline variables hold the registry state), so ant_util and ant_conv
+ * code -- the thread pool, the arena, the census engine -- can record
+ * without linking ant_obs, which itself links ant_util. Consumer-side
+ * code (snapshot, Prometheus exposition, reset) lives in metrics.cc
+ * and is only called from bench/report/test code, all of which links
+ * ant_obs.
  *
- * Sharding and determinism: every recording thread owns a MetricShard
- * of relaxed atomics (obtained via threadAttach), so the hot path is
- * uncontended and TSan-clean even while another thread snapshots a
- * live heartbeat. A snapshot merges shards by summation (counters,
- * histogram bins) -- associative and commutative, the same merge
- * discipline as the simulated-time HistogramRegistry -- so the merged
- * totals of a deterministic workload are independent of worker count
- * and scheduling (tests/metrics_test.cc).
+ * Sharding and determinism: every cell is a relaxed atomic in a block
+ * owned by one recording thread, so the hot path is uncontended and
+ * TSan-clean even while another thread snapshots a live heartbeat. A
+ * snapshot merges blocks by summation (counters, histogram bins) --
+ * associative and commutative, the same merge discipline as the
+ * simulated-time HistogramRegistry -- so the merged totals of a
+ * deterministic workload are independent of worker count and
+ * scheduling (tests/metrics_test.cc, report_test's profile tests).
  *
- * Overhead: when metrics are off (the default), every instrumentation
- * site reduces to one thread-local pointer load and branch --
+ * Overhead: when metrics are off (the default), every opt-in site
+ * reduces to one thread-local pointer load and branch --
  * detail::t_shard stays nullptr because threadAttach refuses to
  * install a shard while disabled. tests/obs_overhead_test.cc asserts
  * stats, report JSON, and simulated-time trace bytes are identical
  * with metrics on and off; host wall-clock readings live only here
- * and in host_trace.hh/profiler.hh (antsim-lint whitelist), never in
- * model code.
+ * and in host_trace.hh (antsim-lint whitelist), never in model code.
  */
 
 #ifndef ANTSIM_OBS_METRICS_HH
@@ -43,6 +52,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/host_trace.hh"
 
 namespace antsim {
 namespace obs {
@@ -147,12 +158,65 @@ histBucket(std::uint64_t value)
                               : static_cast<std::uint32_t>(kHistBins - 1);
 }
 
+/** Coarse host stages of one simulated run (profile.stages order). */
+enum class Stage : unsigned {
+    /** Sparse-trace generation (makeConvPhaseTask / makeMatmulPair). */
+    TraceGen = 0,
+    /** Plan construction: chunking and pipeline group pre-resolution. */
+    PlanBuild,
+    /** PE model execution over generated operands. */
+    PeSim,
+    /** Ordered reduction of per-unit counters into NetworkStats. */
+    Reduce,
+    NumStages
+};
+
+constexpr std::size_t kNumStages = static_cast<std::size_t>(Stage::NumStages);
+
 /**
- * Number of profiled host stages, mirrored from report/profiler.hh's
- * Stage enum (ant_obs cannot include report headers without inverting
- * the library layering; profiler.cc static_asserts the two agree).
+ * Stable snake_case stage names: report keys, host-trace span names
+ * and the Prometheus stage label. Header-inline so ScopedTimer can
+ * name its span without linking ant_obs.
  */
-constexpr std::size_t kNumStages = 4;
+inline constexpr std::array<const char *, kNumStages> kStageNames = {
+    "trace_generation", // TraceGen
+    "plan_construction", // PlanBuild
+    "pe_simulation", // PeSim
+    "reduction", // Reduce
+};
+
+inline const char *
+stageName(Stage stage)
+{
+    return kStageNames[static_cast<std::size_t>(stage)];
+}
+
+/** Host work counts every report carries in profile.census. */
+enum class ProfileCount : unsigned {
+    /** Census summed-area/histogram tables built (conv/census.hh). */
+    CensusTablesBuilt = 0,
+    /** O(1) census rectangle/histogram queries answered. */
+    CensusRectQueries,
+    /** Planes the task and pair builders generated (tracegen.hh). */
+    TracePlanesGenerated,
+    NumProfileCounts
+};
+
+constexpr std::size_t kNumProfileCounts =
+    static_cast<std::size_t>(ProfileCount::NumProfileCounts);
+
+/**
+ * One thread's always-on profile cells. Same relaxed-atomic,
+ * single-writer, cache-line-aligned discipline as MetricShard below,
+ * but attached on the thread's first record whether or not metrics
+ * are enabled.
+ */
+struct alignas(64) ProfileCells
+{
+    std::array<std::atomic<std::uint64_t>, kNumStages> stageNs{};
+    std::array<std::atomic<std::uint64_t>, kNumStages> stageCalls{};
+    std::array<std::atomic<std::uint64_t>, kNumProfileCounts> counts{};
+};
 
 /**
  * One thread's slice of the registry. All cells are relaxed atomics:
@@ -167,8 +231,6 @@ struct alignas(64) MetricShard
     std::array<std::array<std::atomic<std::uint64_t>, kNumWorkerCounters>,
                kMaxWorkers>
         workers{};
-    std::array<std::atomic<std::uint64_t>, kNumStages> stageNs{};
-    std::array<std::atomic<std::uint64_t>, kNumStages> stageCalls{};
     struct HistCells
     {
         std::array<std::atomic<std::uint64_t>, kHistBins> bins{};
@@ -190,14 +252,16 @@ namespace detail {
  */
 inline thread_local constinit MetricShard *t_shard = nullptr;
 
+/** The calling thread's profile cells; nullptr until its first record. */
+inline thread_local constinit ProfileCells *t_profile = nullptr;
+
 inline std::atomic<bool> g_enabled{false};
 
 /**
- * Shard list plus the registry-global gauges. Cache-line aligned:
- * every metered arena slab reads the gauges, so a hot atomic of
- * another module placed on their line (the trace generator's plane
- * counter was) turns each generated plane into a cache miss under
- * parallel load.
+ * Shard and profile-cell lists plus the registry-global gauges.
+ * Cache-line aligned: every metered arena slab reads the gauges, so a
+ * hot atomic of another module placed on their line would turn each
+ * slab into a cache miss under parallel load.
  */
 struct alignas(64) Registry
 {
@@ -206,6 +270,8 @@ struct alignas(64) Registry
      *  totals must survive it, and t_shard pointers must never
      *  dangle. reset() zeroes cells instead of freeing shards. */
     std::vector<std::unique_ptr<MetricShard>> shards;
+    /** Same lifetime rule as shards. */
+    std::vector<std::unique_ptr<ProfileCells>> profiles;
     std::array<std::atomic<std::int64_t>, kNumGauges> gaugeValue{};
     std::array<std::atomic<std::int64_t>, kNumGauges> gaugePeak{};
 };
@@ -243,6 +309,19 @@ lowerToU(std::atomic<std::uint64_t> &cell, std::uint64_t v)
     while (cur > v &&
            !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
+}
+
+/** The calling thread's profile cells, attached on first use. */
+inline ProfileCells &
+profileCells()
+{
+    if (ProfileCells *cells = t_profile)
+        return *cells;
+    Registry &reg = registry();
+    const std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.profiles.push_back(std::make_unique<ProfileCells>());
+    t_profile = reg.profiles.back().get();
+    return *t_profile;
 }
 
 } // namespace detail
@@ -339,18 +418,22 @@ histRecord(Hist h, std::uint64_t value)
     }
 }
 
-/** Add one profiled stage region (index = report/profiler.hh Stage). */
+/** Add one timed region of @p stage (always recorded). */
 inline void
-stageAdd(std::size_t stage_index, std::uint64_t nanos)
+stageAdd(Stage stage, std::uint64_t nanos)
 {
-    if (MetricShard *s = detail::t_shard) {
-        if (stage_index < kNumStages) {
-            s->stageNs[stage_index].fetch_add(nanos,
-                                              std::memory_order_relaxed);
-            s->stageCalls[stage_index].fetch_add(
-                1, std::memory_order_relaxed);
-        }
-    }
+    ProfileCells &cells = detail::profileCells();
+    const auto i = static_cast<std::size_t>(stage);
+    cells.stageNs[i].fetch_add(nanos, std::memory_order_relaxed);
+    cells.stageCalls[i].fetch_add(1, std::memory_order_relaxed);
+}
+
+/** Bump profile count @p c by @p delta (always recorded). */
+inline void
+profileCount(ProfileCount c, std::uint64_t delta)
+{
+    detail::profileCells().counts[static_cast<std::size_t>(c)].fetch_add(
+        delta, std::memory_order_relaxed);
 }
 
 /**
@@ -367,11 +450,39 @@ nowNs()
             .count());
 }
 
+/**
+ * Times one stage region into the profile cells on destruction, and
+ * mirrors it as a `stage` span when a host trace is being collected.
+ */
+class ScopedTimer
+{
+  public:
+    explicit ScopedTimer(Stage stage) : stage_(stage), start_(nowNs()) {}
+
+    ~ScopedTimer()
+    {
+        const std::uint64_t end = nowNs();
+        stageAdd(stage_, end - start_);
+        if (host::buf() != nullptr)
+            host::emitSpan("stage", stageName(stage_), start_, end);
+    }
+
+    ScopedTimer(const ScopedTimer &) = delete;
+    ScopedTimer &operator=(const ScopedTimer &) = delete;
+
+  private:
+    Stage stage_;
+    std::uint64_t start_;
+};
+
 // ------------------------------------------------------------------
 // Consumer API (metrics.cc, ant_obs): snapshot/merge, name catalog,
 // Prometheus text exposition, reset. Callers link ant_obs.
 
-/** Order-independent merge of every shard, plus the global gauges. */
+/**
+ * Order-independent merge of every shard and profile block, plus the
+ * global gauges.
+ */
 struct Snapshot
 {
     std::array<std::uint64_t, kNumCounters> counters{};
@@ -381,6 +492,7 @@ struct Snapshot
     std::uint32_t workersUsed = 0;
     std::array<std::uint64_t, kNumStages> stageNs{};
     std::array<std::uint64_t, kNumStages> stageCalls{};
+    std::array<std::uint64_t, kNumProfileCounts> profileCounts{};
     std::array<std::int64_t, kNumGauges> gaugeValue{};
     std::array<std::int64_t, kNumGauges> gaugePeak{};
     struct HistData
@@ -400,9 +512,9 @@ const char *counterName(Counter c);
 const char *workerCounterName(WorkerCounter c);
 const char *gaugeName(Gauge g);
 const char *histName(Hist h);
-const char *stageMetricName(std::size_t stage_index);
+const char *profileCountName(ProfileCount c);
 
-/** Merge every shard into one Snapshot (sum; order-independent). */
+/** Merge every block into one Snapshot (sum; order-independent). */
 Snapshot snapshot();
 
 /**
@@ -416,7 +528,7 @@ std::string toPrometheus(const Snapshot &snap);
 /** Write toPrometheus(snapshot()) to @p path (fatal on I/O error). */
 void writePrometheus(const std::string &path);
 
-/** Zero every cell and gauge; shards stay attached (tests). */
+/** Zero every cell and gauge; blocks stay attached (tests). */
 void reset();
 
 } // namespace metrics

@@ -2,7 +2,7 @@
  * @file
  * Deterministic simulated-time tracing for the accelerator models.
  *
- * The profiler (src/report/profiler.hh) answers "where did the *host*
+ * The stage timers (src/obs/metrics.hh) answer "where did the *host*
  * spend wall-clock time"; this layer answers "where did the *modeled
  * hardware* spend cycles". PE models mirror their cycle accounting
  * into a per-unit UnitRecorder as run-length-coded spans (startup /

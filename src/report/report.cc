@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "conv/census.hh"
-#include "report/profiler.hh"
 #include "util/logging.hh"
-#include "workload/tracegen.hh"
 
 namespace antsim {
 
@@ -199,16 +196,6 @@ hostMetricsToJson(const obs::metrics::Snapshot &snap)
     }
     json.set("gauges", std::move(gauges));
 
-    Json stages = Json::array();
-    for (std::size_t i = 0; i < m::kNumStages; ++i) {
-        Json entry = Json::object();
-        entry.set("name", m::stageMetricName(i));
-        entry.set("nanos", snap.stageNs[i]);
-        entry.set("calls", snap.stageCalls[i]);
-        stages.push(std::move(entry));
-    }
-    json.set("stages", std::move(stages));
-
     Json workers = Json::array();
     for (std::size_t w = 0; w < snap.workersUsed; ++w) {
         Json entry = Json::object();
@@ -290,31 +277,27 @@ stallRowToJson(const std::string &name, const CounterSet &counters,
 } // namespace
 
 Json
-profileToJson()
+profileToJson(const obs::metrics::Snapshot &snap)
 {
+    namespace m = obs::metrics;
     Json json = Json::object();
     Json stages = Json::array();
-    for (std::size_t i = 0; i < kNumStages; ++i) {
-        const auto stage = static_cast<Stage>(i);
+    for (std::size_t i = 0; i < m::kNumStages; ++i) {
         Json entry = Json::object();
-        entry.set("name", stageName(stage));
-        entry.set("nanos", profiler::totalNanos(stage));
-        entry.set("seconds",
-                  static_cast<double>(profiler::totalNanos(stage)) * 1e-9);
-        entry.set("calls", profiler::callCount(stage));
+        entry.set("name", m::kStageNames[i]);
+        entry.set("nanos", snap.stageNs[i]);
+        entry.set("seconds", static_cast<double>(snap.stageNs[i]) * 1e-9);
+        entry.set("calls", snap.stageCalls[i]);
         stages.push(std::move(entry));
     }
     json.set("stages", std::move(stages));
 
-    // Census-engine and plane-generation totals (process-wide; like
-    // the stage timings they live in the profile section only, so the
-    // deterministic report body stays byte-identical whether or not the
-    // census fast paths ran).
-    CounterSet census;
-    census.set(Counter::CensusTablesBuilt, census_stats::tablesBuilt());
-    census.set(Counter::CensusRectQueries, census_stats::rectQueries());
-    census.set(Counter::TracePlanesGenerated, tracePlanesGenerated());
-    json.set("census", counterSetToJson(census));
+    Json census = Json::object();
+    for (std::size_t i = 0; i < m::kNumProfileCounts; ++i) {
+        census.set(m::profileCountName(static_cast<m::ProfileCount>(i)),
+                   snap.profileCounts[i]);
+    }
+    json.set("census", std::move(census));
     return json;
 }
 
@@ -456,7 +439,7 @@ RunReport::toJson(bool include_profile) const
         json.set("host_metrics", hostMetrics_);
 
     if (include_profile)
-        json.set("profile", profileToJson());
+        json.set("profile", profileToJson(obs::metrics::snapshot()));
     return json;
 }
 

@@ -20,9 +20,9 @@
  * Everything above is deterministic: for a fixed configuration the
  * serialized document is byte-identical at every thread count (the
  * deterministic parallel engine, DESIGN.md). Wall-clock stage timings
- * from the profiler (profiler.hh) are the one exception, so they are
- * confined to a "profile" section that toJson can exclude -- the
- * golden-JSON regression tests serialize without it.
+ * from the host metrics registry (obs/metrics.hh) are the one
+ * exception, so they are confined to a "profile" section that toJson
+ * can exclude -- the golden-JSON regression tests serialize without it.
  */
 
 #ifndef ANTSIM_REPORT_REPORT_HH
@@ -86,8 +86,12 @@ Json networkStatsToJson(const NetworkStats &stats, std::uint32_t num_pes);
 /** Parse the output of networkStatsToJson back into NetworkStats. */
 NetworkStats networkStatsFromJson(const Json &json);
 
-/** Snapshot of the stage profiler as the report's profile section. */
-Json profileToJson();
+/**
+ * The report's profile section from a host-metrics snapshot: per-stage
+ * wall nanoseconds and calls, plus the profile.census host work counts
+ * (census tables built, rectangle queries, planes generated).
+ */
+Json profileToJson(const obs::metrics::Snapshot &snap);
 
 /**
  * Decomposition of Counter::Cycles into stall components. Built by
@@ -128,12 +132,12 @@ Json histogramsToJson(const obs::HistogramRegistry &hists);
 
 /**
  * Serialize a host-metrics snapshot (obs/metrics.hh) as the report's
- * host_metrics section: counters, gauges with peaks, per-stage wall
- * nanoseconds, per-worker pool accounting, and log2 histograms.
- * Everything here is host-side wall-clock accounting -- like the
- * profile section it is never byte-stable across runs, which is why
- * RunReport only embeds it when metrics collection was explicitly
- * enabled.
+ * host_metrics section: the opt-in counters, gauges with peaks,
+ * per-worker pool accounting, and log2 histograms (stage times appear
+ * once, in the profile section). Everything here is host-side
+ * accounting -- like the profile section it is never byte-stable
+ * across runs, which is why RunReport only embeds it when metrics
+ * collection was explicitly enabled.
  */
 Json hostMetricsToJson(const obs::metrics::Snapshot &snap);
 

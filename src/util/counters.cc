@@ -33,9 +33,6 @@ constexpr std::array<const char *, kNumCounters> kCounterNames = {
     "idle_scan_cycles",   // IdleScanCycles
     "cycles",             // Cycles
     "tasks_processed",    // TasksProcessed
-    "census_tables_built",    // CensusTablesBuilt
-    "census_rect_queries",    // CensusRectQueries
-    "trace_planes_generated", // TracePlanesGenerated
 };
 
 static_assert(kCounterNames.size() == kNumCounters,

@@ -6,7 +6,8 @@
  * accesses, comparator operations, ...) in a CounterSet; the energy
  * model (src/sim/energy.hh) and the benchmark harnesses consume these.
  * Counter identity is a compile-time enum so that hot loops pay only an
- * array increment.
+ * array increment. Only modeled hardware activity belongs here; the
+ * simulator's own host-side counts live in obs/metrics.hh.
  */
 
 #ifndef ANTSIM_UTIL_COUNTERS_HH
@@ -54,12 +55,6 @@ enum class Counter : unsigned {
     Cycles,
     /** Number of (kernel, image) chunk pairs (tasks) processed. */
     TasksProcessed,
-    /** Census summed-area/histogram tables built (conv/census.hh). */
-    CensusTablesBuilt,
-    /** O(1) census rectangle/histogram queries answered. */
-    CensusRectQueries,
-    /** Sparse planes generated and CSR-compressed. */
-    TracePlanesGenerated,
     NumCounters
 };
 

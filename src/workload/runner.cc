@@ -8,13 +8,16 @@
 #include "obs/host_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "report/profiler.hh"
 #include "sim/chunking.hh"
+#include "sim/sram.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 #include "verify/audit_hooks.hh"
 
 namespace antsim {
+
+using obs::metrics::ScopedTimer;
+using obs::metrics::Stage;
 
 namespace {
 
@@ -259,6 +262,13 @@ RunConfig::validate() const
         ANT_FATAL("numPes must be positive");
     if (chunkCapacity == 0)
         ANT_FATAL("chunkCapacity must be positive");
+    // A chunk is what one PE buffer holds: past the value buffer's
+    // capacity every worker would die mid-run on the SRAM check.
+    const std::uint32_t buffer = SramConfig::values().capacityElements();
+    if (chunkCapacity > buffer)
+        ANT_FATAL("chunkCapacity = ", chunkCapacity, " exceeds the PE ",
+                  "value buffer of ", buffer, " elements (Table 4: ",
+                  "8 KB of 16-bit values)");
 }
 
 double

@@ -56,7 +56,10 @@ struct RunConfig
     std::uint64_t seed = 42;
     /** PEs for accelerator-cycle reduction (Table 4: 64). */
     std::uint32_t numPes = 64;
-    /** Operand chunk capacity in non-zeros (8 KB / 16-bit values). */
+    /**
+     * Operand chunk capacity in non-zeros (8 KB / 16-bit values);
+     * validate() rejects anything the PE value buffer cannot hold.
+     */
     std::uint32_t chunkCapacity = 4096;
     /** Which phases to simulate (Forward, Backward, Update). */
     std::array<bool, 3> phases = {true, true, true};

@@ -1,11 +1,11 @@
 #include "tracegen.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <optional>
 
+#include "obs/metrics.hh"
 #include "tensor/sparsify.hh"
 #include "util/bfloat16.hh"
 #include "util/logging.hh"
@@ -17,6 +17,8 @@
 #endif
 
 namespace antsim {
+
+using obs::metrics::ProfileCount;
 
 namespace {
 
@@ -96,8 +98,6 @@ countGreater(const float *data, std::size_t n, float threshold)
 #endif
     return countGreaterScalar(data, n, threshold);
 }
-
-std::atomic<std::uint64_t> g_planes_generated{0};
 
 /**
  * Emit one surviving inner-plane value into the CSR arrays under
@@ -308,13 +308,6 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
             prefiltered};
 }
 
-/** The task and pair builders count their planes at once. */
-void
-countPlanes(std::uint64_t planes)
-{
-    g_planes_generated.fetch_add(planes, std::memory_order_relaxed);
-}
-
 } // namespace
 
 TopKCut
@@ -356,12 +349,6 @@ generateTopKPlane(const PlaneRecipe &recipe,
     ANT_ASSERT(recipe.method == SparsifyMethod::TopK,
                "generateTopKPlane needs a top-K recipe");
     return buildPlane(recipe, cut, rng);
-}
-
-std::uint64_t
-tracePlanesGenerated()
-{
-    return g_planes_generated.load(std::memory_order_relaxed);
 }
 
 PlaneRecipe
@@ -454,7 +441,7 @@ makeConvPhasePair(const ConvLayer &layer, TrainingPhase phase,
     // Kernel plane first, then image: the draw order the per-pair API
     // has always used (the fused CSR generator consumes the identical
     // random stream as the legacy dense pipeline).
-    countPlanes(2);
+    obs::metrics::profileCount(ProfileCount::TracePlanesGenerated, 2);
     CsrMatrix kernel = generateCsrPlane(
         convKernelRecipe(layer, phase, profile, specs), rng);
     CsrMatrix image = generateCsrPlane(
@@ -500,9 +487,8 @@ makeConvPhaseTask(const ConvLayer &layer, TrainingPhase phase,
     const std::uint32_t stack_size = phase == TrainingPhase::Backward
         ? layer.inChannels
         : layer.outChannels;
-    // One shared-counter add per task, not per plane: workers build
-    // millions of planes per run.
-    countPlanes(1 + static_cast<std::uint64_t>(stack_size));
+    obs::metrics::profileCount(ProfileCount::TracePlanesGenerated,
+                               1 + static_cast<std::uint64_t>(stack_size));
     auto image = std::make_unique<const CsrMatrix>(
         generateCsrPlane(image_recipe, rng));
     std::vector<CsrMatrix> kernels;
@@ -526,7 +512,7 @@ makeMatmulPair(const MatmulLayer &layer, double sparsity,
                SparsifyMethod method, Rng &rng)
 {
     // Image first, then kernel: the legacy draw order.
-    countPlanes(2);
+    obs::metrics::profileCount(ProfileCount::TracePlanesGenerated, 2);
     CsrMatrix image = generateCsrPlane(
         PlaneRecipe::plain(layer.imageH, layer.imageW, sparsity, method),
         rng);

@@ -158,15 +158,6 @@ struct TopKPlane
 TopKPlane generateTopKPlane(const PlaneRecipe &recipe,
                             const std::optional<TopKCut> &cut, Rng &rng);
 
-/**
- * Planes the task and pair builders generated in this process, counted
- * a whole task or pair at once (makeConvPhaseTask 1 + stack,
- * makeConvPhasePair and makeMatmulPair 2); direct generateCsrPlane
- * calls are not counted. A relaxed atomic, reported in the run
- * report's profile section only.
- */
-std::uint64_t tracePlanesGenerated();
-
 /** Target sparsities of the three training tensors. */
 struct SparsityProfile
 {
@@ -263,6 +254,11 @@ Dense2d<float> generatePlane(std::uint32_t height, std::uint32_t width,
 /**
  * Build the (kernel, image) pair for one sampled (k, c) plane pair of
  * a conv layer in the given phase. @p rng provides all randomness.
+ *
+ * This builder, makeMatmulPair and makeConvPhaseTask tally the planes
+ * they generate (2, 2, and 1 + stack) in the host metrics registry's
+ * trace_planes_generated count (obs/metrics.hh), once per call; direct
+ * generateCsrPlane calls are not counted.
  */
 PlanePair makeConvPhasePair(const ConvLayer &layer, TrainingPhase phase,
                             const SparsityProfile &profile, Rng &rng);

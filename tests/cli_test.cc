@@ -128,6 +128,19 @@ TEST(RunConfigDeath, ZeroPesIsFatal)
                 "fatal: numPes must be positive");
 }
 
+TEST(RunConfigDeath, ChunkBeyondValueBufferIsFatal)
+{
+    // Every PE's value buffer holds 4096 elements (Table 4); a larger
+    // chunk used to pass here and then die mid-run on the SRAM check.
+    RunConfig config;
+    config.chunkCapacity = 4096;
+    config.validate();
+    config.chunkCapacity = 4097;
+    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                "fatal: chunkCapacity = 4097 exceeds the PE value buffer "
+                "of 4096 elements");
+}
+
 TEST(RunConfig, DefaultsValidate)
 {
     // The stock configuration must pass its own validation.

@@ -153,6 +153,8 @@ TEST(MetricsTest, PrometheusExpositionIsConsistent)
         m::Gauge::ArenaHighWaterBytes)] = 250;
     snap.stageNs[0] = 5000;
     snap.stageCalls[0] = 2;
+    snap.profileCounts[static_cast<std::size_t>(
+        m::ProfileCount::TracePlanesGenerated)] = 7;
     m::Snapshot::HistData &hist =
         snap.hists[static_cast<std::size_t>(m::Hist::UnitWallNs)];
     hist.bins[0] = 1; // value 0
@@ -181,6 +183,7 @@ TEST(MetricsTest, PrometheusExpositionIsConsistent)
         sampleValue(
             text, "antsim_stage_ns_total{stage=\"trace_generation\"}"),
         5000u);
+    EXPECT_EQ(sampleValue(text, "antsim_trace_planes_generated_total"), 7u);
 
     // Cumulative histogram buckets with exact-integer upper bounds.
     EXPECT_EQ(sampleValue(text, "antsim_unit_wall_ns_bucket{le=\"0\"}"),

@@ -2,20 +2,22 @@
  * @file
  * Tests for the structured run-reporting subsystem (src/report): the
  * JSON document model, the CounterSet/NetworkStats serializers (full
- * round trips against live runner output), the stage profiler, and
- * the golden-JSON guarantee that the deterministic part of a report
- * is byte-identical at every thread count.
+ * round trips against live runner output), the profile section built
+ * from the host metrics registry, and the golden-JSON guarantee that
+ * the deterministic part of a report is byte-identical at every thread
+ * count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "ant/ant_pe.hh"
+#include "obs/metrics.hh"
 #include "report/json.hh"
-#include "report/profiler.hh"
 #include "report/report.hh"
 #include "report/rollup.hh"
 #include "scnn/scnn_pe.hh"
@@ -314,45 +316,120 @@ TEST(Report, WriteJsonFileParsesBack)
     std::remove(path.c_str());
 }
 
+namespace m = obs::metrics;
+
+/** Registry-wide calls recorded for @p stage. */
+std::uint64_t
+stageCalls(m::Stage stage)
+{
+    return m::snapshot().stageCalls[static_cast<std::size_t>(stage)];
+}
+
 TEST(Profiler, ScopedTimerAccumulates)
 {
-    profiler::reset();
-    EXPECT_EQ(profiler::callCount(Stage::PeSim), 0u);
+    m::reset();
+    EXPECT_EQ(stageCalls(m::Stage::PeSim), 0u);
     {
-        const ScopedTimer timer(Stage::PeSim);
+        const m::ScopedTimer timer(m::Stage::PeSim);
     }
     {
-        const ScopedTimer timer(Stage::PeSim);
+        const m::ScopedTimer timer(m::Stage::PeSim);
     }
-    EXPECT_EQ(profiler::callCount(Stage::PeSim), 2u);
-    EXPECT_EQ(profiler::callCount(Stage::TraceGen), 0u);
-    profiler::reset();
-    EXPECT_EQ(profiler::callCount(Stage::PeSim), 0u);
+    EXPECT_EQ(stageCalls(m::Stage::PeSim), 2u);
+    EXPECT_EQ(stageCalls(m::Stage::TraceGen), 0u);
+    m::reset();
+    EXPECT_EQ(stageCalls(m::Stage::PeSim), 0u);
 }
 
 TEST(Profiler, RunnerPopulatesAllStages)
 {
-    profiler::reset();
+    m::reset();
     ScnnPe pe;
     runConvNetwork(pe, resnet18Cifar(), SparsityProfile::swat(0.9),
                    fastConfig());
-    EXPECT_GT(profiler::callCount(Stage::TraceGen), 0u);
-    EXPECT_GT(profiler::callCount(Stage::PlanBuild), 0u);
-    EXPECT_GT(profiler::callCount(Stage::PeSim), 0u);
-    EXPECT_GT(profiler::callCount(Stage::Reduce), 0u);
-    const Json profile = profileToJson();
-    EXPECT_EQ(profile.at("stages").size(), kNumStages);
+    EXPECT_GT(stageCalls(m::Stage::TraceGen), 0u);
+    EXPECT_GT(stageCalls(m::Stage::PlanBuild), 0u);
+    EXPECT_GT(stageCalls(m::Stage::PeSim), 0u);
+    EXPECT_GT(stageCalls(m::Stage::Reduce), 0u);
+    const Json profile = profileToJson(m::snapshot());
+    EXPECT_EQ(profile.at("stages").size(), m::kNumStages);
     EXPECT_EQ(profile.at("stages").at(0u).at("name").asString(),
               "trace_generation");
-    profiler::reset();
+    m::reset();
 }
 
 TEST(Profiler, StageNamesAreStableSchemaKeys)
 {
-    EXPECT_STREQ(stageName(Stage::TraceGen), "trace_generation");
-    EXPECT_STREQ(stageName(Stage::PlanBuild), "plan_construction");
-    EXPECT_STREQ(stageName(Stage::PeSim), "pe_simulation");
-    EXPECT_STREQ(stageName(Stage::Reduce), "reduction");
+    EXPECT_STREQ(m::stageName(m::Stage::TraceGen), "trace_generation");
+    EXPECT_STREQ(m::stageName(m::Stage::PlanBuild), "plan_construction");
+    EXPECT_STREQ(m::stageName(m::Stage::PeSim), "pe_simulation");
+    EXPECT_STREQ(m::stageName(m::Stage::Reduce), "reduction");
+}
+
+TEST(Profiler, CountsAreExactAtEveryThreadCount)
+{
+    // The profile cells record with metrics off: every report carries
+    // a profile section whether or not --metrics-out is set.
+    ASSERT_FALSE(m::enabled());
+    const std::vector<ConvLayer> layers = {{"s1", 4, 6, 12, 12, 3, 1, 1},
+                                           {"s2", 6, 8, 12, 12, 3, 2, 1}};
+    RunConfig config = fastConfig();
+
+    // Units and planes of one call, independent of the models run.
+    std::uint64_t units = 0;
+    std::uint64_t planes = 0;
+    for (const ConvLayer &layer : layers) {
+        for (const TrainingPhase phase :
+             {TrainingPhase::Forward, TrainingPhase::Backward,
+              TrainingPhase::Update}) {
+            const std::uint64_t sampled = std::min<std::uint64_t>(
+                stackTaskCount(layer, phase), config.sampleCap);
+            const std::uint64_t stack = phase == TrainingPhase::Backward
+                ? layer.inChannels
+                : layer.outChannels;
+            units += sampled;
+            planes += sampled * (1 + stack);
+        }
+    }
+
+    for (const SparsifyMethod method :
+         {SparsifyMethod::TopK, SparsifyMethod::Bernoulli}) {
+        const SparsityProfile profile{0.7, 0.5, 0.8, method};
+        std::string census_at_one_thread;
+        for (const std::uint32_t threads : {1u, 2u, 4u}) {
+            config.numThreads = threads;
+            ScnnPe scnn;
+            AntPe ant;
+            const std::vector<ModelRun> models = {{scnn, "scnn"},
+                                                  {ant, "ant"}};
+            m::reset();
+            runConvNetwork(models, layers, profile, config);
+            const Json json = profileToJson(m::snapshot());
+            const std::string label = std::string(
+                method == SparsifyMethod::TopK ? "top-K" : "Bernoulli") +
+                " at " + std::to_string(threads) + " threads";
+
+            const Json &census = json.at("census");
+            ASSERT_EQ(census.size(), 3u) << label;
+            EXPECT_GT(census.at("census_tables_built").asUint(), 0u)
+                << label;
+            EXPECT_GT(census.at("census_rect_queries").asUint(), 0u)
+                << label;
+            EXPECT_EQ(census.at("trace_planes_generated").asUint(), planes)
+                << label;
+            if (threads == 1)
+                census_at_one_thread = census.dump();
+            EXPECT_EQ(census.dump(), census_at_one_thread) << label;
+
+            EXPECT_EQ(stageCalls(m::Stage::TraceGen), units) << label;
+            EXPECT_EQ(stageCalls(m::Stage::PlanBuild), units * models.size())
+                << label;
+            EXPECT_EQ(stageCalls(m::Stage::PeSim), units * models.size())
+                << label;
+            EXPECT_EQ(stageCalls(m::Stage::Reduce), 1u) << label;
+        }
+    }
+    m::reset();
 }
 
 } // namespace

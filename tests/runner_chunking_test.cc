@@ -73,7 +73,7 @@ TEST(RunnerChunking, ChunkingPreservesProductCounts)
     RunConfig small = cfg();
     small.chunkCapacity = 512;
     RunConfig big = cfg();
-    big.chunkCapacity = 1u << 20;
+    big.chunkCapacity = 4096;
     const auto profile = SparsityProfile::resprop(0.5, 0.5);
     const auto a =
         runConvNetwork(scnn, bigImageNetwork(), profile, small);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "conv/dense_conv.hh"
+#include "obs/metrics.hh"
 #include "workload/layer.hh"
 #include "workload/tracegen.hh"
 
@@ -16,6 +17,14 @@ ConvLayer
 sampleLayer()
 {
     return {"test", 8, 16, 14, 14, 3, 1, 1};
+}
+
+/** Planes the task and pair builders generated, registry-wide. */
+std::uint64_t
+planesGenerated()
+{
+    return obs::metrics::snapshot().profileCounts[static_cast<std::size_t>(
+        obs::metrics::ProfileCount::TracePlanesGenerated)];
 }
 
 TEST(Layer, PaddedDims)
@@ -103,10 +112,10 @@ TEST(Tracegen, ForwardPairShapes)
 {
     const ConvLayer layer = sampleLayer();
     Rng rng(1);
-    const std::uint64_t planes_before = tracePlanesGenerated();
+    const std::uint64_t planes_before = planesGenerated();
     const PlanePair pair = makeConvPhasePair(
         layer, TrainingPhase::Forward, SparsityProfile::swat(0.9), rng);
-    EXPECT_EQ(tracePlanesGenerated() - planes_before, 2u);
+    EXPECT_EQ(planesGenerated() - planes_before, 2u);
     EXPECT_EQ(pair.kernel.height(), 3u);
     EXPECT_EQ(pair.image.height(), 16u);
     EXPECT_EQ(pair.spec.outH(), 14u);
@@ -182,11 +191,11 @@ TEST(Tracegen, StackTaskEqualsPlaneByPlaneGeneration)
              {TrainingPhase::Forward, TrainingPhase::Backward,
               TrainingPhase::Update}) {
             Rng task_rng(21);
-            const std::uint64_t planes_before = tracePlanesGenerated();
+            const std::uint64_t planes_before = planesGenerated();
             const StackTask task =
                 makeConvPhaseTask(layer, phase, profile, task_rng);
             // A task counts its image plus its whole stack at once.
-            EXPECT_EQ(tracePlanesGenerated() - planes_before,
+            EXPECT_EQ(planesGenerated() - planes_before,
                       1 + task.kernels.size());
 
             Rng plane_rng(21);
@@ -211,10 +220,10 @@ TEST(Tracegen, MatmulPairShapes)
 {
     const MatmulLayer layer{"mm", 300, 8, 8, 1200};
     Rng rng(5);
-    const std::uint64_t planes_before = tracePlanesGenerated();
+    const std::uint64_t planes_before = planesGenerated();
     const PlanePair pair =
         makeMatmulPair(layer, 0.5, SparsifyMethod::Bernoulli, rng);
-    EXPECT_EQ(tracePlanesGenerated() - planes_before, 2u);
+    EXPECT_EQ(planesGenerated() - planes_before, 2u);
     EXPECT_EQ(pair.image.height(), 300u);
     EXPECT_EQ(pair.kernel.height(), 8u);
     EXPECT_EQ(pair.spec.outW(), 1200u);
