@@ -1,8 +1,9 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the FNIR block and the ANT PE
- * inner loop -- host-side throughput of the simulator itself (useful
- * when scaling simulations up, not a paper figure).
+ * Google-benchmark microbenchmarks of the FNIR block and the ANT PE's
+ * counting runs at bench shapes -- host-side throughput of the
+ * simulator itself (useful when scaling simulations up, not a paper
+ * figure).
  */
 
 #include <benchmark/benchmark.h>
@@ -10,8 +11,10 @@
 #include "ant/ant_pe.hh"
 #include "ant/fnir.hh"
 #include "scnn/scnn_pe.hh"
+#include "sim/chunking.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"
+#include "workload/tracegen.hh"
 
 namespace antsim {
 namespace {
@@ -38,23 +41,67 @@ BENCHMARK(BM_FnirEvaluate)
     ->Args({4, 32})
     ->Args({8, 32});
 
-void
-BM_AntPePair(benchmark::State &state)
+/** Products a counting run executes: the benchmark's item count. */
+std::int64_t
+executedProducts(const PeResult &result)
 {
-    const auto sparsity = static_cast<double>(state.range(0)) / 100.0;
+    return static_cast<std::int64_t>(
+        result.counters.get(Counter::MultsExecuted));
+}
+
+/**
+ * ANT counting run on one fig10 ResNet18 task: 256 dense 3x3 weight
+ * planes against a 34x34 padded activation plane at 85% sparsity
+ * (forward, arg 0), or 256 32x32 gradient planes at 42% against the
+ * same activations (update, arg 2). Items are executed products.
+ */
+void
+BM_AntConvStackCounting(benchmark::State &state)
+{
+    const ConvLayer layer{"fig10", 64, 256, 32, 32, 3, 1, 1};
     Rng rng(7);
-    const auto kernel =
-        CsrMatrix::fromDense(bernoulliPlane(14, 14, sparsity, rng));
-    const auto image =
-        CsrMatrix::fromDense(bernoulliPlane(16, 16, sparsity, rng));
-    const auto spec = ProblemSpec::conv(14, 14, 16, 16);
+    const StackTask task = makeConvPhaseTask(
+        layer, static_cast<TrainingPhase>(state.range(0)),
+        SparsityProfile::resprop(0.42, 0.85), rng);
+    const auto kernels = task.kernelPtrs();
     AntPe pe;
+    std::int64_t executed = 0;
     for (auto _ : state) {
-        auto result = pe.runPair(spec, kernel, image, false);
+        auto result = pe.runStack(task.spec, kernels, *task.image, false);
+        executed = executedProducts(result);
         benchmark::DoNotOptimize(result);
     }
+    state.SetItemsProcessed(state.iterations() * executed);
 }
-BENCHMARK(BM_AntPePair)->Arg(50)->Arg(90);
+BENCHMARK(BM_AntConvStackCounting)->Arg(0)->Arg(2);
+
+/**
+ * ANT counting run on one sec78 proj_upd chunk pair (72x512 image,
+ * 512x512 kernel, top-K at the argument's sparsity in percent, 4096
+ * entries per chunk): the middle kernel chunk against the first image
+ * chunk. Items are executed products.
+ */
+void
+BM_AntMatmulChunkCounting(benchmark::State &state)
+{
+    const MatmulLayer layer{"proj_upd", 72, 512, 512, 512};
+    Rng rng(7);
+    const PlanePair pair =
+        makeMatmulPair(layer, static_cast<double>(state.range(0)) / 100.0,
+                       SparsifyMethod::TopK, rng);
+    const std::vector<CsrMatrix> kernels = chunkByCapacity(pair.kernel, 4096);
+    const std::vector<CsrMatrix> images = chunkByCapacity(pair.image, 4096);
+    const CsrMatrix &kernel = kernels[kernels.size() / 2];
+    AntPe pe;
+    std::int64_t executed = 0;
+    for (auto _ : state) {
+        auto result = pe.runPair(pair.spec, kernel, images.front(), false);
+        executed = executedProducts(result);
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations() * executed);
+}
+BENCHMARK(BM_AntMatmulChunkCounting)->Arg(0)->Arg(50)->Arg(90);
 
 void
 BM_ScnnPePairCounting(benchmark::State &state)

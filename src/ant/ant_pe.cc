@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "conv/census.hh"
@@ -11,13 +10,7 @@
 #include "sim/accumulator.hh"
 #include "util/arena.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 #include "verify/audit_hooks.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
@@ -33,9 +26,9 @@ struct Candidate
 
 /**
  * The windowed candidate stream in structure-of-arrays form: the FNIR
- * comparator bank reads s[] directly as one contiguous lane vector,
- * and the classify kernel gathers on s[]/r[] (64-byte-aligned via
- * AlignedVec).
+ * comparator bank reads s[] directly as one contiguous lane vector
+ * (64-byte-aligned via AlignedVec). Only functional runs fill value[]
+ * and r[], which the accumulator needs.
  */
 struct CandidateStream
 {
@@ -54,79 +47,6 @@ struct CandidateStream
         r.clear();
     }
 };
-
-/**
- * Per-product validity classification of one image entry against a
- * group of selected candidates: returns how many of the first
- * @p count (s, r) pairs are valid partners of (x_row, y_row). Scalar
- * ground truth for the AVX2 gather kernel; the tables store strict
- * 0/1 bytes.
- */
-std::uint32_t
-classifyCountScalar(const std::uint8_t *x_row, const std::uint8_t *y_row,
-                    const std::uint32_t *s, const std::uint32_t *r,
-                    std::uint32_t count)
-{
-    std::uint32_t valid = 0;
-    for (std::uint32_t j = 0; j < count; ++j)
-        valid += (x_row[s[j]] && y_row[r[j]]) ? 1 : 0;
-    return valid;
-}
-
-#ifdef ANTSIM_X86_SIMD
-
-__attribute__((target("avx2"))) std::uint32_t
-classifyCountAvx2(const std::uint8_t *x_row, const std::uint8_t *y_row,
-                  const std::uint32_t *s, const std::uint32_t *r,
-                  std::uint32_t count)
-{
-    const __m256i byte_mask = _mm256_set1_epi32(0xFF);
-    const __m256i one = _mm256_set1_epi32(1);
-    std::uint32_t valid = 0;
-    std::uint32_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        // Byte-granularity gathers through 4-byte loads; the ValidTable
-        // rows carry 3 slack bytes so the widest load stays in bounds.
-        const __m256i sv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s + j));
-        const __m256i rv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(r + j));
-        const __m256i xb = _mm256_and_si256(
-            _mm256_i32gather_epi32(
-                reinterpret_cast<const int *>(x_row), sv, 1),
-            byte_mask);
-        const __m256i yb = _mm256_and_si256(
-            _mm256_i32gather_epi32(
-                reinterpret_cast<const int *>(y_row), rv, 1),
-            byte_mask);
-        const __m256i both = _mm256_cmpeq_epi32(
-            _mm256_and_si256(xb, yb), one);
-        // antsim-lint: allow(counter-exactness) -- movemask_ps over an
-        // integer compare bit-cast to float lanes: every lane is the
-        // all-ones/all-zero epi32 mask, so the popcounted tally is
-        // exact integer arithmetic, never a rounded float.
-        valid += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(both)))));
-    }
-    for (; j < count; ++j)
-        valid += (x_row[s[j]] && y_row[r[j]]) ? 1 : 0;
-    return valid;
-}
-
-#endif // ANTSIM_X86_SIMD
-
-std::uint32_t
-classifyCount(const std::uint8_t *x_row, const std::uint8_t *y_row,
-              const std::uint32_t *s, const std::uint32_t *r,
-              std::uint32_t count)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return classifyCountAvx2(x_row, y_row, s, r, count);
-#endif
-    return classifyCountScalar(x_row, y_row, s, r, count);
-}
 
 /**
  * Row-pointer accesses the Kernel Indices Buffer controller needs to
@@ -165,14 +85,15 @@ appendWindowedCandidates(const CsrMatrix &kernel, std::int64_t row_lo,
 }
 
 /**
- * SoA form of appendWindowedCandidates: the row window's values and
- * columns are contiguous CSR segments, so each plane contributes two
- * bulk copies plus a run-length row fill instead of per-entry pushes.
- * Same stream order, entry for entry.
+ * SoA form of appendWindowedCandidates: the row window's columns are
+ * one contiguous CSR segment, so each plane contributes one bulk copy.
+ * With @p payload (functional runs) the values are copied and each
+ * entry's row is filled in too. Same stream order, entry for entry.
  */
 void
 appendWindowedCandidatesSoA(const CsrMatrix &kernel, std::int64_t row_lo,
-                            std::int64_t row_hi, CandidateStream &out)
+                            std::int64_t row_hi, bool payload,
+                            CandidateStream &out)
 {
     if (row_lo > row_hi)
         return;
@@ -182,8 +103,10 @@ appendWindowedCandidatesSoA(const CsrMatrix &kernel, std::int64_t row_lo,
     const auto row_ptr = kernel.rowPtr();
     const std::uint32_t begin = row_ptr[lo];
     const std::uint32_t end = row_ptr[hi + 1];
-    out.value.append(kernel.values().data() + begin, end - begin);
     out.s.append(kernel.columns().data() + begin, end - begin);
+    if (!payload)
+        return;
+    out.value.append(kernel.values().data() + begin, end - begin);
     for (std::uint32_t r = lo; r <= hi; ++r)
         out.r.appendFill(r, row_ptr[r + 1] - row_ptr[r]);
 }
@@ -197,6 +120,151 @@ stackNnz(const std::vector<const CsrMatrix *> &kernels)
         total += k->nnz();
     return total;
 }
+
+/**
+ * Valid products of a kernel stack against one image plane, from the
+ * census. ANT never skips a valid product -- its ranges are
+ * conservative and the FNIR feedback never passes over an in-range
+ * candidate -- so this is also the valid share of what it executes.
+ */
+std::uint64_t
+censusValidProducts(const ProblemSpec &spec,
+                    const std::vector<const CsrMatrix *> &kernels,
+                    const CsrMatrix &image)
+{
+    const CensusContext census(spec, image);
+    std::uint64_t valid = 0;
+    for (const CsrMatrix *k : kernels)
+        valid += census.countProducts(*k).validProducts;
+    return valid;
+}
+
+/**
+ * Charge a counting run's per-product counters, as the accumulator
+ * would have product by product: every executed product computes an
+ * output index; the valid ones take one add and one bank write, and
+ * the rest are residual RCPs.
+ */
+void
+chargeProducts(CounterSet &c, std::uint64_t executed, std::uint64_t valid)
+{
+    c.add(Counter::MultsExecuted, executed);
+    c.add(Counter::MultsValid, valid);
+    c.add(Counter::MultsRcp, executed - valid);
+    c.add(Counter::OutputIndexCalcs, executed);
+    c.add(Counter::AccumAdds, valid);
+    c.add(Counter::SramWrites, valid);
+}
+
+/** What the FNIR scans of one PE call streamed and issued. */
+struct ScanTotals
+{
+    /** Products issued to the multiplier array. */
+    std::uint64_t executed = 0;
+    /** Candidate indices read from the streaming index buffer. */
+    std::uint64_t streamed = 0;
+    /** Selected values read from the streaming value buffer. */
+    std::uint64_t fetched = 0;
+};
+
+/**
+ * The FNIR scans of a counting run, charged without enumerating
+ * products. Each group's windowed stream goes through the comparator
+ * bank once, into a bitset, and Fnir::window walks it with the window
+ * rules of Fnir::evaluate. Each window costs what the functional loop
+ * charges: ceil(width / 8) index reads, 2k compares, one Active or
+ * IdleScan cycle, ceil(selected / 4) value reads and selected x group
+ * products. The costs add up in integers and reach the CounterSet in
+ * one charge() per call. Runs of full idle windows are charged in one
+ * step; with a recorder attached they add one zero FnirValidPartners
+ * sample each and one IdleScan span, which the recorder's span merging
+ * makes identical to the functional path's per-window trace.
+ */
+class CountingScan
+{
+  public:
+    CountingScan(const Fnir &fnir, const SramConfig &index_cfg,
+                 const SramConfig &value_cfg)
+        : fnir_(fnir), indexCfg_(index_cfg), valueCfg_(value_cfg),
+          rec_(obs::recorder())
+    {}
+
+    /**
+     * Scan one group's non-empty candidate @p stream against @p range,
+     * every selection issuing against @p group stationary operands.
+     * Returns the scan cycles (one per window).
+     */
+    std::uint64_t
+    scan(std::span<const std::uint32_t> stream, const IndexRange &range,
+         std::uint32_t group)
+    {
+        Fnir::compareStream(stream, range.lo, range.hi, bits_);
+        const std::uint32_t k = fnir_.k();
+        const std::uint64_t windows_before = windows_;
+        std::size_t pos = 0;
+        while (pos < stream.size()) {
+            const std::size_t idle = fnir_.idleWindows(bits_, pos);
+            if (idle != 0) {
+                windows_ += idle;
+                idle_ += idle;
+                totals_.streamed += idle * k;
+                indexAccesses_ += idle * indexCfg_.accesses(k);
+                pos += idle * k;
+                if (rec_ != nullptr) {
+                    for (std::size_t i = 0; i < idle; ++i)
+                        rec_->hist(obs::HistId::FnirValidPartners, 0);
+                    rec_->advance(obs::SpanKind::IdleScan, idle);
+                }
+                continue;
+            }
+            const FnirWindow w = fnir_.window(bits_, pos);
+            ++windows_;
+            totals_.streamed += w.width;
+            indexAccesses_ += indexCfg_.accesses(w.width);
+            if (rec_ != nullptr) {
+                rec_->hist(obs::HistId::FnirValidPartners, w.selected);
+                rec_->advance(w.selected == 0 ? obs::SpanKind::IdleScan
+                                              : obs::SpanKind::Active,
+                              1);
+            }
+            if (w.selected == 0) {
+                ++idle_;
+            } else {
+                totals_.fetched += w.selected;
+                valueAccesses_ += valueCfg_.accesses(w.selected);
+                totals_.executed +=
+                    static_cast<std::uint64_t>(w.selected) * group;
+            }
+            pos = w.next;
+        }
+        return windows_ - windows_before;
+    }
+
+    /** Charge the scan costs tallied so far to @p c. */
+    void
+    charge(CounterSet &c) const
+    {
+        c.add(Counter::IndexCompares, 2ull * fnir_.k() * windows_);
+        c.add(Counter::SramIndexReads, indexAccesses_);
+        c.add(Counter::SramValueReads, valueAccesses_);
+        c.add(Counter::ActiveCycles, windows_ - idle_);
+        c.add(Counter::IdleScanCycles, idle_);
+    }
+
+    const ScanTotals &totals() const { return totals_; }
+
+  private:
+    const Fnir &fnir_;
+    const SramConfig &indexCfg_;
+    const SramConfig &valueCfg_;
+    obs::UnitRecorder *rec_;
+    FnirRangeBits bits_;
+    ScanTotals totals_;
+    std::uint64_t windows_ = 0;
+    std::uint64_t idle_ = 0;
+    std::uint64_t indexAccesses_ = 0;
+    std::uint64_t valueAccesses_ = 0;
+};
 
 } // namespace
 
@@ -262,17 +330,15 @@ AntPe::runConvStack(const ProblemSpec &spec,
     image_values.fill(image.nnz());
     image_indices.fill(image.nnz());
 
+    // Functional runs issue every selected product to the accumulator
+    // through the bit-level FNIR; counting runs scan with CountingScan
+    // and take the valid count from the census.
     std::unique_ptr<Accumulator> accumulator;
     if (collect_output)
         accumulator = std::make_unique<Accumulator>(spec,
                                                     config_.accumulatorBank);
-
-    // Counting runs classify every issued product; the per-axis
-    // validity tables replace the div/mod chain of spec.isValid in
-    // that hot loop (identical verdicts, see conv/census.hh).
-    std::optional<ValidTable> valid_table;
-    if (!collect_output)
-        valid_table.emplace(spec);
+    CountingScan counting(fnir_, index_cfg, config_.buffer);
+    ScanTotals functional;
 
     const std::uint32_t n = config_.n;
     const std::uint32_t k = config_.k;
@@ -287,11 +353,6 @@ AntPe::runConvStack(const ProblemSpec &spec,
     if (rec)
         rec->advance(obs::SpanKind::Startup, config_.startupCycles);
 
-    std::uint64_t executed = 0;
-    std::uint64_t valid = 0;
-    std::uint64_t residual = 0;
-    std::uint64_t index_elements_read = 0;
-    std::uint64_t value_elements_read = 0;
     std::uint64_t groups = 0;
     CandidateStream candidates;
     // y is monotonic across image groups, so consecutive groups mostly
@@ -301,10 +362,6 @@ AntPe::runConvStack(const ProblemSpec &spec,
     std::int64_t cached_lo = 0;
     std::int64_t cached_hi = 0;
     bool cache_filled = false;
-    // Selected (s, r) pairs of one window, compacted into lane arrays
-    // for the classify kernel; the FNIR selects at most n <= 64 ports.
-    alignas(32) std::uint32_t s_sel[64];
-    alignas(32) std::uint32_t r_sel[64];
 
     for (std::size_t ib = 0; ib < image_entries.size(); ib += n) {
         const std::size_t ie = std::min(ib + n, image_entries.size());
@@ -358,7 +415,8 @@ AntPe::runConvStack(const ProblemSpec &spec,
             candidates.clear();
             for (const CsrMatrix *kernel : kernels) {
                 appendWindowedCandidatesSoA(*kernel, r_range.lo,
-                                            r_range.hi, candidates);
+                                            r_range.hi, collect_output,
+                                            candidates);
             }
             cached_lo = r_range.lo;
             cached_hi = r_range.hi;
@@ -391,45 +449,51 @@ AntPe::runConvStack(const ProblemSpec &spec,
             continue;
         }
 
+        // Stages 4-5: FNIR scan with the n+1-st-index feedback.
         std::uint64_t scan_cycles = 0;
+        if (!accumulator) {
+            scan_cycles = counting.scan(
+                std::span<const std::uint32_t>(candidates.s.data(),
+                                               candidates.size()),
+                s_range, igroup);
+        } else {
+            // Each window is a contiguous slice of the SoA s[] array,
+            // handed to the bit-level FNIR without a per-entry copy.
+            std::size_t pos = 0;
+            while (pos < candidates.size()) {
+                const std::size_t wend =
+                    std::min(pos + k, candidates.size());
+                const auto wlen = static_cast<std::uint32_t>(wend - pos);
 
-        // Stages 4-5: FNIR scan with the n+1-st-index feedback. The
-        // window is a contiguous slice of the SoA s[] array, handed to
-        // the comparator bank without a per-entry copy.
-        std::size_t pos = 0;
-        while (pos < candidates.size()) {
-            const std::size_t wend =
-                std::min(pos + k, candidates.size());
-            const auto wlen = static_cast<std::uint32_t>(wend - pos);
+                // The buffer delivers k column indices per cycle.
+                kernel_indices.read(wlen, c);
+                functional.streamed += wlen;
 
-            // The buffer delivers k column indices per cycle.
-            kernel_indices.read(wlen, c);
-            index_elements_read += wlen;
+                const FnirResult fnir = fnir_.evaluate(
+                    std::span<const std::uint32_t>(
+                        candidates.s.data() + pos, wlen),
+                    s_range.lo, s_range.hi, c);
 
-            const FnirResult fnir = fnir_.evaluate(
-                std::span<const std::uint32_t>(candidates.s.data() + pos,
-                                               wlen),
-                s_range.lo, s_range.hi, c);
+                ++scan_cycles;
+                const std::uint32_t selected = fnir.selectedCount();
+                if (rec) {
+                    rec->hist(obs::HistId::FnirValidPartners, selected);
+                    rec->advance(selected == 0 ? obs::SpanKind::IdleScan
+                                               : obs::SpanKind::Active,
+                                 1);
+                }
+                if (selected == 0) {
+                    c.add(Counter::IdleScanCycles);
+                } else {
+                    c.add(Counter::ActiveCycles);
+                    // Stage 5-6: fetch the selected kernel values and
+                    // issue the outer product against the stationary
+                    // image group.
+                    kernel_values.read(selected, c);
+                    functional.fetched += selected;
+                    functional.executed +=
+                        static_cast<std::uint64_t>(selected) * igroup;
 
-            ++scan_cycles;
-            const std::uint32_t selected = fnir.selectedCount();
-            if (rec) {
-                rec->hist(obs::HistId::FnirValidPartners, selected);
-                rec->advance(selected == 0 ? obs::SpanKind::IdleScan
-                                           : obs::SpanKind::Active,
-                             1);
-            }
-            if (selected == 0) {
-                c.add(Counter::IdleScanCycles);
-            } else {
-                c.add(Counter::ActiveCycles);
-                // Stage 5-6: fetch the selected kernel values and issue
-                // the outer product against the stationary image group.
-                kernel_values.read(selected, c);
-                value_elements_read += selected;
-                executed += static_cast<std::uint64_t>(selected) * igroup;
-
-                if (accumulator) {
                     accumulator->newIssueGroup();
                     for (std::uint32_t port = 0; port < selected;
                          ++port) {
@@ -443,37 +507,15 @@ AntPe::runConvStack(const ProblemSpec &spec,
                                                candidates.r[cand], c);
                         }
                     }
-                } else {
-                    // Lean counting loop: compact the selected (s, r)
-                    // pairs into lane arrays and classify each image
-                    // entry against all of them at once. Same verdict
-                    // per product as valid_table->valid in either
-                    // iteration order; the totals are order-free.
-                    for (std::uint32_t port = 0; port < selected;
-                         ++port) {
-                        const std::size_t cand =
-                            pos + fnir.ports[port].position;
-                        s_sel[port] = candidates.s[cand];
-                        r_sel[port] = candidates.r[cand];
-                    }
-                    for (std::size_t i = ib; i < ie; ++i) {
-                        const auto &img = image_entries[i];
-                        const std::uint32_t ok = classifyCount(
-                            valid_table->xOkRow(img.x),
-                            valid_table->yOkRow(img.y), s_sel, r_sel,
-                            selected);
-                        valid += ok;
-                        residual += selected - ok;
-                    }
                 }
-            }
 
-            // Feedback: resume at the n+1-st valid index when it
-            // exists, otherwise skip the whole window.
-            if (fnir.feedback().valid)
-                pos += fnir.feedback().position;
-            else
-                pos = wend;
+                // Feedback: resume at the n+1-st valid index when it
+                // exists, otherwise skip the whole window.
+                if (fnir.feedback().valid)
+                    pos += fnir.feedback().position;
+                else
+                    pos = wend;
+            }
         }
 
         // The group takes whichever of the two serial streams is
@@ -490,26 +532,26 @@ AntPe::runConvStack(const ProblemSpec &spec,
         }
     }
 
-    c.add(Counter::MultsExecuted, executed);
-    if (!accumulator) {
-        // The functional path's accumulator recorded these itself.
-        c.add(Counter::MultsValid, valid);
-        c.add(Counter::MultsRcp, residual);
-        c.add(Counter::OutputIndexCalcs, executed);
-        c.add(Counter::AccumAdds, valid);
-        c.add(Counter::SramWrites, valid);
+    // The functional path's accumulator recorded the product split
+    // itself.
+    const ScanTotals &totals = accumulator ? functional : counting.totals();
+    if (accumulator) {
+        c.add(Counter::MultsExecuted, totals.executed);
+    } else {
+        counting.charge(c);
+        chargeProducts(c, totals.executed,
+                       censusValidProducts(spec, kernels, image));
     }
 
     // SRAM traffic avoided relative to streaming the full kernel
     // stack (values + indices) once per image group, as the SCNN PE
     // does.
     const std::uint64_t scnn_elements = 2ull * stackNnz(kernels) * groups;
-    const std::uint64_t ant_elements =
-        index_elements_read + value_elements_read;
+    const std::uint64_t ant_elements = totals.streamed + totals.fetched;
     c.set(Counter::SramReadsAvoided,
           scnn_elements > ant_elements ? scnn_elements - ant_elements : 0);
 
-    c.set(Counter::RcpsAvoided, all_products - executed);
+    c.set(Counter::RcpsAvoided, all_products - totals.executed);
     c.set(Counter::Cycles, cycles);
     if (accumulator)
         result.output = accumulator->output();
@@ -545,10 +587,8 @@ AntPe::runConvStackKernelStationary(
     if (collect_output)
         accumulator = std::make_unique<Accumulator>(spec,
                                                     config_.accumulatorBank);
-
-    std::optional<ValidTable> valid_table;
-    if (!collect_output)
-        valid_table.emplace(spec);
+    CountingScan counting(fnir_, index_cfg, config_.buffer);
+    ScanTotals functional;
 
     const std::uint32_t n = config_.n;
     const std::uint32_t k = config_.k;
@@ -562,6 +602,7 @@ AntPe::runConvStackKernelStationary(
     }
     const std::uint64_t all_products =
         static_cast<std::uint64_t>(kernel_stream.size()) * image.nnz();
+    const auto image_row_ptr = image.rowPtr();
 
     obs::UnitRecorder *rec = obs::recorder();
 
@@ -570,10 +611,6 @@ AntPe::runConvStackKernelStationary(
     if (rec)
         rec->advance(obs::SpanKind::Startup, config_.startupCycles);
 
-    std::uint64_t executed = 0;
-    std::uint64_t valid = 0;
-    std::uint64_t residual = 0;
-    std::uint64_t elements_read = 0;
     std::uint64_t groups = 0;
     std::vector<Candidate> candidates;
     // Consecutive kernel groups often share one y window: memoize the
@@ -624,16 +661,10 @@ AntPe::runConvStackKernelStationary(
         }
 
         // The controller walks the image's row pointers over the y
-        // window (one matrix, so the walk is short).
-        if (!cache_filled || cached_lo != y_window.lo ||
-            cached_hi != y_window.hi) {
-            candidates.clear();
-            appendWindowedCandidates(image, y_window.lo, y_window.hi,
-                                     candidates);
-            cached_lo = y_window.lo;
-            cached_hi = y_window.hi;
-            cache_filled = true;
-        }
+        // window (one matrix, so the walk is short). The windowed rows
+        // are one contiguous CSR segment.
+        const std::uint32_t first = image_row_ptr[y_window.lo];
+        const std::uint32_t last = image_row_ptr[y_window.hi + 1];
         const bool proper_window =
             y_window.count() < static_cast<std::int64_t>(spec.imageH());
         const std::uint64_t controller_cycles = proper_window
@@ -642,7 +673,7 @@ AntPe::runConvStackKernelStationary(
             : 0;
         c.add(Counter::SramRowPtrReads, controller_cycles);
 
-        if (candidates.empty()) {
+        if (first == last) {
             cycles += std::max<std::uint64_t>(controller_cycles, 1);
             c.add(Counter::IdleScanCycles,
                   std::max<std::uint64_t>(controller_cycles, 1));
@@ -654,61 +685,73 @@ AntPe::runConvStackKernelStationary(
         }
 
         std::uint64_t scan_cycles = 0;
-        std::size_t pos = 0;
-        while (pos < candidates.size()) {
-            const std::size_t wend = std::min(pos + k, candidates.size());
-            window.clear();
-            for (std::size_t i = pos; i < wend; ++i)
-                window.push_back(candidates[i].s); // image x index
-
-            image_indices.read(static_cast<std::uint32_t>(window.size()),
-                               c);
-            const FnirResult fnir =
-                fnir_.evaluate(window, x_range.lo, x_range.hi, c);
-
-            ++scan_cycles;
-            const std::uint32_t selected = fnir.selectedCount();
-            if (rec) {
-                rec->hist(obs::HistId::FnirValidPartners, selected);
-                rec->advance(selected == 0 ? obs::SpanKind::IdleScan
-                                           : obs::SpanKind::Active,
-                             1);
+        if (!accumulator) {
+            // Counting runs scan the segment's x indices in place.
+            scan_cycles = counting.scan(
+                image.columns().subspan(first, last - first), x_range,
+                kgroup);
+        } else {
+            if (!cache_filled || cached_lo != y_window.lo ||
+                cached_hi != y_window.hi) {
+                candidates.clear();
+                appendWindowedCandidates(image, y_window.lo, y_window.hi,
+                                         candidates);
+                cached_lo = y_window.lo;
+                cached_hi = y_window.hi;
+                cache_filled = true;
             }
-            if (selected == 0) {
-                c.add(Counter::IdleScanCycles);
-            } else {
-                c.add(Counter::ActiveCycles);
-                image_values.read(selected, c);
-                elements_read += selected;
-                executed += static_cast<std::uint64_t>(selected) * kgroup;
+            std::size_t pos = 0;
+            while (pos < candidates.size()) {
+                const std::size_t wend =
+                    std::min(pos + k, candidates.size());
+                window.clear();
+                for (std::size_t i = pos; i < wend; ++i)
+                    window.push_back(candidates[i].s); // image x index
 
-                if (accumulator)
+                image_indices.read(
+                    static_cast<std::uint32_t>(window.size()), c);
+                const FnirResult fnir =
+                    fnir_.evaluate(window, x_range.lo, x_range.hi, c);
+
+                ++scan_cycles;
+                const std::uint32_t selected = fnir.selectedCount();
+                if (rec) {
+                    rec->hist(obs::HistId::FnirValidPartners, selected);
+                    rec->advance(selected == 0 ? obs::SpanKind::IdleScan
+                                               : obs::SpanKind::Active,
+                                 1);
+                }
+                if (selected == 0) {
+                    c.add(Counter::IdleScanCycles);
+                } else {
+                    c.add(Counter::ActiveCycles);
+                    image_values.read(selected, c);
+                    functional.fetched += selected;
+                    functional.executed +=
+                        static_cast<std::uint64_t>(selected) * kgroup;
+
                     accumulator->newIssueGroup();
-                for (std::uint32_t port = 0; port < selected; ++port) {
-                    // Candidate coordinates: s holds the image x, r the
-                    // image y (appendWindowedCandidates reads a generic
-                    // CSR, here the image plane).
-                    const auto &img =
-                        candidates[pos + fnir.ports[port].position];
-                    for (std::size_t i = kb; i < ke; ++i) {
-                        const auto &ker = kernel_stream[i];
-                        if (accumulator) {
+                    for (std::uint32_t port = 0; port < selected;
+                         ++port) {
+                        // Candidate coordinates: s holds the image x, r
+                        // the image y (appendWindowedCandidates reads a
+                        // generic CSR, here the image plane).
+                        const auto &img =
+                            candidates[pos + fnir.ports[port].position];
+                        for (std::size_t i = kb; i < ke; ++i) {
+                            const auto &ker = kernel_stream[i];
                             accumulator->offer(img.value, img.s, img.r,
-                                               ker.value, ker.s, ker.r, c);
-                        } else if (valid_table->valid(img.s, img.r, ker.s,
-                                                      ker.r)) {
-                            ++valid;
-                        } else {
-                            ++residual;
+                                               ker.value, ker.s, ker.r,
+                                               c);
                         }
                     }
                 }
-            }
 
-            if (fnir.feedback().valid)
-                pos += fnir.feedback().position;
-            else
-                pos = wend;
+                if (fnir.feedback().valid)
+                    pos += fnir.feedback().position;
+                else
+                    pos = wend;
+            }
         }
 
         const std::uint64_t group_cycles =
@@ -723,20 +766,20 @@ AntPe::runConvStackKernelStationary(
         }
     }
 
-    c.add(Counter::MultsExecuted, executed);
-    if (!accumulator) {
-        c.add(Counter::MultsValid, valid);
-        c.add(Counter::MultsRcp, residual);
-        c.add(Counter::OutputIndexCalcs, executed);
-        c.add(Counter::AccumAdds, valid);
-        c.add(Counter::SramWrites, valid);
+    const ScanTotals &totals = accumulator ? functional : counting.totals();
+    if (accumulator) {
+        c.add(Counter::MultsExecuted, totals.executed);
+    } else {
+        counting.charge(c);
+        chargeProducts(c, totals.executed,
+                       censusValidProducts(spec, kernels, image));
     }
 
     const std::uint64_t scnn_elements = 2ull * image.nnz() * groups;
     c.set(Counter::SramReadsAvoided,
-          scnn_elements > elements_read ? scnn_elements - elements_read
-                                        : 0);
-    c.set(Counter::RcpsAvoided, all_products - executed);
+          scnn_elements > totals.fetched ? scnn_elements - totals.fetched
+                                         : 0);
+    c.set(Counter::RcpsAvoided, all_products - totals.executed);
     c.set(Counter::Cycles, cycles);
     if (accumulator)
         result.output = accumulator->output();
@@ -763,23 +806,34 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     image_values.fill(image.nnz());
     image_indices.fill(image.nnz());
 
-    Accumulator accumulator(spec, config_.accumulatorBank);
+    obs::UnitRecorder *rec = obs::recorder();
+
+    // The accumulator routes every executed product to its bank, which
+    // is also where the bank-conflict instants of a traced run come
+    // from; counting runs without a recorder need neither, and charge
+    // each image group in closed form instead.
+    std::unique_ptr<Accumulator> accumulator;
+    if (collect_output || rec)
+        accumulator = std::make_unique<Accumulator>(spec,
+                                                    config_.accumulatorBank);
 
     const std::uint32_t n = config_.n;
     // CSC traversal: a group of n consecutive entries shares one (or a
     // few adjacent) column(s), so the kernel-row window [x_0, x_{n-1}]
     // is tight (Sec. 5, Eq. 15).
     const CscMatrix csc = CscMatrix::fromCsr(image);
+    const auto col_ptr = csc.colPtr();
     std::vector<SparseEntry> image_entries;
     image_entries.reserve(csc.nnz());
-    for (std::uint32_t i = 0; i < csc.nnz(); ++i)
-        image_entries.push_back(csc.entry(i));
+    for (std::uint32_t x = 0; x < csc.width(); ++x) {
+        for (std::uint32_t i = col_ptr[x]; i < col_ptr[x + 1]; ++i)
+            image_entries.push_back({csc.values()[i], x, csc.rows()[i]});
+    }
 
     const std::uint64_t all_products =
         static_cast<std::uint64_t>(kernel.nnz()) *
         static_cast<std::uint64_t>(image.nnz());
-
-    obs::UnitRecorder *rec = obs::recorder();
+    const auto kernel_row_ptr = kernel.rowPtr();
 
     std::uint64_t cycles = config_.startupCycles;
     c.add(Counter::StartupCycles, config_.startupCycles);
@@ -788,6 +842,10 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     std::uint64_t executed = 0;
     std::uint64_t elements_read = 0;
     std::uint64_t groups = 0;
+    // Closed-form charges of counting runs, added up over the groups.
+    std::uint64_t active_cycles = 0;
+    std::uint64_t index_accesses = 0;
+    std::uint64_t value_accesses = 0;
     std::vector<Candidate> candidates;
     // The CSC x sequence is monotonic, so consecutive groups mostly
     // share one row window: memoize the windowed kernel stream.
@@ -809,6 +867,38 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
             image_entries[ib].x, image_entries[ie - 1].x);
         c.add(Counter::IndexCompares, 2);
 
+        // Kernel entries inside the window, one contiguous CSR segment.
+        std::uint64_t windowed = 0;
+        if (!row_window.empty()) {
+            windowed = kernel_row_ptr[row_window.hi + 1] -
+                kernel_row_ptr[row_window.lo];
+            c.add(Counter::SramRowPtrReads,
+                  rowPtrAccesses(1, static_cast<std::uint64_t>(
+                                        row_window.hi - row_window.lo +
+                                        1)));
+        }
+        if (windowed == 0) {
+            ++cycles;
+            c.add(Counter::IdleScanCycles);
+            if (rec)
+                rec->advance(obs::SpanKind::IdleScan, 1);
+            continue;
+        }
+
+        if (!accumulator) {
+            // FNIR bypassed: the buffer streams the windowed entries n
+            // per cycle, each group of them against the whole image
+            // group.
+            const std::uint64_t issue_cycles = (windowed + n - 1) / n;
+            cycles += issue_cycles;
+            active_cycles += issue_cycles;
+            index_accesses += index_cfg.groupedAccesses(windowed, n);
+            value_accesses += config_.buffer.groupedAccesses(windowed, n);
+            elements_read += 2 * windowed;
+            executed += windowed * igroup;
+            continue;
+        }
+
         if (!cache_filled || cached_lo != row_window.lo ||
             cached_hi != row_window.hi) {
             candidates.clear();
@@ -818,21 +908,6 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
             cached_hi = row_window.hi;
             cache_filled = true;
         }
-        if (!row_window.empty()) {
-            c.add(Counter::SramRowPtrReads,
-                  rowPtrAccesses(1, static_cast<std::uint64_t>(
-                                        row_window.hi - row_window.lo +
-                                        1)));
-        }
-        if (candidates.empty()) {
-            ++cycles;
-            c.add(Counter::IdleScanCycles);
-            if (rec)
-                rec->advance(obs::SpanKind::IdleScan, 1);
-            continue;
-        }
-
-        // FNIR bypassed: the buffer streams n kernel entries per cycle.
         for (std::size_t kb = 0; kb < candidates.size(); kb += n) {
             const std::size_t ke = std::min(kb + n, candidates.size());
             const auto kgroup = static_cast<std::uint32_t>(ke - kb);
@@ -848,16 +923,24 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
                   static_cast<std::uint64_t>(kgroup) * igroup);
             executed += static_cast<std::uint64_t>(kgroup) * igroup;
 
-            accumulator.newIssueGroup();
+            accumulator->newIssueGroup();
             for (std::size_t kk = kb; kk < ke; ++kk) {
                 const auto &cand = candidates[kk];
                 for (std::size_t i = ib; i < ie; ++i) {
                     const auto &img = image_entries[i];
-                    accumulator.offer(img.value, img.x, img.y, cand.value,
-                                      cand.s, cand.r, c);
+                    accumulator->offer(img.value, img.x, img.y, cand.value,
+                                       cand.s, cand.r, c);
                 }
             }
         }
+    }
+
+    if (!accumulator) {
+        c.add(Counter::ActiveCycles, active_cycles);
+        c.add(Counter::SramIndexReads, index_accesses);
+        c.add(Counter::SramValueReads, value_accesses);
+        chargeProducts(c, executed,
+                       censusValidProducts(spec, {&kernel}, image));
     }
 
     const std::uint64_t scnn_elements = 2ull * kernel.nnz() * groups;
@@ -867,7 +950,7 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     c.set(Counter::RcpsAvoided, all_products - executed);
     c.set(Counter::Cycles, cycles);
     if (collect_output)
-        result.output = accumulator.output();
+        result.output = accumulator->output();
     return result;
 }
 

@@ -38,6 +38,13 @@
  * The Fig. 14 ablations (r-condition only / s-condition only) are
  * supported: disabling the r condition streams all kernel rows,
  * disabling the s condition makes the FNIR accept everything.
+ *
+ * Functional runs (collect_output) take every product through the
+ * bit-level FNIR and the accumulator. Counting runs charge the same
+ * counters without enumerating products: a bitset walk of each group's
+ * FNIR windows (a closed form per group in matmul mode) and the
+ * census's valid count, since ANT never skips a valid product
+ * (docs/MODEL.md Sec. 4).
  */
 
 #ifndef ANTSIM_ANT_ANT_PE_HH

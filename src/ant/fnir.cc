@@ -1,5 +1,7 @@
 #include "fnir.hh"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/logging.hh"
@@ -15,74 +17,91 @@ namespace antsim {
 namespace {
 
 /**
- * Comparator bank, scalar ground truth: bit j of the result is set
- * when s_indices[j] (zero-extended) lies in [min, max].
+ * Comparator bank, scalar ground truth: bit i of @p bits is set when
+ * s_indices[i] (zero-extended) lies in [min, max]. Writes the
+ * ceil(count / 64) words the stream covers.
  */
-std::uint64_t
-rangeMaskScalar(const std::uint32_t *s_indices, std::size_t count,
-                std::int64_t min, std::int64_t max)
+void
+rangeBitsScalar(const std::uint32_t *s_indices, std::size_t count,
+                std::int64_t min, std::int64_t max, std::uint64_t *bits)
 {
-    std::uint64_t mask = 0;
-    for (std::size_t lane = 0; lane < count; ++lane) {
-        const auto s = static_cast<std::int64_t>(s_indices[lane]);
-        if (s >= min && s <= max)
-            mask |= 1ull << lane;
+    for (std::size_t base = 0; base < count; base += 64) {
+        const std::size_t lanes = std::min<std::size_t>(64, count - base);
+        std::uint64_t word = 0;
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+            const auto s = static_cast<std::int64_t>(s_indices[base + lane]);
+            if (s >= min && s <= max)
+                word |= 1ull << lane;
+        }
+        bits[base / 64] = word;
     }
-    return mask;
 }
 
 #ifdef ANTSIM_X86_SIMD
 
-__attribute__((target("avx2"))) std::uint64_t
-rangeMaskAvx2(const std::uint32_t *s_indices, std::size_t count,
-              std::int64_t min, std::int64_t max)
+__attribute__((target("avx2"))) void
+rangeBitsAvx2(const std::uint32_t *s_indices, std::size_t count,
+              std::int64_t min, std::int64_t max, std::uint64_t *bits)
 {
     // Clamp the int64 bounds into the uint32 index domain; an empty
     // clamped interval means no lane can match.
     constexpr std::int64_t u32_max =
         std::numeric_limits<std::uint32_t>::max();
-    if (max < 0 || min > u32_max || min > max)
-        return 0;
+    if (max < 0 || min > u32_max || min > max) {
+        std::fill(bits, bits + (count + 63) / 64, 0);
+        return;
+    }
     const auto lo = static_cast<std::uint32_t>(min < 0 ? 0 : min);
     const auto hi = static_cast<std::uint32_t>(max > u32_max ? u32_max
                                                              : max);
     const __m256i lov = _mm256_set1_epi32(static_cast<int>(lo));
     const __m256i hiv = _mm256_set1_epi32(static_cast<int>(hi));
-    std::uint64_t mask = 0;
-    std::size_t lane = 0;
-    for (; lane + 8 <= count; lane += 8) {
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s_indices + lane));
-        // Unsigned compares via min/max: s >= lo iff max(s, lo) == s,
-        // s <= hi iff min(s, hi) == s.
-        const __m256i ge =
-            _mm256_cmpeq_epi32(_mm256_max_epu32(s, lov), s);
-        const __m256i le =
-            _mm256_cmpeq_epi32(_mm256_min_epu32(s, hiv), s);
-        const int bits = _mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_and_si256(ge, le)));
-        mask |= static_cast<std::uint64_t>(static_cast<unsigned>(bits))
-            << lane;
+    for (std::size_t base = 0; base < count; base += 64) {
+        const std::size_t lanes = std::min<std::size_t>(64, count - base);
+        const std::uint32_t *s = s_indices + base;
+        std::uint64_t word = 0;
+        std::size_t lane = 0;
+        for (; lane + 8 <= lanes; lane += 8) {
+            const __m256i v = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(s + lane));
+            // Unsigned compares via min/max: v >= lo iff max(v, lo) == v,
+            // v <= hi iff min(v, hi) == v.
+            const __m256i ge =
+                _mm256_cmpeq_epi32(_mm256_max_epu32(v, lov), v);
+            const __m256i le =
+                _mm256_cmpeq_epi32(_mm256_min_epu32(v, hiv), v);
+            const int lane_bits = _mm256_movemask_ps(
+                _mm256_castsi256_ps(_mm256_and_si256(ge, le)));
+            word |= static_cast<std::uint64_t>(
+                        static_cast<unsigned>(lane_bits))
+                << lane;
+        }
+        for (; lane < lanes; ++lane) {
+            if (s[lane] >= lo && s[lane] <= hi)
+                word |= 1ull << lane;
+        }
+        bits[base / 64] = word;
     }
-    for (; lane < count; ++lane) {
-        const std::uint32_t s = s_indices[lane];
-        if (s >= lo && s <= hi)
-            mask |= 1ull << lane;
-    }
-    return mask;
 }
 
 #endif // ANTSIM_X86_SIMD
 
-std::uint64_t
-rangeMask(const std::uint32_t *s_indices, std::size_t count,
-          std::int64_t min, std::int64_t max)
+/**
+ * The comparator bank: one verdict bit per candidate into the
+ * ceil(count / 64) words at @p bits. Both Fnir::evaluate (one window)
+ * and Fnir::compareStream (a whole stream) run it.
+ */
+void
+rangeBits(const std::uint32_t *s_indices, std::size_t count,
+          std::int64_t min, std::int64_t max, std::uint64_t *bits)
 {
 #ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return rangeMaskAvx2(s_indices, count, min, max);
+    if (simd::avx2Enabled()) {
+        rangeBitsAvx2(s_indices, count, min, max, bits);
+        return;
+    }
 #endif
-    return rangeMaskScalar(s_indices, count, min, max);
+    rangeBitsScalar(s_indices, count, min, max, bits);
 }
 
 } // namespace
@@ -156,8 +175,62 @@ Fnir::evaluate(std::span<const std::uint32_t> s_indices, std::int64_t min,
     // bank does not care how the model stores its indices.
     counters.add(Counter::IndexCompares, 2ull * k_);
 
-    return selectFromMask(
-        rangeMask(s_indices.data(), s_indices.size(), min, max));
+    std::uint64_t mask = 0;
+    rangeBits(s_indices.data(), s_indices.size(), min, max, &mask);
+    return selectFromMask(mask);
+}
+
+void
+Fnir::compareStream(std::span<const std::uint32_t> s_indices,
+                    std::int64_t min, std::int64_t max, FnirRangeBits &bits)
+{
+    bits.size = s_indices.size();
+    bits.words.assign((bits.size + 63) / 64 + 1, 0);
+    rangeBits(s_indices.data(), s_indices.size(), min, max,
+              bits.words.data());
+}
+
+FnirWindow
+Fnir::window(const FnirRangeBits &bits, std::size_t pos) const
+{
+    const auto width =
+        static_cast<std::uint32_t>(std::min<std::size_t>(k_, bits.size - pos));
+    // The window's lanes, lowest first: a 64-bit funnel shift across
+    // the two words it can touch (the trailing zero word keeps the
+    // second read in bounds).
+    const std::size_t word = pos / 64;
+    const unsigned offset = pos % 64;
+    std::uint64_t lanes = bits.words[word] >> offset;
+    if (offset != 0)
+        lanes |= bits.words[word + 1] << (64 - offset);
+    if (width < 64)
+        lanes &= (1ull << width) - 1;
+
+    const auto in_range = static_cast<std::uint32_t>(std::popcount(lanes));
+    if (in_range <= n_)
+        return {width, in_range, pos + width};
+    // The first n in-range lanes fill the ports; the lowest one left is
+    // the n+1-st, where the feedback restarts the scan.
+    for (std::uint32_t port = 0; port < n_; ++port)
+        lanes &= lanes - 1;
+    return {width, n_,
+            pos + static_cast<std::size_t>(std::countr_zero(lanes))};
+}
+
+std::size_t
+Fnir::idleWindows(const FnirRangeBits &bits, std::size_t pos) const
+{
+    // Distance to the next in-range lane (or the stream end), in whole
+    // windows.
+    std::size_t word = pos / 64;
+    std::uint64_t lanes = bits.words[word] & (~0ull << (pos % 64));
+    const std::size_t used = (bits.size + 63) / 64;
+    while (lanes == 0 && ++word < used)
+        lanes = bits.words[word];
+    const std::size_t next = lanes != 0
+        ? word * 64 + static_cast<std::size_t>(std::countr_zero(lanes))
+        : bits.size;
+    return (next - pos) / k_;
 }
 
 } // namespace antsim

@@ -21,6 +21,13 @@
  * exactly as the hardware composition (tests check it against a naive
  * first-n+1 scan), and the same block drives both the ANT PE cycle
  * model and the area/delay estimator (Sec. 7.5).
+ *
+ * The ANT PE's counting runs need only what each window decides -- how
+ * many ports fire and where the next window starts -- so they use a
+ * stream form: one comparator pass over a group's whole candidate
+ * stream into a bitset (compareStream), then a popcount walk over it
+ * (window, idleWindows). tests/fnir_test.cc checks the walk against
+ * evaluate() window by window.
  */
 
 #ifndef ANTSIM_ANT_FNIR_HH
@@ -63,6 +70,30 @@ struct FnirResult
     const FnirOutput &feedback() const { return ports.back(); }
 };
 
+/**
+ * The comparator bank's verdicts over a whole candidate stream: bit i
+ * of words (little-endian across words) is set when candidate i lies
+ * in range. One zero word follows the last used one, so a k-lane
+ * window read at any position in [0, size) needs no bounds check.
+ */
+struct FnirRangeBits
+{
+    std::vector<std::uint64_t> words;
+    /** Candidates in the stream. */
+    std::size_t size = 0;
+};
+
+/** One FNIR window of a stream scan (Sec. 4.2, steps 4-5). */
+struct FnirWindow
+{
+    /** Lanes fed: k, or fewer where the window is clamped at the end. */
+    std::uint32_t width = 0;
+    /** Multiplier-facing ports that selected a candidate. */
+    std::uint32_t selected = 0;
+    /** Stream position of the next window. */
+    std::size_t next = 0;
+};
+
 /** Combinational FNIR block with parameters n and k. */
 class Fnir
 {
@@ -102,6 +133,32 @@ class Fnir
     FnirResult evaluate(std::span<const std::uint32_t> s_indices,
                         std::int64_t min, std::int64_t max,
                         CounterSet &counters) const;
+
+    /**
+     * Run the comparator bank over a whole candidate stream, with the
+     * same verdict per candidate as evaluate(). Charges nothing: a
+     * stream scan charges 2k compares per window it evaluates.
+     */
+    static void compareStream(std::span<const std::uint32_t> s_indices,
+                              std::int64_t min, std::int64_t max,
+                              FnirRangeBits &bits);
+
+    /**
+     * The window of @p bits starting at @p pos < bits.size, counted
+     * instead of arbitrated: with c in-range lanes among the first
+     * min(k, size - pos), selected = min(c, n), and the next window
+     * starts at the n+1-st in-range lane when c > n, else right after
+     * this one. Equal to evaluate() on the same lanes (selectedCount
+     * and the feedback port), window by window.
+     */
+    FnirWindow window(const FnirRangeBits &bits, std::size_t pos) const;
+
+    /**
+     * Full k-lane windows from @p pos on that hold no in-range lane,
+     * each of which selects nothing and hands over to the next k lanes.
+     */
+    std::size_t idleWindows(const FnirRangeBits &bits,
+                            std::size_t pos) const;
 
     /**
      * The arbiter-select primitive: grant the lowest set bit of

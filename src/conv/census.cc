@@ -367,35 +367,4 @@ CensusContext::countProducts(const CsrMatrix &kernel) const
     return census;
 }
 
-ValidTable::ValidTable(const ProblemSpec &spec)
-    : matmul_(spec.kind() == ProblemSpec::Kind::Matmul),
-      kernelW_(spec.kernelW()), kernelH_(spec.kernelH())
-{
-    if (matmul_)
-        return;
-    const std::uint64_t dil = spec.dilation();
-    const std::uint32_t stride = spec.stride();
-    // The +3 tail slack keeps 4-byte gathers at the last (x, s) pair
-    // inside the allocation (see xOkRow); the slack bytes stay zero
-    // and never affect a verdict.
-    xOk_.assign(static_cast<std::size_t>(spec.imageW()) * kernelW_ + 3, 0);
-    for (std::uint32_t x = 0; x < spec.imageW(); ++x) {
-        for (std::uint32_t s = 0; s < kernelW_; ++s) {
-            const std::int64_t dx = static_cast<std::int64_t>(x) -
-                static_cast<std::int64_t>(dil * s);
-            xOk_[static_cast<std::size_t>(x) * kernelW_ + s] =
-                dx >= 0 && dx % stride == 0 && dx / stride < spec.outW();
-        }
-    }
-    yOk_.assign(static_cast<std::size_t>(spec.imageH()) * kernelH_ + 3, 0);
-    for (std::uint32_t y = 0; y < spec.imageH(); ++y) {
-        for (std::uint32_t r = 0; r < kernelH_; ++r) {
-            const std::int64_t dy = static_cast<std::int64_t>(y) -
-                static_cast<std::int64_t>(dil * r);
-            yOk_[static_cast<std::size_t>(y) * kernelH_ + r] =
-                dy >= 0 && dy % stride == 0 && dy / stride < spec.outH();
-        }
-    }
-}
-
 } // namespace antsim

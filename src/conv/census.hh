@@ -28,12 +28,10 @@
  *
  * countProducts(kernel) is bit-identical to the brute-force census
  * (tests/census_property_test.cc cross-checks randomized geometries).
- *
- * The header also hosts ValidTable, a per-axis validity lookup that
- * replaces the division-heavy ProblemSpec::isValid in the ANT PE's
- * per-product counting loops. Tables built and queries answered are
- * tallied in the host metrics registry (obs/metrics.hh ProfileCount)
- * and surface in the run report's profile section.
+ * The SCNN+ and ANT counting paths both take their valid-product
+ * counts from it. Tables built and queries answered are tallied in the
+ * host metrics registry (obs/metrics.hh ProfileCount) and surface in
+ * the run report's profile section.
  */
 
 #ifndef ANTSIM_CONV_CENSUS_HH
@@ -81,62 +79,6 @@ class CensusContext
     std::uint64_t imageNnz_ = 0;
     /** Valid-partner count per kernel coordinate, R*S row-major. */
     std::vector<std::uint64_t> entryCounts_;
-};
-
-/**
- * Per-axis validity lookup for one ProblemSpec: valid(x, y, s, r) ==
- * xOk(x, s) && yOk(y, r) for convolutions (outputIndex factorizes per
- * axis), and r == x for matmul. Replaces the div/mod chain of
- * ProblemSpec::isValid in per-product hot loops; identical results by
- * construction (built by evaluating spec.isValid-equivalent per-axis
- * conditions once per coordinate pair).
- */
-class ValidTable
-{
-  public:
-    explicit ValidTable(const ProblemSpec &spec);
-
-    /** True when image(x, y) * kernel(s, r) maps to a valid output. */
-    bool
-    valid(std::uint32_t x, std::uint32_t y, std::uint32_t s,
-          std::uint32_t r) const
-    {
-        if (matmul_)
-            return r == x;
-        return xOk_[static_cast<std::size_t>(x) * kernelW_ + s] &&
-            yOk_[static_cast<std::size_t>(y) * kernelH_ + r];
-    }
-
-    /** True for matmul specs (valid() degenerates to r == x). */
-    bool matmul() const { return matmul_; }
-
-    /**
-     * Row of x-axis verdicts for image column @p x, indexed by s in
-     * [0, kernelW). The row carries at least 3 readable slack bytes
-     * past its logical end so 4-byte-granularity SIMD gathers at any
-     * valid s stay in bounds.
-     */
-    const std::uint8_t *
-    xOkRow(std::uint32_t x) const
-    {
-        return xOk_.data() + static_cast<std::size_t>(x) * kernelW_;
-    }
-
-    /** Row of y-axis verdicts for image row @p y, indexed by r. */
-    const std::uint8_t *
-    yOkRow(std::uint32_t y) const
-    {
-        return yOk_.data() + static_cast<std::size_t>(y) * kernelH_;
-    }
-
-  private:
-    bool matmul_ = false;
-    std::uint32_t kernelW_ = 0;
-    std::uint32_t kernelH_ = 0;
-    /** xOk_[x*S + s]: the x-axis conditions hold for (x, s). */
-    std::vector<std::uint8_t> xOk_;
-    /** yOk_[y*R + r]: the y-axis conditions hold for (y, r). */
-    std::vector<std::uint8_t> yOk_;
 };
 
 namespace census_kernels {

@@ -85,7 +85,7 @@ ensembleOf(const PlaneRecipe &recipe)
     return e;
 }
 
-/** Real-domain mirror of scnn_pe.cc's groupedAccesses. */
+/** Real-domain mirror of SramConfig::groupedAccesses (sim/sram.hh). */
 double
 groupedAccessesReal(double elements, std::uint32_t n, std::uint32_t per)
 {

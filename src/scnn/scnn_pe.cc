@@ -20,18 +20,6 @@ namespace antsim {
 
 namespace {
 
-/**
- * SRAM accesses needed to read @p elements in groups of @p n, where
- * each group is one read call (elementsPerAccess elements per word).
- */
-std::uint64_t
-groupedAccesses(std::uint64_t elements, std::uint32_t n, std::uint32_t per)
-{
-    const std::uint64_t full = elements / n;
-    const std::uint64_t rem = elements % n;
-    return full * ((n + per - 1) / per) + (rem + per - 1) / per;
-}
-
 /** Total non-zeros across a kernel stack. */
 std::uint64_t
 stackNnz(const std::vector<const CsrMatrix *> &kernels)
@@ -258,9 +246,9 @@ ScnnPe::runStackCounting(const ProblemSpec &spec,
     const std::uint64_t nnz_k = stackNnz(kernels);
     const std::uint64_t igroups = (nnz_i + n - 1) / n;
     const std::uint64_t kgroups = (nnz_k + n - 1) / n;
-    const std::uint32_t value_per = config_.buffer.elementsPerAccess();
-    // 8-bit indices (Table 4) pack twice as densely as bf16 values.
-    const std::uint32_t index_per = 2 * value_per;
+    const SramConfig &value_cfg = config_.buffer;
+    SramConfig index_cfg = config_.buffer;
+    index_cfg.elementBits = 8; // 8-bit indices (Table 4)
 
     // Image-side census tables are built once for the whole stack;
     // counting each kernel is then O(nnz_k) (see conv/census.hh).
@@ -279,12 +267,12 @@ ScnnPe::runStackCounting(const ProblemSpec &spec,
     // Image groups fetched once each; the merged kernel stream is
     // re-fetched per image group. Values and indices are separate
     // arrays.
-    c.add(Counter::SramValueReads, groupedAccesses(nnz_i, n, value_per));
-    c.add(Counter::SramIndexReads, groupedAccesses(nnz_i, n, index_per));
+    c.add(Counter::SramValueReads, value_cfg.groupedAccesses(nnz_i, n));
+    c.add(Counter::SramIndexReads, index_cfg.groupedAccesses(nnz_i, n));
     c.add(Counter::SramValueReads,
-          igroups * groupedAccesses(nnz_k, n, value_per));
+          igroups * value_cfg.groupedAccesses(nnz_k, n));
     c.add(Counter::SramIndexReads,
-          igroups * groupedAccesses(nnz_k, n, index_per));
+          igroups * index_cfg.groupedAccesses(nnz_k, n));
 
     const std::uint64_t mult_cycles = igroups * kgroups;
     c.add(Counter::StartupCycles, config_.startupCycles);

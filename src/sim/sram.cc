@@ -27,19 +27,13 @@ SramBuffer::fill(std::uint32_t elements)
 void
 SramBuffer::read(std::uint32_t elements, CounterSet &counters) const
 {
-    if (elements == 0)
-        return;
-    const std::uint32_t per = config_.elementsPerAccess();
-    counters.add(counter_, (elements + per - 1) / per);
+    counters.add(counter_, config_.accesses(elements));
 }
 
 void
 SramBuffer::write(std::uint32_t elements, CounterSet &counters) const
 {
-    if (elements == 0)
-        return;
-    const std::uint32_t per = config_.elementsPerAccess();
-    counters.add(Counter::SramWrites, (elements + per - 1) / per);
+    counters.add(Counter::SramWrites, config_.accesses(elements));
 }
 
 } // namespace antsim

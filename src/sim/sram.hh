@@ -45,6 +45,29 @@ struct SramConfig
         return accessBits / elementBits;
     }
 
+    /**
+     * Word accesses that move @p elements sequential elements in one
+     * request: ceil(elements / elementsPerAccess).
+     */
+    std::uint64_t
+    accesses(std::uint64_t elements) const
+    {
+        const std::uint32_t per = elementsPerAccess();
+        return (elements + per - 1) / per;
+    }
+
+    /**
+     * Word accesses that move @p elements as consecutive requests of
+     * @p group elements each, the last request taking the remainder:
+     * the sum of accesses() over the requests.
+     */
+    std::uint64_t
+    groupedAccesses(std::uint64_t elements, std::uint64_t group) const
+    {
+        return elements / group * accesses(group) +
+            accesses(elements % group);
+    }
+
     /** Geometry of a value buffer (16-bit bf16 elements, Table 4). */
     static SramConfig
     values()
@@ -96,7 +119,7 @@ class SramBuffer
 
     /**
      * Record a read of @p elements sequential elements, charging
-     * ceil(elements / elementsPerAccess) word accesses to @p counters.
+     * config().accesses(elements) word accesses to @p counters.
      */
     void read(std::uint32_t elements, CounterSet &counters) const;
 

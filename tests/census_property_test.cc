@@ -6,8 +6,6 @@
  *  - CensusContext::countProducts must be counter-for-counter
  *    identical to the brute-force countProducts over randomized
  *    strides, dilations, paddings, cropped output dims, and matmul;
- *  - ValidTable must agree with ProblemSpec::isValid on every
- *    (x, y, s, r) coordinate;
  *  - generateCsrPlane must consume the identical random stream and
  *    emit the bit-identical CsrMatrix as the legacy dense pipeline
  *    generatePlane -> embedPlane -> fromDense -> rotated180, also when
@@ -50,14 +48,13 @@ expectCensusEqual(const ProductCensus &expected, const ProductCensus &got,
     EXPECT_EQ(expected.rcpProducts, got.rcpProducts) << context;
 }
 
-/** Compare census vs brute force and ValidTable vs isValid for a spec. */
+/** Compare census vs brute force for a spec. */
 void
 checkSpec(const ProblemSpec &spec, Rng &rng, const std::string &context)
 {
     const CsrMatrix image =
         randomCsr(spec.imageH(), spec.imageW(), 0.7, rng);
     const CensusContext census(spec, image);
-    const ValidTable table(spec);
 
     // Several kernels against one context: the sharing the stack
     // counting path depends on.
@@ -67,15 +64,6 @@ checkSpec(const ProblemSpec &spec, Rng &rng, const std::string &context)
         expectCensusEqual(countProducts(spec, kernel, image),
                           census.countProducts(kernel), context);
     }
-
-    for (std::uint32_t y = 0; y < spec.imageH(); ++y)
-        for (std::uint32_t x = 0; x < spec.imageW(); ++x)
-            for (std::uint32_t r = 0; r < spec.kernelH(); ++r)
-                for (std::uint32_t s = 0; s < spec.kernelW(); ++s)
-                    ASSERT_EQ(spec.isValid(x, y, s, r),
-                              table.valid(x, y, s, r))
-                        << context << " at x=" << x << " y=" << y
-                        << " s=" << s << " r=" << r;
 }
 
 TEST(CensusProperty, MatchesBruteForceOnRandomConvGeometries)

@@ -126,9 +126,8 @@ TEST(KernelStationary, CountingMatchesFunctional)
     AntPe pe = kernelStationaryPe();
     const PeResult slow = pe.runStack(p.spec, {&kernel}, image, true);
     const PeResult fast = pe.runStack(p.spec, {&kernel}, image, false);
-    for (Counter counter :
-         {Counter::MultsExecuted, Counter::MultsValid, Counter::MultsRcp,
-          Counter::RcpsAvoided, Counter::Cycles}) {
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        const auto counter = static_cast<Counter>(i);
         EXPECT_EQ(fast.counters.get(counter), slow.counters.get(counter))
             << counterName(counter);
     }

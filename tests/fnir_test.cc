@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests for the bit-level FNIR block (Sec. 4.4, Fig. 8): comparator
- * bank + first-n+1 arbiter-select priority encoder.
+ * bank + first-n+1 arbiter-select priority encoder, and the stream
+ * form the ANT PE's counting runs use (comparator pass into a bitset,
+ * popcount window walk), which must decide every window as
+ * Fnir::evaluate does.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <tuple>
 
 #include "ant/fnir.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace antsim {
 namespace {
@@ -174,6 +180,146 @@ INSTANTIATE_TEST_SUITE_P(Configs, FnirSweep,
                                                               6u, 8u),
                                             ::testing::Values(4u, 8u, 16u,
                                                               32u)));
+
+/** Random candidate indices, a few of them near the top of uint32. */
+std::vector<std::uint32_t>
+randomStream(Rng &rng, std::size_t size)
+{
+    std::vector<std::uint32_t> stream(size);
+    for (auto &v : stream) {
+        v = rng.bernoulli(0.05)
+            ? std::numeric_limits<std::uint32_t>::max() -
+                static_cast<std::uint32_t>(rng.range(0, 3))
+            : static_cast<std::uint32_t>(rng.range(0, 40));
+    }
+    return stream;
+}
+
+/**
+ * Random [min, max] bounds: ordinary, empty, negative, and reaching
+ * past the uint32 index domain.
+ */
+std::pair<std::int64_t, std::int64_t>
+randomBounds(Rng &rng)
+{
+    constexpr std::int64_t beyond = std::int64_t{1} << 33;
+    switch (rng.range(0, 5)) {
+      case 0: { // empty
+        const std::int64_t lo = rng.range(0, 40);
+        return {lo, lo - rng.range(1, 5)};
+      }
+      case 1: // entirely negative
+        return {-rng.range(5, 50), -rng.range(1, 4)};
+      case 2: // from below zero
+        return {-rng.range(1, 50), rng.range(0, 40)};
+      case 3: // past uint32
+        return {rng.range(0, 40), beyond};
+      case 4: // everything
+        return {-beyond, beyond};
+      default: {
+        const std::int64_t lo = rng.range(0, 40);
+        return {lo, lo + rng.range(0, 20)};
+      }
+    }
+}
+
+/** Restores the SIMD dispatch mode however a test exits. */
+class SimdScope
+{
+  public:
+    explicit SimdScope(simd::Mode mode) : saved_(simd::mode())
+    {
+        simd::setMode(mode);
+    }
+
+    ~SimdScope() { simd::setMode(saved_); }
+
+  private:
+    simd::Mode saved_;
+};
+
+TEST(FnirStream, WindowWalkMatchesRepeatedEvaluate)
+{
+    // Streams of 0-300 candidates cross several 64-bit words, so the
+    // walk reads windows that straddle word boundaries.
+    constexpr std::uint32_t geometries[][2] = {
+        {4, 16}, {4, 4}, {8, 9}, {16, 16}, {2, 64}, {1, 1}, {3, 64}};
+    Rng rng(1700);
+    for (const auto &geometry : geometries) {
+        const Fnir fnir(geometry[0], geometry[1]);
+        const std::uint32_t k = fnir.k();
+        for (int trial = 0; trial < 150; ++trial) {
+            const auto stream = randomStream(
+                rng, static_cast<std::size_t>(rng.range(0, 300)));
+            const auto [lo, hi] = randomBounds(rng);
+            FnirRangeBits bits;
+            Fnir::compareStream(stream, lo, hi, bits);
+            ASSERT_EQ(bits.size, stream.size());
+
+            std::size_t pos = 0;
+            while (pos < stream.size()) {
+                const auto width = static_cast<std::uint32_t>(
+                    std::min<std::size_t>(k, stream.size() - pos));
+                CounterSet c;
+                const FnirResult want = fnir.evaluate(
+                    std::span<const std::uint32_t>(stream.data() + pos,
+                                                   width),
+                    lo, hi, c);
+                const std::size_t want_next = want.feedback().valid
+                    ? pos + want.feedback().position
+                    : pos + width;
+                const FnirWindow got = fnir.window(bits, pos);
+                ASSERT_EQ(got.width, width) << "pos " << pos;
+                ASSERT_EQ(got.selected, want.selectedCount())
+                    << "n " << fnir.n() << " k " << k << " pos " << pos
+                    << " bounds [" << lo << ", " << hi << "]";
+                ASSERT_EQ(got.next, want_next) << "pos " << pos;
+
+                // idleWindows counts the full windows from here on that
+                // select nothing, as successive evaluations see them.
+                std::size_t idle = 0;
+                for (std::size_t at = pos; at + k <= stream.size();
+                     at += k) {
+                    CounterSet scratch;
+                    if (fnir.evaluate(std::span<const std::uint32_t>(
+                                          stream.data() + at, k),
+                                      lo, hi, scratch)
+                            .selectedCount() != 0)
+                        break;
+                    ++idle;
+                }
+                ASSERT_EQ(fnir.idleWindows(bits, pos), idle)
+                    << "pos " << pos;
+                pos = got.next;
+            }
+        }
+    }
+}
+
+TEST(FnirStream, ComparatorBankScalarMatchesAvx2)
+{
+    if (!simd::cpuHasAvx2())
+        GTEST_SKIP() << "CPU lacks AVX2; the scalar bank is the only one";
+    Rng rng(1701);
+    for (int trial = 0; trial < 300; ++trial) {
+        const auto stream =
+            randomStream(rng, static_cast<std::size_t>(rng.range(0, 300)));
+        const auto [lo, hi] = randomBounds(rng);
+        FnirRangeBits scalar;
+        FnirRangeBits avx2;
+        {
+            SimdScope mode(simd::Mode::Scalar);
+            Fnir::compareStream(stream, lo, hi, scalar);
+        }
+        {
+            SimdScope mode(simd::Mode::Avx2);
+            Fnir::compareStream(stream, lo, hi, avx2);
+        }
+        ASSERT_EQ(scalar.words, avx2.words)
+            << "size " << stream.size() << " bounds [" << lo << ", " << hi
+            << "]";
+    }
+}
 
 } // namespace
 } // namespace antsim

@@ -141,10 +141,8 @@ TEST(AntStack, CountingMatchesFunctionalCounters)
             pe.runStack(fx.spec, fx.ptrs(), fx.image, true);
         const PeResult fast =
             pe.runStack(fx.spec, fx.ptrs(), fx.image, false);
-        for (Counter counter :
-             {Counter::MultsExecuted, Counter::MultsValid,
-              Counter::MultsRcp, Counter::RcpsAvoided, Counter::Cycles,
-              Counter::AccumAdds, Counter::OutputIndexCalcs}) {
+        for (std::size_t i = 0; i < kNumCounters; ++i) {
+            const auto counter = static_cast<Counter>(i);
             EXPECT_EQ(fast.counters.get(counter),
                       slow.counters.get(counter))
                 << counterName(counter) << " seed " << seed;
