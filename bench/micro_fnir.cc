@@ -26,9 +26,9 @@ BM_FnirEvaluate(benchmark::State &state)
     const auto k = static_cast<std::uint32_t>(state.range(1));
     const Fnir fnir(n, k);
     Rng rng(1);
-    std::vector<std::int64_t> window(k);
+    std::vector<std::uint32_t> window(k);
     for (auto &v : window)
-        v = rng.range(0, 31);
+        v = static_cast<std::uint32_t>(rng.range(0, 31));
     CounterSet counters;
     for (auto _ : state) {
         auto result = fnir.evaluate(window, 8, 23, counters);
@@ -52,8 +52,10 @@ executedProducts(const PeResult &result)
 /**
  * ANT counting run on one fig10 ResNet18 task: 256 dense 3x3 weight
  * planes against a 34x34 padded activation plane at 85% sparsity
- * (forward, arg 0), or 256 32x32 gradient planes at 42% against the
- * same activations (update, arg 2). Items are executed products.
+ * (forward, first arg 0), or 256 32x32 gradient planes at 42% against
+ * the same activations (update, first arg 2). The second arg picks the
+ * dataflow: 0 image stationary, 1 kernel stationary. Items are
+ * executed products.
  */
 void
 BM_AntConvStackCounting(benchmark::State &state)
@@ -64,7 +66,10 @@ BM_AntConvStackCounting(benchmark::State &state)
         layer, static_cast<TrainingPhase>(state.range(0)),
         SparsityProfile::resprop(0.42, 0.85), rng);
     const auto kernels = task.kernelPtrs();
-    AntPe pe;
+    AntPeConfig config;
+    if (state.range(1) != 0)
+        config.dataflow = AntDataflow::KernelStationary;
+    AntPe pe(config);
     std::int64_t executed = 0;
     for (auto _ : state) {
         auto result = pe.runStack(task.spec, kernels, *task.image, false);
@@ -73,7 +78,10 @@ BM_AntConvStackCounting(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * executed);
 }
-BENCHMARK(BM_AntConvStackCounting)->Arg(0)->Arg(2);
+BENCHMARK(BM_AntConvStackCounting)
+    ->Args({0, 0})
+    ->Args({2, 0})
+    ->Args({0, 1});
 
 /**
  * ANT counting run on one sec78 proj_upd chunk pair (72x512 image,

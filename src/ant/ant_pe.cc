@@ -16,82 +16,51 @@ namespace antsim {
 
 namespace {
 
-/** A candidate kernel element with pre-resolved coordinates. */
-struct Candidate
-{
-    float value;
-    std::uint32_t s;
-    std::uint32_t r;
-};
-
 /**
  * The windowed candidate stream in structure-of-arrays form: the FNIR
- * comparator bank reads s[] directly as one contiguous lane vector
- * (64-byte-aligned via AlignedVec). Only functional runs fill value[]
- * and r[], which the accumulator needs.
+ * comparator bank reads column[] directly as one contiguous lane vector
+ * (64-byte-aligned via AlignedVec). Only runs that feed the accumulator
+ * fill value[] and row[].
  */
 struct CandidateStream
 {
     AlignedVec<float> value;
-    AlignedVec<std::uint32_t> s;
-    AlignedVec<std::uint32_t> r;
+    AlignedVec<std::uint32_t> column;
+    AlignedVec<std::uint32_t> row;
 
-    std::size_t size() const { return s.size(); }
-    bool empty() const { return s.empty(); }
+    std::size_t size() const { return column.size(); }
+    bool empty() const { return column.empty(); }
 
     void
     clear()
     {
         value.clear();
-        s.clear();
-        r.clear();
+        column.clear();
+        row.clear();
     }
 };
 
 /**
- * Row-pointer accesses the Kernel Indices Buffer controller needs to
- * delimit the row windows of a whole kernel stack: rows+1 boundary
- * pointers per kernel, packed contiguously four 16-bit pointers per
- * 64-bit access.
+ * Row-pointer accesses the buffer controller needs to delimit the row
+ * windows of a stack of streamed planes: rows+1 boundary pointers per
+ * plane, packed contiguously four 16-bit pointers per 64-bit access.
  */
 std::uint64_t
-rowPtrAccesses(std::uint64_t kernels, std::uint64_t rows)
+rowPtrAccesses(std::uint64_t planes, std::uint64_t rows)
 {
-    return (kernels * (rows + 1) + 3) / 4;
+    return (planes * (rows + 1) + 3) / 4;
 }
 
 /**
- * Append the kernel rows inside [row_lo, row_hi] to the candidate
- * stream the Kernel Indices Buffer would deliver (row-pointer access
- * accounting is the caller's job via rowPtrAccesses).
+ * Append the rows of @p plane inside [row_lo, row_hi] to the candidate
+ * stream the buffer controller would deliver (row-pointer access
+ * accounting is the caller's job via rowPtrAccesses). The row window's
+ * columns are one contiguous CSR segment, so each plane contributes one
+ * bulk copy; with @p payload the values are copied and each entry's row
+ * is filled in too.
  */
 void
-appendWindowedCandidates(const CsrMatrix &kernel, std::int64_t row_lo,
-                         std::int64_t row_hi,
-                         std::vector<Candidate> &candidates)
-{
-    if (row_lo > row_hi)
-        return;
-    const auto lo = static_cast<std::uint32_t>(row_lo);
-    const auto hi = static_cast<std::uint32_t>(row_hi);
-
-    const auto row_ptr = kernel.rowPtr();
-    const auto columns = kernel.columns();
-    const auto values = kernel.values();
-    for (std::uint32_t r = lo; r <= hi; ++r) {
-        for (std::uint32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
-            candidates.push_back({values[i], columns[i], r});
-    }
-}
-
-/**
- * SoA form of appendWindowedCandidates: the row window's columns are
- * one contiguous CSR segment, so each plane contributes one bulk copy.
- * With @p payload (functional runs) the values are copied and each
- * entry's row is filled in too. Same stream order, entry for entry.
- */
-void
-appendWindowedCandidatesSoA(const CsrMatrix &kernel, std::int64_t row_lo,
+appendWindowedCandidatesSoA(const CsrMatrix &plane, std::int64_t row_lo,
                             std::int64_t row_hi, bool payload,
                             CandidateStream &out)
 {
@@ -100,24 +69,24 @@ appendWindowedCandidatesSoA(const CsrMatrix &kernel, std::int64_t row_lo,
     const auto lo = static_cast<std::uint32_t>(row_lo);
     const auto hi = static_cast<std::uint32_t>(row_hi);
 
-    const auto row_ptr = kernel.rowPtr();
+    const auto row_ptr = plane.rowPtr();
     const std::uint32_t begin = row_ptr[lo];
     const std::uint32_t end = row_ptr[hi + 1];
-    out.s.append(kernel.columns().data() + begin, end - begin);
+    out.column.append(plane.columns().data() + begin, end - begin);
     if (!payload)
         return;
-    out.value.append(kernel.values().data() + begin, end - begin);
+    out.value.append(plane.values().data() + begin, end - begin);
     for (std::uint32_t r = lo; r <= hi; ++r)
-        out.r.appendFill(r, row_ptr[r + 1] - row_ptr[r]);
+        out.row.appendFill(r, row_ptr[r + 1] - row_ptr[r]);
 }
 
-/** Total non-zeros across a kernel stack. */
+/** Total non-zeros across a stack of planes. */
 std::uint64_t
-stackNnz(const std::vector<const CsrMatrix *> &kernels)
+stackNnz(const std::vector<const CsrMatrix *> &planes)
 {
     std::uint64_t total = 0;
-    for (const CsrMatrix *k : kernels)
-        total += k->nnz();
+    for (const CsrMatrix *plane : planes)
+        total += plane->nnz();
     return total;
 }
 
@@ -301,9 +270,8 @@ AntPe::runStack(const ProblemSpec &spec,
     ANT_ASSERT(spec.kind() == ProblemSpec::Kind::Conv,
                "kernel stacks are a convolution dataflow; use runPair "
                "for matmuls");
-    const PeResult result = config_.dataflow == AntDataflow::KernelStationary
-        ? runConvStackKernelStationary(spec, kernels, image, collect_output)
-        : runConvStack(spec, kernels, image, collect_output);
+    const PeResult result =
+        runConvStack(spec, kernels, image, collect_output);
     verify::auditPeRunOrPanic("ANT PE", spec, kernels, image, result,
                               ProductSpace::Cartesian);
     return result;
@@ -330,6 +298,52 @@ AntPe::runConvStack(const ProblemSpec &spec,
     image_values.fill(image.nnz());
     image_indices.fill(image.nnz());
 
+    // The Sec. 4.6 role swap, resolved once: the operand held
+    // stationary in groups of n, the planes whose windowed rows stream
+    // through the FNIR, and the range blocks that bound both. Image
+    // stationary screens kernel s against [s_min, s_max] over kernel
+    // rows [r_min, r_max]; kernel stationary swaps the buffers and
+    // screens image x against [x_min, x_max] over image rows
+    // [y_min, y_max]. Nothing below depends on the dataflow except the
+    // order of the accumulator's operands.
+    const bool kernel_stationary =
+        config_.dataflow == AntDataflow::KernelStationary;
+    std::vector<SparseEntry> stationary;
+    if (kernel_stationary) {
+        stationary.reserve(stackNnz(kernels));
+        for (const CsrMatrix *kernel : kernels) {
+            const std::vector<SparseEntry> entries = kernel->entries();
+            stationary.insert(stationary.end(), entries.begin(),
+                              entries.end());
+        }
+    } else {
+        stationary = image.entries();
+    }
+    const std::vector<const CsrMatrix *> image_plane{&image};
+    const std::vector<const CsrMatrix *> &streamed =
+        kernel_stationary ? image_plane : kernels;
+    const std::uint32_t streamed_rows =
+        kernel_stationary ? spec.imageH() : spec.kernelH();
+    using RangeBlock =
+        IndexRange (ProblemSpec::*)(std::uint32_t, std::uint32_t) const;
+    const RangeBlock screen_block =
+        kernel_stationary ? &ProblemSpec::xRange : &ProblemSpec::sRange;
+    const RangeBlock row_block =
+        kernel_stationary ? &ProblemSpec::yRange : &ProblemSpec::rRange;
+    // y is monotonic in an image's CSR order, so an image group's y
+    // extremes are its first and last entries (Eq. 12) and only x needs
+    // a min/max tree (Eq. 11); a kernel group may straddle two planes
+    // of the stack, so both axes need one.
+    const std::uint64_t tree_axes = kernel_stationary ? 2 : 1;
+    const SramBuffer &stationary_values =
+        kernel_stationary ? kernel_values : image_values;
+    const SramBuffer &stationary_indices =
+        kernel_stationary ? kernel_indices : image_indices;
+    const SramBuffer &streamed_values =
+        kernel_stationary ? image_values : kernel_values;
+    const SramBuffer &streamed_indices =
+        kernel_stationary ? image_indices : kernel_indices;
+
     // Functional runs issue every selected product to the accumulator
     // through the bit-level FNIR; counting runs scan with CountingScan
     // and take the valid count from the census.
@@ -342,7 +356,6 @@ AntPe::runConvStack(const ProblemSpec &spec,
 
     const std::uint32_t n = config_.n;
     const std::uint32_t k = config_.k;
-    const auto image_entries = image.entries();
     const std::uint64_t all_products =
         stackNnz(kernels) * static_cast<std::uint64_t>(image.nnz());
 
@@ -355,49 +368,50 @@ AntPe::runConvStack(const ProblemSpec &spec,
 
     std::uint64_t groups = 0;
     CandidateStream candidates;
-    // y is monotonic across image groups, so consecutive groups mostly
-    // share one r window: memoize the last candidate stream instead of
-    // re-walking the whole kernel stack per group. Counter-neutral --
-    // the row-pointer walk is still charged per group below.
+    // Consecutive groups mostly share one row window (image groups
+    // advance monotonically in y; a kernel plane holds few rows):
+    // memoize the last candidate stream instead of re-walking the
+    // streamed planes per group. Counter-neutral -- the row-pointer
+    // walk is still charged per group below.
     std::int64_t cached_lo = 0;
     std::int64_t cached_hi = 0;
     bool cache_filled = false;
 
-    for (std::size_t ib = 0; ib < image_entries.size(); ib += n) {
-        const std::size_t ie = std::min(ib + n, image_entries.size());
-        const auto igroup = static_cast<std::uint32_t>(ie - ib);
+    for (std::size_t gb = 0; gb < stationary.size(); gb += n) {
+        const std::size_t ge = std::min(gb + n, stationary.size());
+        const auto group = static_cast<std::uint32_t>(ge - gb);
         ++groups;
 
-        // Stage 1: fetch the image group (held stationary).
-        image_values.read(igroup, c);
-        image_indices.read(igroup, c);
+        // Stage 1: fetch the group (held stationary).
+        stationary_values.read(group, c);
+        stationary_indices.read(group, c);
 
-        // Stages 2-3: range computation. y is monotonic in CSR order so
-        // y_min/y_max are the first/last entries (Eq. 12); x needs a
-        // min/max reduction tree over the group (Eq. 11).
-        std::uint32_t x_min = image_entries[ib].x;
-        std::uint32_t x_max = x_min;
-        for (std::size_t i = ib + 1; i < ie; ++i) {
-            x_min = std::min(x_min, image_entries[i].x);
-            x_max = std::max(x_max, image_entries[i].x);
-        }
-        const std::uint32_t y_min = image_entries[ib].y;
-        const std::uint32_t y_max = image_entries[ie - 1].y;
-        // 2(n-1) compares for the x min/max tree, plus the four range
+        // Stages 2-3: range computation from the group's extremes;
+        // 2(group-1) compares per min/max tree, plus the four range
         // bound additions.
-        c.add(Counter::IndexCompares, 2ull * (igroup - 1) + 4);
+        std::uint32_t x_min = stationary[gb].x;
+        std::uint32_t x_max = x_min;
+        std::uint32_t y_min = stationary[gb].y;
+        std::uint32_t y_max = y_min;
+        for (std::size_t i = gb + 1; i < ge; ++i) {
+            x_min = std::min(x_min, stationary[i].x);
+            x_max = std::max(x_max, stationary[i].x);
+            y_min = std::min(y_min, stationary[i].y);
+            y_max = std::max(y_max, stationary[i].y);
+        }
+        c.add(Counter::IndexCompares, 2 * tree_axes * (group - 1) + 4);
 
-        const IndexRange s_range = config_.useSCondition
-            ? spec.sRange(x_min, x_max)
+        const IndexRange screen = config_.useSCondition
+            ? (spec.*screen_block)(x_min, x_max)
             : IndexRange{std::numeric_limits<std::int64_t>::min(),
                          std::numeric_limits<std::int64_t>::max()};
-        const IndexRange r_range = config_.useRCondition
-            ? spec.rRange(y_min, y_max)
-            : IndexRange{0, static_cast<std::int64_t>(spec.kernelH()) - 1};
+        const IndexRange rows = config_.useRCondition
+            ? (spec.*row_block)(y_min, y_max)
+            : IndexRange{0, static_cast<std::int64_t>(streamed_rows) - 1};
 
-        if (s_range.empty() || r_range.empty()) {
-            // The ranges rule out the whole kernel stack; the group
-            // still occupies the pipeline for one cycle.
+        if (screen.empty() || rows.empty()) {
+            // The ranges rule out every streamed plane; the group still
+            // occupies the pipeline for one cycle.
             ++cycles;
             c.add(Counter::IdleScanCycles);
             if (rec)
@@ -405,47 +419,42 @@ AntPe::runConvStack(const ProblemSpec &spec,
             continue;
         }
 
-        // The Kernel Indices Buffer controller streams only the rows
-        // inside the r window (Sec. 4.3), across the whole kernel
-        // stack back to back, at one row-pointer SRAM access per
-        // cycle; for long stacks of small kernels this walk, not the
-        // FNIR, bounds the group.
-        if (!cache_filled || cached_lo != r_range.lo ||
-            cached_hi != r_range.hi) {
+        // The buffer controller streams only the rows inside the row
+        // window (Sec. 4.3), across the streamed planes back to back,
+        // at one row-pointer SRAM access per cycle; for long stacks of
+        // small kernels this walk, not the FNIR, bounds the group.
+        if (!cache_filled || cached_lo != rows.lo || cached_hi != rows.hi) {
             candidates.clear();
-            for (const CsrMatrix *kernel : kernels) {
-                appendWindowedCandidatesSoA(*kernel, r_range.lo,
-                                            r_range.hi, collect_output,
-                                            candidates);
+            for (const CsrMatrix *plane : streamed) {
+                appendWindowedCandidatesSoA(*plane, rows.lo, rows.hi,
+                                            collect_output, candidates);
             }
-            cached_lo = r_range.lo;
-            cached_hi = r_range.hi;
+            cached_lo = rows.lo;
+            cached_hi = rows.hi;
             cache_filled = true;
         }
-        // A *proper* row window (fewer rows than the kernel) requires
-        // the pointer walk; a full window degenerates to sequential
-        // streaming where the row structure arrives inline with the
-        // index stream (as in the SCNN baseline), costing nothing
-        // extra. This also covers the r-condition-off ablation.
+        // A *proper* row window (fewer rows than a streamed plane)
+        // requires the pointer walk; a full window degenerates to
+        // sequential streaming where the row structure arrives inline
+        // with the index stream (as in the SCNN baseline), costing
+        // nothing extra. This also covers the r-condition-off ablation.
         const bool proper_window =
-            r_range.count() < static_cast<std::int64_t>(spec.kernelH());
+            rows.count() < static_cast<std::int64_t>(streamed_rows);
         const std::uint64_t controller_cycles = proper_window
-            ? rowPtrAccesses(kernels.size(),
-                             static_cast<std::uint64_t>(
-                                 r_range.hi - r_range.lo + 1))
+            ? rowPtrAccesses(streamed.size(),
+                             static_cast<std::uint64_t>(rows.count()))
             : 0;
         c.add(Counter::SramRowPtrReads, controller_cycles);
 
         if (candidates.empty()) {
             // The windowed rows hold no non-zeros: the group costs the
             // controller walk, with the FNIR idle throughout.
-            cycles += std::max<std::uint64_t>(controller_cycles, 1);
-            c.add(Counter::IdleScanCycles,
-                  std::max<std::uint64_t>(controller_cycles, 1));
-            if (rec) {
-                rec->advance(obs::SpanKind::IdleScan,
-                             std::max<std::uint64_t>(controller_cycles, 1));
-            }
+            const std::uint64_t walk =
+                std::max<std::uint64_t>(controller_cycles, 1);
+            cycles += walk;
+            c.add(Counter::IdleScanCycles, walk);
+            if (rec)
+                rec->advance(obs::SpanKind::IdleScan, walk);
             continue;
         }
 
@@ -453,12 +462,12 @@ AntPe::runConvStack(const ProblemSpec &spec,
         std::uint64_t scan_cycles = 0;
         if (!accumulator) {
             scan_cycles = counting.scan(
-                std::span<const std::uint32_t>(candidates.s.data(),
+                std::span<const std::uint32_t>(candidates.column.data(),
                                                candidates.size()),
-                s_range, igroup);
+                screen, group);
         } else {
-            // Each window is a contiguous slice of the SoA s[] array,
-            // handed to the bit-level FNIR without a per-entry copy.
+            // Each window is a contiguous slice of the SoA column[]
+            // array, handed to the bit-level FNIR without a copy.
             std::size_t pos = 0;
             while (pos < candidates.size()) {
                 const std::size_t wend =
@@ -466,13 +475,13 @@ AntPe::runConvStack(const ProblemSpec &spec,
                 const auto wlen = static_cast<std::uint32_t>(wend - pos);
 
                 // The buffer delivers k column indices per cycle.
-                kernel_indices.read(wlen, c);
+                streamed_indices.read(wlen, c);
                 functional.streamed += wlen;
 
                 const FnirResult fnir = fnir_.evaluate(
                     std::span<const std::uint32_t>(
-                        candidates.s.data() + pos, wlen),
-                    s_range.lo, s_range.hi, c);
+                        candidates.column.data() + pos, wlen),
+                    screen.lo, screen.hi, c);
 
                 ++scan_cycles;
                 const std::uint32_t selected = fnir.selectedCount();
@@ -486,25 +495,34 @@ AntPe::runConvStack(const ProblemSpec &spec,
                     c.add(Counter::IdleScanCycles);
                 } else {
                     c.add(Counter::ActiveCycles);
-                    // Stage 5-6: fetch the selected kernel values and
-                    // issue the outer product against the stationary
-                    // image group.
-                    kernel_values.read(selected, c);
+                    // Stage 5-6: fetch the selected values and issue
+                    // the outer product against the stationary group.
+                    streamed_values.read(selected, c);
                     functional.fetched += selected;
                     functional.executed +=
-                        static_cast<std::uint64_t>(selected) * igroup;
+                        static_cast<std::uint64_t>(selected) * group;
 
                     accumulator->newIssueGroup();
                     for (std::uint32_t port = 0; port < selected;
                          ++port) {
                         const std::size_t cand =
                             pos + fnir.ports[port].position;
-                        for (std::size_t i = ib; i < ie; ++i) {
-                            const auto &img = image_entries[i];
-                            accumulator->offer(img.value, img.x, img.y,
-                                               candidates.value[cand],
-                                               candidates.s[cand],
-                                               candidates.r[cand], c);
+                        const float value = candidates.value[cand];
+                        const std::uint32_t col = candidates.column[cand];
+                        const std::uint32_t row = candidates.row[cand];
+                        for (std::size_t i = gb; i < ge; ++i) {
+                            const SparseEntry &held = stationary[i];
+                            // The accumulator takes the image operand
+                            // first.
+                            if (kernel_stationary) {
+                                accumulator->offer(value, col, row,
+                                                   held.value, held.x,
+                                                   held.y, c);
+                            } else {
+                                accumulator->offer(held.value, held.x,
+                                                   held.y, value, col,
+                                                   row, c);
+                            }
                         }
                     }
                 }
@@ -543,242 +561,15 @@ AntPe::runConvStack(const ProblemSpec &spec,
                        censusValidProducts(spec, kernels, image));
     }
 
-    // SRAM traffic avoided relative to streaming the full kernel
-    // stack (values + indices) once per image group, as the SCNN PE
-    // does.
-    const std::uint64_t scnn_elements = 2ull * stackNnz(kernels) * groups;
+    // SRAM traffic avoided relative to streaming every streamed plane
+    // whole (values + indices) once per stationary group, as the SCNN
+    // PE does; ANT reads the windowed indices the FNIR screens plus the
+    // values it selects (Sec. 4.3).
+    const std::uint64_t scnn_elements = 2ull * stackNnz(streamed) * groups;
     const std::uint64_t ant_elements = totals.streamed + totals.fetched;
     c.set(Counter::SramReadsAvoided,
           scnn_elements > ant_elements ? scnn_elements - ant_elements : 0);
 
-    c.set(Counter::RcpsAvoided, all_products - totals.executed);
-    c.set(Counter::Cycles, cycles);
-    if (accumulator)
-        result.output = accumulator->output();
-    return result;
-}
-
-PeResult
-AntPe::runConvStackKernelStationary(
-    const ProblemSpec &spec, const std::vector<const CsrMatrix *> &kernels,
-    const CsrMatrix &image, bool collect_output)
-{
-    // Sec. 4.6: swap the Image and Kernel buffers and replace the s/r
-    // range computations with x/y range computations. n kernel
-    // non-zeros are held stationary; the image plane's rows inside the
-    // y window stream through the FNIR, which screens x indices.
-    PeResult result;
-    CounterSet &c = result.counters;
-
-    SramConfig index_cfg = config_.buffer;
-    index_cfg.elementBits = 8; // 8-bit indices (Table 4)
-    SramBuffer kernel_values("kernel values", config_.buffer,
-                             Counter::SramValueReads);
-    SramBuffer kernel_indices("kernel indices", index_cfg,
-                              Counter::SramIndexReads);
-    SramBuffer image_values("image values", config_.buffer,
-                            Counter::SramValueReads);
-    SramBuffer image_indices("image indices", index_cfg,
-                             Counter::SramIndexReads);
-    image_values.fill(image.nnz());
-    image_indices.fill(image.nnz());
-
-    std::unique_ptr<Accumulator> accumulator;
-    if (collect_output)
-        accumulator = std::make_unique<Accumulator>(spec,
-                                                    config_.accumulatorBank);
-    CountingScan counting(fnir_, index_cfg, config_.buffer);
-    ScanTotals functional;
-
-    const std::uint32_t n = config_.n;
-    const std::uint32_t k = config_.k;
-
-    // The merged stationary stream: kernel entries of the whole stack.
-    std::vector<Candidate> kernel_stream;
-    kernel_stream.reserve(stackNnz(kernels));
-    for (const CsrMatrix *kernel : kernels) {
-        for (const SparseEntry &e : kernel->entries())
-            kernel_stream.push_back({e.value, e.x, e.y});
-    }
-    const std::uint64_t all_products =
-        static_cast<std::uint64_t>(kernel_stream.size()) * image.nnz();
-    const auto image_row_ptr = image.rowPtr();
-
-    obs::UnitRecorder *rec = obs::recorder();
-
-    std::uint64_t cycles = config_.startupCycles;
-    c.add(Counter::StartupCycles, config_.startupCycles);
-    if (rec)
-        rec->advance(obs::SpanKind::Startup, config_.startupCycles);
-
-    std::uint64_t groups = 0;
-    std::vector<Candidate> candidates;
-    // Consecutive kernel groups often share one y window: memoize the
-    // windowed image stream (counter-neutral, as in runConvStack).
-    std::int64_t cached_lo = 0;
-    std::int64_t cached_hi = 0;
-    bool cache_filled = false;
-    std::vector<std::int64_t> window;
-    window.reserve(k);
-
-    for (std::size_t kb = 0; kb < kernel_stream.size(); kb += n) {
-        const std::size_t ke = std::min(kb + n, kernel_stream.size());
-        const auto kgroup = static_cast<std::uint32_t>(ke - kb);
-        ++groups;
-
-        kernel_values.read(kgroup, c);
-        kernel_indices.read(kgroup, c);
-
-        // x/y range computation from the stationary kernel group. The
-        // merged stream's r is not monotonic across kernel-plane
-        // boundaries, so both axes need min/max trees.
-        std::uint32_t s_min = kernel_stream[kb].s;
-        std::uint32_t s_max = s_min;
-        std::uint32_t r_min = kernel_stream[kb].r;
-        std::uint32_t r_max = r_min;
-        for (std::size_t i = kb + 1; i < ke; ++i) {
-            s_min = std::min(s_min, kernel_stream[i].s);
-            s_max = std::max(s_max, kernel_stream[i].s);
-            r_min = std::min(r_min, kernel_stream[i].r);
-            r_max = std::max(r_max, kernel_stream[i].r);
-        }
-        c.add(Counter::IndexCompares, 4ull * (kgroup - 1) + 4);
-
-        const IndexRange x_range = config_.useSCondition
-            ? spec.xRange(s_min, s_max)
-            : IndexRange{std::numeric_limits<std::int64_t>::min(),
-                         std::numeric_limits<std::int64_t>::max()};
-        const IndexRange y_window = config_.useRCondition
-            ? spec.yRange(r_min, r_max)
-            : IndexRange{0, static_cast<std::int64_t>(spec.imageH()) - 1};
-
-        if (x_range.empty() || y_window.empty()) {
-            ++cycles;
-            c.add(Counter::IdleScanCycles);
-            if (rec)
-                rec->advance(obs::SpanKind::IdleScan, 1);
-            continue;
-        }
-
-        // The controller walks the image's row pointers over the y
-        // window (one matrix, so the walk is short). The windowed rows
-        // are one contiguous CSR segment.
-        const std::uint32_t first = image_row_ptr[y_window.lo];
-        const std::uint32_t last = image_row_ptr[y_window.hi + 1];
-        const bool proper_window =
-            y_window.count() < static_cast<std::int64_t>(spec.imageH());
-        const std::uint64_t controller_cycles = proper_window
-            ? rowPtrAccesses(1, static_cast<std::uint64_t>(
-                                    y_window.hi - y_window.lo + 1))
-            : 0;
-        c.add(Counter::SramRowPtrReads, controller_cycles);
-
-        if (first == last) {
-            cycles += std::max<std::uint64_t>(controller_cycles, 1);
-            c.add(Counter::IdleScanCycles,
-                  std::max<std::uint64_t>(controller_cycles, 1));
-            if (rec) {
-                rec->advance(obs::SpanKind::IdleScan,
-                             std::max<std::uint64_t>(controller_cycles, 1));
-            }
-            continue;
-        }
-
-        std::uint64_t scan_cycles = 0;
-        if (!accumulator) {
-            // Counting runs scan the segment's x indices in place.
-            scan_cycles = counting.scan(
-                image.columns().subspan(first, last - first), x_range,
-                kgroup);
-        } else {
-            if (!cache_filled || cached_lo != y_window.lo ||
-                cached_hi != y_window.hi) {
-                candidates.clear();
-                appendWindowedCandidates(image, y_window.lo, y_window.hi,
-                                         candidates);
-                cached_lo = y_window.lo;
-                cached_hi = y_window.hi;
-                cache_filled = true;
-            }
-            std::size_t pos = 0;
-            while (pos < candidates.size()) {
-                const std::size_t wend =
-                    std::min(pos + k, candidates.size());
-                window.clear();
-                for (std::size_t i = pos; i < wend; ++i)
-                    window.push_back(candidates[i].s); // image x index
-
-                image_indices.read(
-                    static_cast<std::uint32_t>(window.size()), c);
-                const FnirResult fnir =
-                    fnir_.evaluate(window, x_range.lo, x_range.hi, c);
-
-                ++scan_cycles;
-                const std::uint32_t selected = fnir.selectedCount();
-                if (rec) {
-                    rec->hist(obs::HistId::FnirValidPartners, selected);
-                    rec->advance(selected == 0 ? obs::SpanKind::IdleScan
-                                               : obs::SpanKind::Active,
-                                 1);
-                }
-                if (selected == 0) {
-                    c.add(Counter::IdleScanCycles);
-                } else {
-                    c.add(Counter::ActiveCycles);
-                    image_values.read(selected, c);
-                    functional.fetched += selected;
-                    functional.executed +=
-                        static_cast<std::uint64_t>(selected) * kgroup;
-
-                    accumulator->newIssueGroup();
-                    for (std::uint32_t port = 0; port < selected;
-                         ++port) {
-                        // Candidate coordinates: s holds the image x, r
-                        // the image y (appendWindowedCandidates reads a
-                        // generic CSR, here the image plane).
-                        const auto &img =
-                            candidates[pos + fnir.ports[port].position];
-                        for (std::size_t i = kb; i < ke; ++i) {
-                            const auto &ker = kernel_stream[i];
-                            accumulator->offer(img.value, img.s, img.r,
-                                               ker.value, ker.s, ker.r,
-                                               c);
-                        }
-                    }
-                }
-
-                if (fnir.feedback().valid)
-                    pos += fnir.feedback().position;
-                else
-                    pos = wend;
-            }
-        }
-
-        const std::uint64_t group_cycles =
-            std::max(scan_cycles, controller_cycles);
-        cycles += group_cycles;
-        if (group_cycles > scan_cycles) {
-            c.add(Counter::IdleScanCycles, group_cycles - scan_cycles);
-            if (rec) {
-                rec->advance(obs::SpanKind::IdleScan,
-                             group_cycles - scan_cycles);
-            }
-        }
-    }
-
-    const ScanTotals &totals = accumulator ? functional : counting.totals();
-    if (accumulator) {
-        c.add(Counter::MultsExecuted, totals.executed);
-    } else {
-        counting.charge(c);
-        chargeProducts(c, totals.executed,
-                       censusValidProducts(spec, kernels, image));
-    }
-
-    const std::uint64_t scnn_elements = 2ull * image.nnz() * groups;
-    c.set(Counter::SramReadsAvoided,
-          scnn_elements > totals.fetched ? scnn_elements - totals.fetched
-                                         : 0);
     c.set(Counter::RcpsAvoided, all_products - totals.executed);
     c.set(Counter::Cycles, cycles);
     if (accumulator)
@@ -846,7 +637,7 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     std::uint64_t active_cycles = 0;
     std::uint64_t index_accesses = 0;
     std::uint64_t value_accesses = 0;
-    std::vector<Candidate> candidates;
+    CandidateStream candidates;
     // The CSC x sequence is monotonic, so consecutive groups mostly
     // share one row window: memoize the windowed kernel stream.
     std::int64_t cached_lo = 0;
@@ -902,8 +693,8 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
         if (!cache_filled || cached_lo != row_window.lo ||
             cached_hi != row_window.hi) {
             candidates.clear();
-            appendWindowedCandidates(kernel, row_window.lo, row_window.hi,
-                                     candidates);
+            appendWindowedCandidatesSoA(kernel, row_window.lo,
+                                        row_window.hi, true, candidates);
             cached_lo = row_window.lo;
             cached_hi = row_window.hi;
             cache_filled = true;
@@ -925,11 +716,12 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
 
             accumulator->newIssueGroup();
             for (std::size_t kk = kb; kk < ke; ++kk) {
-                const auto &cand = candidates[kk];
                 for (std::size_t i = ib; i < ie; ++i) {
                     const auto &img = image_entries[i];
-                    accumulator->offer(img.value, img.x, img.y, cand.value,
-                                       cand.s, cand.r, c);
+                    accumulator->offer(img.value, img.x, img.y,
+                                       candidates.value[kk],
+                                       candidates.column[kk],
+                                       candidates.row[kk], c);
                 }
             }
         }

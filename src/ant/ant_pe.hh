@@ -23,20 +23,26 @@
  *      min/max screen but fail the exact per-element test are residual
  *      RCPs -- executed and counted, exactly as in the paper.
  *
- * Dataflow: image stationary. Like the SCNN baseline, the PE streams a
- * *kernel stack* (the kernel planes of all output channels) against
- * one resident image plane with a single pipeline start-up; for each
- * image group, the windowed candidate streams of the stacked kernels
- * are scanned back to back, and FNIR windows may span kernel-plane
- * boundaries.
+ * Dataflows (Sec. 4.6): the steps above describe image stationary.
+ * Like the SCNN baseline, the PE streams a *kernel stack* (the kernel
+ * planes of all output channels) against one resident image plane
+ * with a single pipeline start-up; for each image group, the windowed
+ * candidate streams of the stacked kernels are scanned back to back,
+ * and FNIR windows may span kernel-plane boundaries. Kernel stationary
+ * is the same loop with the operand roles swapped: n kernel non-zeros
+ * of the stack are held, the image's rows inside the y window stream
+ * through the FNIR, and the x/y range blocks replace s/r. The swap is
+ * resolved once per call (docs/MODEL.md Sec. 4).
  *
- * Matmul mode (Sec. 5): the image is traversed in CSC order so a group
+ * Matmul mode (Sec. 5) keeps its own loop: the image is traversed in
+ * CSC order so a group
  * shares (mostly) one column x; kernel rows r in [x_0, x_{n-1}] are
  * streamed directly n per cycle with the FNIR block bypassed, and
  * validity is r == x per element.
  *
  * The Fig. 14 ablations (r-condition only / s-condition only) are
- * supported: disabling the r condition streams all kernel rows,
+ * supported: disabling the r condition streams all rows of the
+ * streamed planes,
  * disabling the s condition makes the FNIR accept everything.
  *
  * Functional runs (collect_output) take every product through the
@@ -120,16 +126,16 @@ class AntPe : public PeModel
                       const CsrMatrix &image, bool collect_output) override;
 
   private:
-    /** Convolution-mode execution (FNIR active, image stationary). */
+    /**
+     * Convolution-mode execution (FNIR active) for both dataflows: the
+     * Sec. 4.6 role swap picks the stationary entries, the streamed
+     * planes and the range blocks before the group loop, which is
+     * shared, as are the window memo, the controller walk, the FNIR
+     * scan and the end-of-run charges.
+     */
     PeResult runConvStack(const ProblemSpec &spec,
                           const std::vector<const CsrMatrix *> &kernels,
                           const CsrMatrix &image, bool collect_output);
-
-    /** Kernel-stationary convolution execution (Sec. 4.6). */
-    PeResult runConvStackKernelStationary(
-        const ProblemSpec &spec,
-        const std::vector<const CsrMatrix *> &kernels,
-        const CsrMatrix &image, bool collect_output);
 
     /** Matmul-mode execution (CSC image traversal, FNIR bypassed). */
     PeResult runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,

@@ -78,7 +78,7 @@ class Scanner : public Module
 
         const std::size_t wend =
             std::min(pos_ + fnir_.k(), plan.candidates.size());
-        std::vector<std::int64_t> window;
+        std::vector<std::uint32_t> window;
         window.reserve(wend - pos_);
         for (std::size_t i = pos_; i < wend; ++i)
             window.push_back(plan.candidates[i].s);

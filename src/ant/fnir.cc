@@ -146,7 +146,7 @@ Fnir::selectFromMask(std::uint64_t mask) const
 }
 
 FnirResult
-Fnir::evaluate(const std::vector<std::int64_t> &s_indices, std::int64_t min,
+Fnir::evaluate(std::span<const std::uint32_t> s_indices, std::int64_t min,
                std::int64_t max, CounterSet &counters) const
 {
     ANT_ASSERT(s_indices.size() <= k_, "window of ", s_indices.size(),
@@ -154,25 +154,6 @@ Fnir::evaluate(const std::vector<std::int64_t> &s_indices, std::int64_t min,
 
     // Comparator bank: 2 integer comparisons per lane per evaluation
     // (>= min and <= max); all k lanes switch every cycle.
-    counters.add(Counter::IndexCompares, 2ull * k_);
-
-    std::uint64_t mask = 0;
-    for (std::size_t lane = 0; lane < s_indices.size(); ++lane) {
-        if (s_indices[lane] >= min && s_indices[lane] <= max)
-            mask |= 1ull << lane;
-    }
-    return selectFromMask(mask);
-}
-
-FnirResult
-Fnir::evaluate(std::span<const std::uint32_t> s_indices, std::int64_t min,
-               std::int64_t max, CounterSet &counters) const
-{
-    ANT_ASSERT(s_indices.size() <= k_, "window of ", s_indices.size(),
-               " exceeds FNIR width ", k_);
-
-    // Identical comparator charge to the int64 overload: the hardware
-    // bank does not care how the model stores its indices.
     counters.add(Counter::IndexCompares, 2ull * k_);
 
     std::uint64_t mask = 0;

@@ -108,27 +108,16 @@ class Fnir
     std::uint32_t k() const { return k_; }
 
     /**
-     * Evaluate one window.
+     * Evaluate one window of uint32 candidate indices straight from a
+     * CSR columns array (the ANT PE's SoA candidate stream).
      *
-     * @param s_indices Up to k candidate s indices; a short vector
+     * @param s_indices Up to k candidate s indices; a short span
      *        models a window clamped at the end of the buffer (the
      *        missing comparator lanes are treated as out of range).
      * @param min Inclusive lower bound (s_min).
      * @param max Inclusive upper bound (s_max).
      * @param counters Charged k comparator operations (2 integer
      *        compares per lane) per evaluation.
-     */
-    FnirResult evaluate(const std::vector<std::int64_t> &s_indices,
-                        std::int64_t min, std::int64_t max,
-                        CounterSet &counters) const;
-
-    /**
-     * Evaluate one window of uint32 candidate indices straight from a
-     * CSR columns array (the ANT PE's SoA candidate stream). Identical
-     * verdicts and counter charges to the int64 overload with each
-     * index zero-extended; the partner-matching comparator bank is
-     * where the AVX2 dispatch lives (8 lanes per vector vs 4 for the
-     * int64 form).
      */
     FnirResult evaluate(std::span<const std::uint32_t> s_indices,
                         std::int64_t min, std::int64_t max,

@@ -379,6 +379,76 @@ groupExtent(const Ensemble &ens, double e0, double count, double tau)
     return ext;
 }
 
+/** Expected element flows of an ANT conv task's FNIR scans. */
+struct ScanFlows
+{
+    /** Products issued to the multiplier array. */
+    double executed = 0.0;
+    /** Candidate indices read from the streaming index buffer. */
+    double indexElements = 0.0;
+    /** Selected values read from the streaming value buffer. */
+    double valueElements = 0.0;
+};
+
+/** One sampled group of an ANT conv task, as its FNIR scan sees it. */
+struct ScannedGroup
+{
+    /** Groups the sample stands for. */
+    double weight;
+    /** Stationary entries in the group. */
+    double size;
+    /** Candidates in the group's row window. */
+    double cand;
+    /** Probability that a candidate passes the screen. */
+    double p;
+    /** Candidates selected, p x cand. */
+    double selected;
+    /** Scan cycles, as the caller models them. */
+    double scan;
+    /** Cycles of the controller's row-pointer walk. */
+    double controller;
+};
+
+/**
+ * FNIR rate model of one sampled group, shared by both ANT conv
+ * dataflows (ant_pe.cc runConvStack): the active/idle split of the
+ * scan cycles, the controller-bound idle tail, 2k compares per scan
+ * cycle, the index and value traffic and the executed products.
+ */
+void
+chargeFnirScan(const AntPeConfig &cfg, const ScannedGroup &g, TaskCost &t,
+               ScanFlows &flows)
+{
+    const std::uint32_t n = cfg.n;
+    const std::uint32_t k = cfg.k;
+    const std::uint32_t value_per = cfg.buffer.elementsPerAccess();
+    const std::uint32_t index_per = 2 * value_per;
+
+    double active = g.p * k >= n
+        ? g.scan
+        : g.scan * (1.0 - std::pow(1.0 - g.p, static_cast<int>(k)));
+    active = clampD(active, g.selected > 0.0 ? g.selected / n : 0.0,
+                    g.scan);
+
+    t.active += g.weight * active;
+    t.idleScan += g.weight * (g.scan - active);
+    if (g.controller > g.scan)
+        t.idleScan += g.weight * (g.controller - g.scan);
+    t.compares += g.weight * g.scan * 2.0 * k;
+
+    // Buffer traffic tracks the candidates actually streamed, not the
+    // rounded-up scan slots.
+    const double wlen = std::min<double>(k, g.cand);
+    const double scan_flow = std::max({g.cand / k, g.selected / n, 1.0});
+    t.sramIndex += g.weight * scan_flow * rceil(wlen / index_per);
+    flows.indexElements += g.weight * scan_flow * wlen;
+    flows.valueElements += g.weight * g.selected;
+    const double sel_per_active =
+        active > 1e-12 ? g.selected / active : 0.0;
+    t.sramValue += g.weight * active * rceil(sel_per_active / value_per);
+    flows.executed += g.weight * g.selected * g.size;
+}
+
 /**
  * ANT image-stationary stacked conv task (ant_pe.cc runConvStack).
  * Image groups are modeled at deterministic quantile positions over
@@ -404,9 +474,7 @@ antConvImageStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
     const double rho =
         img.innerH > 0 ? img.nnz / img.innerH : 0.0;
 
-    double executed = 0.0;
-    double index_elements = 0.0;
-    double value_elements = 0.0;
+    ScanFlows flows;
     double groups_total = 0.0;
 
     for (const Chunk &chunk : chunkSplit(img.nnz, chunk_cap)) {
@@ -479,49 +547,34 @@ antConvImageStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
             // up before they compete.
             const double scan = std::max(
                 {rceil(cand / k), rceil(selected / n), 1.0});
-            double active = p * k >= n
-                ? scan
-                : scan * (1.0 - std::pow(1.0 - p, static_cast<int>(k)));
-            active = clampD(active, selected > 0.0 ? selected / n : 0.0,
-                            scan);
-
-            t.active += weight * active;
-            t.idleScan += weight * (scan - active);
-            if (controller > scan)
-                t.idleScan += weight * (controller - scan);
-            t.compares += weight * scan * 2.0 * k;
-
-            // Buffer traffic tracks the candidates actually streamed,
-            // not the rounded-up scan slots.
-            const double wlen = std::min<double>(k, cand);
-            const double scan_flow =
-                std::max({cand / k, selected / n, 1.0});
-            t.sramIndex += weight * scan_flow * rceil(wlen / index_per);
-            index_elements += weight * scan_flow * wlen;
-            value_elements += weight * selected;
-            const double sel_per_active =
-                active > 1e-12 ? selected / active : 0.0;
-            t.sramValue +=
-                weight * active * rceil(sel_per_active / value_per);
-            executed += weight * selected * igroup;
+            chargeFnirScan(cfg,
+                           {.weight = weight,
+                            .size = igroup,
+                            .cand = cand,
+                            .p = p,
+                            .selected = selected,
+                            .scan = scan,
+                            .controller = controller},
+                           t, flows);
         }
     }
 
     const double all_products = img.nnz * stack_nnz;
     t.valid = std::min(stack_size * expectedValidPairs(spec, img, ker),
                        all_products);
-    t.executed = clampD(executed, t.valid, all_products);
+    t.executed = clampD(flows.executed, t.valid, all_products);
     t.rcpsAvoided = all_products - t.executed;
     t.sramReadsAvoided = std::max(
         0.0,
-        2.0 * stack_nnz * groups_total - (index_elements + value_elements));
+        2.0 * stack_nnz * groups_total -
+            (flows.indexElements + flows.valueElements));
     t.outputIndexPerExecuted = true;
     t.writesPerValid = true;
 }
 
 /**
- * ANT kernel-stationary conv task (runConvStackKernelStationary):
- * the mirrored dataflow -- kernel groups stationary, the image chunk's
+ * ANT kernel-stationary conv task (ant_pe.cc runConvStack with the
+ * Sec. 4.6 role swap): kernel groups stationary, the image chunk's
  * y-window rows stream through the FNIR screening x indices.
  */
 void
@@ -540,8 +593,7 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
     const double rho = img.innerH > 0 ? img.nnz / img.innerH : 0.0;
     const double rho_k = ker.innerH > 0 ? ker.nnz / ker.innerH : 0.0;
 
-    double executed = 0.0;
-    double value_elements = 0.0;
+    ScanFlows flows;
     double image_elements_streamed = 0.0;
 
     for (const Chunk &chunk : chunkSplit(img.nnz, chunk_cap)) {
@@ -689,30 +741,16 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
             // the per-group candidate count here swings between the
             // plane-crossing and interior cases (both modeled above),
             // so the integer rounding averages out across the mixture.
-            const double scan = std::max(
-                {cand / k, selected / n, 1.0});
-            double active = p * k >= n
-                ? scan
-                : scan * (1.0 - std::pow(1.0 - p, static_cast<int>(k)));
-            active = clampD(active, selected > 0.0 ? selected / n : 0.0,
-                            scan);
-
-            t.active += weight * active;
-            t.idleScan += weight * (scan - active);
-            if (controller > scan)
-                t.idleScan += weight * (controller - scan);
-            t.compares += weight * scan * 2.0 * k;
-
-            const double wlen = std::min<double>(k, cand);
-            const double scan_flow =
-                std::max({cand / k, selected / n, 1.0});
-            t.sramIndex += weight * scan_flow * rceil(wlen / index_per);
-            value_elements += weight * selected;
-            const double sel_per_active =
-                active > 1e-12 ? selected / active : 0.0;
-            t.sramValue +=
-                weight * active * rceil(sel_per_active / value_per);
-            executed += weight * selected * kgroup;
+            const double scan = std::max({cand / k, selected / n, 1.0});
+            chargeFnirScan(cfg,
+                           {.weight = weight,
+                            .size = kgroup,
+                            .cand = cand,
+                            .p = p,
+                            .selected = selected,
+                            .scan = scan,
+                            .controller = controller},
+                           t, flows);
             image_elements_streamed += weight * 2.0 * chunk.entries;
         }
     }
@@ -720,10 +758,12 @@ antConvKernelStationaryTask(const AntPeConfig &cfg, const ProblemSpec &spec,
     const double all_products = img.nnz * stack_nnz;
     t.valid = std::min(stack_size * expectedValidPairs(spec, img, ker),
                        all_products);
-    t.executed = clampD(executed, t.valid, all_products);
+    t.executed = clampD(flows.executed, t.valid, all_products);
     t.rcpsAvoided = all_products - t.executed;
-    t.sramReadsAvoided =
-        std::max(0.0, image_elements_streamed - value_elements);
+    t.sramReadsAvoided = std::max(
+        0.0,
+        image_elements_streamed -
+            (flows.indexElements + flows.valueElements));
     t.outputIndexPerExecuted = true;
     t.writesPerValid = true;
 }

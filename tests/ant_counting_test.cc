@@ -16,14 +16,19 @@
  *    slices;
  *  - a counting run with a recorder attached traces what the per-window
  *    loop traced: equal spans and FnirValidPartners histogram to the
- *    functional run, and pinned trace digests for one conv unit and
- *    one matmul unit.
+ *    functional run, and pinned trace digests for one conv unit in
+ *    both dataflows and one matmul unit;
+ *  - all 17 counters of that conv unit are pinned in both dataflows,
+ *    for counting and functional runs, so a change made to both paths
+ *    at once shows too.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ant/ant_pe.hh"
@@ -337,12 +342,65 @@ TEST(AntCounting, TracedCountingRunsKeepTheirTraceBytes)
               (std::vector<std::uint64_t>{42, 134, 379, 0, 0, 0, 0, 0, 0, 0,
                                           0, 0, 0, 0, 0, 0, 0}));
 
+    AntPeConfig kernel_stationary = tracedConfig();
+    kernel_stationary.dataflow = AntDataflow::KernelStationary;
+    AntPe ks_pe(kernel_stationary);
+    const TracedUnit ks_trace = traceUnit([&] {
+        ks_pe.runStack(conv.spec, conv.kernelPtrs(), *conv.image, false);
+    });
+    const auto &ks_hist =
+        ks_trace.histograms.get(obs::HistId::FnirValidPartners);
+    EXPECT_EQ(ks_trace.chromeJson.size(), 3857u);
+    EXPECT_EQ(fnv1a(ks_trace.chromeJson), 0x85cb5160f5027f67ull);
+    EXPECT_EQ(ks_hist.bins(),
+              (std::vector<std::uint64_t>{25, 134, 1247, 0, 0, 0, 0, 0, 0,
+                                          0, 0, 0, 0, 0, 0, 0, 0}));
+
     const PlanePair matmul = matmulUnit();
     const TracedUnit matmul_trace = traceUnit([&] {
         pe.runPair(matmul.spec, matmul.kernel, matmul.image, false);
     });
     EXPECT_EQ(matmul_trace.chromeJson.size(), 11373u);
     EXPECT_EQ(fnv1a(matmul_trace.chromeJson), 0xe6ab0304027d5142ull);
+}
+
+/** Every counter of one PE run, in Counter order. */
+using CounterValues = std::array<std::uint64_t, kNumCounters>;
+
+TEST(AntCounting, ConvUnitKeepsItsCounters)
+{
+    // All 17 counters of the traced conv unit in both dataflows, pinned
+    // for counting and functional runs alike: the counting-vs-
+    // functional tests cannot see a change made to both paths at once.
+    // SramReadsAvoided follows one rule in both dataflows:
+    // 2 x streamed nnz x groups - (streamed indices + fetched values).
+    const StackTask conv = convUnit();
+    const std::pair<AntDataflow, CounterValues> pinned[] = {
+        {AntDataflow::ImageStationary,
+         {1784, 1380, 404, 31732, 1380, 1784, 9468, 611, 653, 756, 1380,
+          28551, 5, 513, 244, 762, 0}},
+        {AntDataflow::KernelStationary,
+         {5250, 1380, 3870, 28266, 1380, 5250, 23180, 1467, 1492, 127,
+          1380, 20382, 5, 1381, 25, 1411, 0}},
+    };
+    for (const auto &[dataflow, want] : pinned) {
+        AntPeConfig config = tracedConfig();
+        config.dataflow = dataflow;
+        AntPe pe(config);
+        for (const bool collect_output : {false, true}) {
+            const PeResult got = pe.runStack(conv.spec, conv.kernelPtrs(),
+                                             *conv.image, collect_output);
+            for (std::size_t i = 0; i < kNumCounters; ++i) {
+                const auto counter = static_cast<Counter>(i);
+                EXPECT_EQ(got.counters.get(counter), want[i])
+                    << counterName(counter) << ", "
+                    << (dataflow == AntDataflow::KernelStationary
+                            ? "kernel"
+                            : "image")
+                    << "-stationary, collect_output " << collect_output;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -133,6 +133,30 @@ TEST(KernelStationary, CountingMatchesFunctional)
     }
 }
 
+TEST(KernelStationary, SramReadsAvoidedTakesTheImageStationaryRule)
+{
+    // One kernel entry against a dense 1x4 image row: every product is
+    // valid, so there is nothing to skip. Either dataflow reads the
+    // streamed operand's windowed indices plus the values the FNIR
+    // selects, which is all of it, once per stationary group (Sec. 4.3).
+    const auto spec = ProblemSpec::conv(1, 1, 1, 4);
+    const CsrMatrix kernel =
+        CsrMatrix::fromDense(Dense2d<float>(1, 1, 1.0f));
+    const CsrMatrix image = CsrMatrix::fromDense(Dense2d<float>(1, 4, 1.0f));
+    AntPe image_stationary;
+    AntPe kernel_stationary = kernelStationaryPe();
+    for (AntPe *pe : {&image_stationary, &kernel_stationary}) {
+        for (const bool collect_output : {false, true}) {
+            const PeResult r =
+                pe->runStack(spec, {&kernel}, image, collect_output);
+            EXPECT_EQ(r.counters.get(Counter::MultsRcp), 0u);
+            EXPECT_EQ(r.counters.get(Counter::SramReadsAvoided), 0u)
+                << (pe == &kernel_stationary ? "kernel" : "image")
+                << "-stationary, collect_output " << collect_output;
+        }
+    }
+}
+
 TEST(KernelStationary, StackOutputIsSummedReference)
 {
     Rng rng(4);

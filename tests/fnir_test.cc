@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <tuple>
+#include <vector>
 
 #include "ant/fnir.hh"
 #include "util/rng.hh"
@@ -19,6 +21,13 @@
 
 namespace antsim {
 namespace {
+
+/** One window's candidate indices, as the CSR columns array holds them. */
+std::vector<std::uint32_t>
+lanes(std::initializer_list<std::uint32_t> indices)
+{
+    return indices;
+}
 
 TEST(ArbiterSelect, GrantsLowestSetBit)
 {
@@ -57,7 +66,7 @@ TEST(Fnir, SelectsFirstNInRange)
 {
     const Fnir fnir(2, 8);
     CounterSet c;
-    const std::vector<std::int64_t> s = {9, 3, 5, 1, 4, 8, 2, 6};
+    const std::vector<std::uint32_t> s = {9, 3, 5, 1, 4, 8, 2, 6};
     const FnirResult r = fnir.evaluate(s, 2, 5, c);
     // In range: positions 1(3), 2(5), 4(4), 6(2). First 2 go to the
     // multiplier, the 3rd is the feedback.
@@ -75,7 +84,7 @@ TEST(Fnir, FeedbackInvalidWhenAtMostNValid)
 {
     const Fnir fnir(4, 8);
     CounterSet c;
-    const std::vector<std::int64_t> s = {9, 3, 5, 1, 9, 8, 9, 6};
+    const std::vector<std::uint32_t> s = {9, 3, 5, 1, 9, 8, 9, 6};
     const FnirResult r = fnir.evaluate(s, 3, 6, c); // valid: 3,5,6
     EXPECT_EQ(r.selectedCount(), 3u);
     EXPECT_FALSE(r.feedback().valid);
@@ -85,7 +94,7 @@ TEST(Fnir, NothingInRange)
 {
     const Fnir fnir(4, 8);
     CounterSet c;
-    const std::vector<std::int64_t> s = {9, 9, 9, 9};
+    const std::vector<std::uint32_t> s = {9, 9, 9, 9};
     const FnirResult r = fnir.evaluate(s, 0, 5, c);
     EXPECT_EQ(r.selectedCount(), 0u);
     EXPECT_FALSE(r.feedback().valid);
@@ -95,7 +104,7 @@ TEST(Fnir, InclusiveBounds)
 {
     const Fnir fnir(2, 4);
     CounterSet c;
-    const FnirResult r = fnir.evaluate({2, 5, 1, 6}, 2, 5, c);
+    const FnirResult r = fnir.evaluate(lanes({2, 5, 1, 6}), 2, 5, c);
     EXPECT_EQ(r.selectedCount(), 2u);
     EXPECT_EQ(r.ports[0].position, 0u); // s=2 == min
     EXPECT_EQ(r.ports[1].position, 1u); // s=5 == max
@@ -105,7 +114,7 @@ TEST(Fnir, ShortWindowModelsBufferEnd)
 {
     const Fnir fnir(4, 16);
     CounterSet c;
-    const FnirResult r = fnir.evaluate({3, 4}, 0, 10, c);
+    const FnirResult r = fnir.evaluate(lanes({3, 4}), 0, 10, c);
     EXPECT_EQ(r.selectedCount(), 2u);
 }
 
@@ -113,7 +122,7 @@ TEST(Fnir, ComparatorEnergyChargedPerLane)
 {
     const Fnir fnir(4, 16);
     CounterSet c;
-    fnir.evaluate({1, 2, 3}, 0, 10, c);
+    fnir.evaluate(lanes({1, 2, 3}), 0, 10, c);
     // All k comparator lanes switch regardless of occupancy.
     EXPECT_EQ(c.get(Counter::IndexCompares), 32u);
 }
@@ -122,7 +131,7 @@ TEST(FnirDeathTest, WindowWiderThanKPanics)
 {
     const Fnir fnir(2, 2);
     CounterSet c;
-    EXPECT_DEATH(fnir.evaluate({1, 2, 3}, 0, 10, c), "exceeds");
+    EXPECT_DEATH(fnir.evaluate(lanes({1, 2, 3}), 0, 10, c), "exceeds");
 }
 
 TEST(FnirDeathTest, BadParams)
@@ -133,7 +142,7 @@ TEST(FnirDeathTest, BadParams)
 
 /** Naive reference: first n+1 indices within [min, max]. */
 std::vector<std::uint32_t>
-naiveFirstWithin(const std::vector<std::int64_t> &s, std::int64_t min,
+naiveFirstWithin(const std::vector<std::uint32_t> &s, std::int64_t min,
                  std::int64_t max, std::uint32_t count)
 {
     std::vector<std::uint32_t> out;
@@ -154,9 +163,9 @@ TEST_P(FnirSweep, MatchesNaiveScan)
     const Fnir fnir(n, k);
     Rng rng(n * 100 + k);
     for (int trial = 0; trial < 200; ++trial) {
-        std::vector<std::int64_t> s(k);
+        std::vector<std::uint32_t> s(k);
         for (auto &v : s)
-            v = rng.range(0, 15);
+            v = static_cast<std::uint32_t>(rng.range(0, 15));
         const std::int64_t lo = rng.range(0, 10);
         const std::int64_t hi = lo + rng.range(0, 8);
 
