@@ -111,13 +111,17 @@ BM_LegacyPlanePipeline(benchmark::State &state)
 }
 BENCHMARK(BM_LegacyPlanePipeline)->Arg(32)->Arg(128);
 
-/** A padded height x width plane at 90% sparsity; items are its cells. */
+/**
+ * A padded height x width plane at the sparsity percentage of the third
+ * argument; items are its cells.
+ */
 void
 BM_FusedPlaneGenerator(benchmark::State &state, SparsifyMethod method)
 {
     const auto height = static_cast<std::uint32_t>(state.range(0));
     const auto width = static_cast<std::uint32_t>(state.range(1));
-    PlaneRecipe recipe = PlaneRecipe::plain(height, width, 0.9, method);
+    const double sparsity = static_cast<double>(state.range(2)) / 100.0;
+    PlaneRecipe recipe = PlaneRecipe::plain(height, width, sparsity, method);
     recipe.outHeight = height + 2;
     recipe.outWidth = width + 2;
     recipe.offset = 1;
@@ -129,13 +133,18 @@ BM_FusedPlaneGenerator(benchmark::State &state, SparsifyMethod method)
     state.SetItemsProcessed(state.iterations() * height * width);
 }
 BENCHMARK_CAPTURE(BM_FusedPlaneGenerator, topk, SparsifyMethod::TopK)
-    ->Args({32, 32})
-    ->Args({56, 56})
-    ->Args({128, 128})
-    ->Args({72, 512});
+    ->Args({32, 32, 90})
+    ->Args({56, 56, 90})
+    ->Args({128, 128, 90})
+    ->Args({72, 512, 90});
+// fig10's shapes: dense and 85%-sparse 3x3 kernels and 32x32 planes.
 BENCHMARK_CAPTURE(BM_FusedPlaneGenerator, bernoulli,
                   SparsifyMethod::Bernoulli)
-    ->Args({56, 56});
+    ->Args({56, 56, 90})
+    ->Args({3, 3, 0})
+    ->Args({3, 3, 85})
+    ->Args({32, 32, 0})
+    ->Args({32, 32, 85});
 
 } // namespace
 

@@ -40,6 +40,10 @@ summary), the same table is appended there as markdown.
 Stages whose baseline is below --min-seconds (default 0.05) are skipped:
 sub-50ms stages are timer noise, not signal.
 
+Every gate is evaluated and every verdict printed before the exit
+status is decided -- stages, then the micro-kernel pairs, then the
+estimator floor -- so one failing gate never hides another's verdict.
+
 --trend is informational, never a gate: it reads the BENCH_history.jsonl
 appended by scripts/bench_all.sh (one JSON object per suite run:
 timestamp, geomeans, stage seconds, each bench's wall seconds, planes
@@ -234,10 +238,13 @@ def check_estimate_speedup(baseline, report):
     bench/sweep_dse) a run must keep. The whole point of the --estimate
     fast path is seconds-scale design sweeps; a change that makes the
     estimator only, say, 10x faster than simulation has silently
-    re-introduced per-nonzero work and must fail loudly."""
+    re-introduced per-nonzero work and must fail loudly.
+
+    Returns the failure message, or None when the floor holds or the
+    baseline sets none."""
     minimum = baseline.get("estimate_speedup_min")
     if minimum is None:
-        return
+        return None
     speedup = report.get("summary", {}).get("estimate_speedup")
     if speedup is None:
         fatal("baseline sets estimate_speedup_min but the report's "
@@ -247,8 +254,9 @@ def check_estimate_speedup(baseline, report):
     print("check_perf: estimate_speedup {:8.0f}x  (min {:.0f}x)  {}".format(
         speedup, float(minimum), verdict))
     if verdict == "REGRESSED":
-        fatal("estimator wall-clock advantage {:.0f}x fell below the "
-              "{:.0f}x floor".format(speedup, float(minimum)))
+        return ("estimator wall-clock advantage {:.0f}x fell below the "
+                "{:.0f}x floor".format(speedup, float(minimum)))
+    return None
 
 
 def run_trend(args):
@@ -366,7 +374,8 @@ def main(argv):
         return 2
     baseline_path, report_path = args
 
-    baseline = load_json(baseline_path).get("stage_seconds")
+    baseline_doc = load_json(baseline_path)
+    baseline = baseline_doc.get("stage_seconds")
     if not isinstance(baseline, dict) or not baseline:
         fatal("{} has no stage_seconds object".format(baseline_path))
     report = load_json(report_path)
@@ -378,24 +387,31 @@ def main(argv):
     print_table(rows, factor)
     write_job_summary(rows, factor, report_path)
 
-    failures = [row[0] for row in rows if row[5] == "REGRESSED"]
-    if failures:
-        fatal("stage(s) regressed beyond {:.1f}x baseline: {}".format(
-            factor, ", ".join(failures)))
-
-    check_estimate_speedup(load_json(baseline_path), report)
+    failures = []
+    regressed = [row[0] for row in rows if row[5] == "REGRESSED"]
+    if regressed:
+        failures.append("stage(s) regressed beyond {:.1f}x baseline: "
+                        "{}".format(factor, ", ".join(regressed)))
 
     if micro_paths:
-        pairs = load_json(baseline_path).get("micro_speedups")
+        pairs = baseline_doc.get("micro_speedups")
         if not isinstance(pairs, dict) or not pairs:
             fatal("{} has no micro_speedups object but --micro was "
                   "given".format(baseline_path))
         micro_failures = check_micro_speedups(
             pairs, load_micro_times(micro_paths))
         if micro_failures:
-            fatal("micro-kernel pair(s) below minimum speedup: {}".format(
-                ", ".join(micro_failures)))
+            failures.append("micro-kernel pair(s) below minimum "
+                            "speedup: {}".format(", ".join(micro_failures)))
 
+    estimate_failure = check_estimate_speedup(baseline_doc, report)
+    if estimate_failure:
+        failures.append(estimate_failure)
+
+    for message in failures:
+        print("check_perf: error: " + message, file=sys.stderr)
+    if failures:
+        return 1
     print("check_perf: all stages within budget")
     return 0
 

@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -32,29 +26,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits give a uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
@@ -79,26 +50,10 @@ Rng::range(std::int64_t lo, std::int64_t hi)
     return lo + static_cast<std::int64_t>(below(span));
 }
 
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
-}
-
 double
 Rng::normal()
 {
     return boxMuller(drawNormal());
-}
-
-Rng::NormalDraw
-Rng::drawNormal()
-{
-    // Draw until the radius uniform is non-zero so log() is finite.
-    double u1 = uniform();
-    while (u1 <= 0.0)
-        u1 = uniform();
-    return {u1, uniform()};
 }
 
 double

@@ -21,7 +21,10 @@ namespace antsim {
  * xoshiro256** generator (public-domain algorithm by Blackman & Vigna).
  *
  * Seeded through SplitMix64 so that any 64-bit seed produces a
- * well-mixed state.
+ * well-mixed state. next, uniform, bernoulli and drawNormal are defined
+ * inline: the trace generator calls them once or more per plane cell,
+ * and on a local copy of the generator the state then stays in
+ * registers.
  */
 class Rng
 {
@@ -30,10 +33,29 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits give a uniform double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) using rejection sampling. */
     std::uint64_t below(std::uint64_t bound);
@@ -42,7 +64,11 @@ class Rng
     std::int64_t range(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli trial with probability p of returning true. */
-    bool bernoulli(double p);
+    bool
+    bernoulli(double p)
+    {
+        return uniform() < p;
+    }
 
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
     double normal();
@@ -60,7 +86,15 @@ class Rng
      * Draw the uniforms of one normal(), consuming exactly its stream:
      * u1 with its zero-rejection loop, then u2.
      */
-    NormalDraw drawNormal();
+    NormalDraw
+    drawNormal()
+    {
+        // Draw until the radius uniform is non-zero so log() is finite.
+        double u1 = uniform();
+        while (u1 <= 0.0)
+            u1 = uniform();
+        return {u1, uniform()};
+    }
 
     /**
      * The Box-Muller transform sqrt(-2 ln u1) * cos(2 pi u2), so
@@ -96,6 +130,12 @@ class Rng
     std::array<std::uint64_t, 4> state() const;
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

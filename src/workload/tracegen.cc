@@ -1,6 +1,7 @@
 #include "tracegen.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <optional>
@@ -99,12 +100,32 @@ countGreater(const float *data, std::size_t n, float threshold)
     return countGreaterScalar(data, n, threshold);
 }
 
+/** The entry count, row_ptr[row + 1], of the embedded row that inner
+ *  row @p y lands on. */
+inline std::uint32_t &
+rowCount(std::vector<std::uint32_t> &row_ptr, std::uint32_t y,
+         const PlaneRecipe &recipe)
+{
+    return row_ptr[recipe.offset + recipe.dilation * y + 1];
+}
+
+/** Append an entry of inner column @p x to the CSR arrays under
+ *  construction, counting it in its embedded row's @p row_count. */
+inline void
+appendEntry(float value, std::uint32_t x, std::uint32_t &row_count,
+            const PlaneRecipe &recipe, std::vector<float> &values,
+            std::vector<std::uint32_t> &columns)
+{
+    values.push_back(value);
+    columns.push_back(recipe.offset + recipe.dilation * x);
+    ++row_count;
+}
+
 /**
  * Emit one surviving inner-plane value into the CSR arrays under
- * construction, counting it at row_ptr[row + 1]. Quantizes to bf16
- * exactly where the legacy pipeline does (after sparsification, before
- * compression) and drops values the rounding flushed to zero, as
- * fromDense would.
+ * construction. Quantizes to bf16 exactly where the legacy pipeline
+ * does (after sparsification, before compression) and drops values the
+ * rounding flushed to zero, as fromDense would.
  */
 inline void
 emitValue(float value, std::uint32_t x, std::uint32_t y,
@@ -115,9 +136,24 @@ emitValue(float value, std::uint32_t x, std::uint32_t y,
     const float quantized = bf16Round(value);
     if (quantized == 0.0f)
         return;
-    values.push_back(quantized);
-    columns.push_back(recipe.offset + recipe.dilation * x);
-    ++row_ptr[recipe.offset + recipe.dilation * y + 1];
+    appendEntry(quantized, x, rowCount(row_ptr, y, recipe), recipe, values,
+                columns);
+}
+
+/**
+ * A kept Bernoulli cell's value, from the angle uniform @p u2 of the
+ * normal the stream draws for it: with m = floor(256 u2), it is
+ * (-1)^[m >= 128] (1 + (m mod 128) / 128). No counter reads a value,
+ * so the Box-Muller transform is skipped; the value is non-zero and
+ * bf16-exact (seven mantissa bits), built from its float bits without
+ * a branch.
+ */
+inline float
+bernoulliValue(double u2)
+{
+    const auto m = static_cast<std::uint32_t>(u2 * 256.0);
+    return std::bit_cast<float>((m & 0x80u) << 24 | 0x3f800000u |
+                                (m & 0x7fu) << 16);
 }
 
 /** Cells a top-K plane of @p cells cells keeps at @p sparsity. */
@@ -212,18 +248,23 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
     bool prefiltered = false;
     if (recipe.method == SparsifyMethod::Bernoulli) {
         // Same draw sequence as bernoulliPlane: one Bernoulli trial per
-        // cell in row-major order, one normal per surviving cell.
+        // cell in row-major order, one normal's uniforms per kept cell.
+        // The values skip the Box-Muller transform (bernoulliValue)
+        // and need neither bf16Round nor emitValue's zero drop, so they
+        // go straight to appendEntry. The loop runs on a local copy of
+        // the Rng, so its state can stay in registers across
+        // push_back's growth calls.
         const double keep_p = 1.0 - recipe.sparsity;
+        Rng local = rng;
         for (std::uint32_t y = 0; y < recipe.height; ++y) {
+            std::uint32_t &row_count = rowCount(row_ptr, y, recipe);
             for (std::uint32_t x = 0; x < recipe.width; ++x) {
-                if (!rng.bernoulli(keep_p))
-                    continue;
-                float f = static_cast<float>(rng.normal());
-                if (f == 0.0f)
-                    f = 1e-6f;
-                emitValue(f, x, y, recipe, values, columns, row_ptr);
+                if (local.bernoulli(keep_p))
+                    appendEntry(bernoulliValue(local.drawNormal().u2), x,
+                                row_count, recipe, values, columns);
             }
         }
+        rng = local;
     } else {
         // Same draw sequence as randomDensePlane: one normal per cell,
         // then the topKSparsify selection. The kept set is the first

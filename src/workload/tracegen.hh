@@ -16,17 +16,26 @@
  *  - update   G_A * A: kernel = sparsified G_A[k] (used with kernel
  *                      dilation = stride); image = padded A[c].
  *
- * Values are drawn i.i.d. standard normal; sparsity is imposed by
+ * Sparsity is imposed on a stream of i.i.d. standard normals by
  * Bernoulli masking (ReSprop/SWAT-style targets) or magnitude top-K
- * (the paper's synthetic ResNet50/transformer/RNN path). Everything is
- * keyed by a deterministic seed hierarchy so runs reproduce bit-for-bit.
+ * (the paper's synthetic ResNet50/transformer/RNN path). Top-K planes
+ * keep the normals as values, since they decide the kept set. The
+ * accelerators' counters read only positions, so a kept Bernoulli cell
+ * skips the Box-Muller transform: its value is (-1)^[m >= 128] (1 +
+ * (m mod 128) / 128) with m = floor(256 u2), from the angle uniform u2
+ * of the normal the stream draws for it, which is non-zero and
+ * bf16-exact. Only functional runs (collect_output) read values.
+ * Everything is keyed by a deterministic seed hierarchy so runs
+ * reproduce bit-for-bit.
  *
  * Every plane comes from one fused generator, generateCsrPlane, which
  * draws the identical random stream as the legacy generatePlane ->
  * bf16Round -> embedPlane -> fromDense -> rotated180 pipeline but
- * emits CSR directly, skipping the dense intermediates (bit-identical
- * output; proven by tests/census_property_test.cc). Its top-K path
- * anticipates which cells can never be kept: a radius pre-filter
+ * emits CSR directly, skipping the dense intermediates. Its columns,
+ * rowPtr and Rng post-state equal the legacy pipeline's for both
+ * methods, and so do its top-K values; its Bernoulli values follow the
+ * rule above (tests/census_property_test.cc proves both). Its top-K
+ * path anticipates which cells can never be kept: a radius pre-filter
  * (TopKCut) evaluates the Box-Muller transform only for cells whose
  * radius can reach the keep threshold, and falls back to the full path
  * whenever it cannot prove that threshold, so the output never changes.
@@ -94,10 +103,12 @@ struct PlaneRecipe
 /**
  * Generate the plane described by (@p recipe, @p rng) as CSR directly.
  * Consumes exactly the same random stream and produces bit-identical
- * values/columns/rowPtr arrays as the legacy dense pipeline. The
- * arrays are built in thread-local scratch (a rotation reverses them
- * in place), so the plane's arena slab is its one allocation. Top-K
- * recipes are pre-filtered with TopKCut::forPlane's cut.
+ * columns/rowPtr arrays as the legacy dense pipeline, and top-K values
+ * too; a kept Bernoulli cell's value follows the rule in the file
+ * comment. The arrays are built in thread-local scratch (a rotation
+ * reverses them in place), so the plane's arena slab is its one
+ * allocation. Top-K recipes are pre-filtered with TopKCut::forPlane's
+ * cut.
  */
 CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
 

@@ -7,21 +7,27 @@
  *    identical to the brute-force countProducts over randomized
  *    strides, dilations, paddings, cropped output dims, and matmul;
  *  - generateCsrPlane must consume the identical random stream and
- *    emit the bit-identical CsrMatrix as the legacy dense pipeline
- *    generatePlane -> embedPlane -> fromDense -> rotated180, also when
- *    differently shaped recipes share its thread-local scratch, and at
- *    the sizes the benches generate, where the top-K pre-filter runs;
+ *    emit the same positions (dims, columns, rowPtr) as the legacy
+ *    dense pipeline generatePlane -> embedPlane -> fromDense ->
+ *    rotated180, also when differently shaped recipes share its
+ *    thread-local scratch, and at the sizes the benches generate,
+ *    where the top-K pre-filter runs. Top-K planes equal the legacy
+ *    pipeline's bit for bit; a Bernoulli cell's value follows the
+ *    value rule, checked against a replay of the same draws;
  *  - the pre-filter's cut must bound every cell it skips, and its
  *    fallback must reproduce the full path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "conv/census.hh"
 #include "conv/outer_product.hh"
 #include "tensor/sparsify.hh"
+#include "util/bfloat16.hh"
 #include "util/thread_pool.hh"
 #include "workload/tracegen.hh"
 
@@ -133,7 +139,10 @@ TEST(CensusProperty, EmptyPlanesCountZero)
     EXPECT_EQ(got.denseProducts, spec.denseCartesianProducts());
 }
 
-/** Legacy dense pipeline the fused generator must reproduce exactly. */
+/**
+ * Legacy dense pipeline: the fused generator reproduces its positions
+ * and Rng stream, and for top-K recipes its values too.
+ */
 CsrMatrix
 legacyPlane(const PlaneRecipe &recipe, Rng &rng)
 {
@@ -150,19 +159,88 @@ legacyPlane(const PlaneRecipe &recipe, Rng &rng)
     return recipe.rotate ? csr.rotated180() : csr;
 }
 
+/**
+ * The value rule for a kept Bernoulli cell, written arithmetically:
+ * m = floor(256 u2) of the normal's angle uniform u2 gives
+ * (-1)^[m >= 128] (1 + (m mod 128) / 128).
+ */
+float
+bernoulliRule(double u2)
+{
+    const auto m = static_cast<int>(std::floor(256.0 * u2));
+    const float magnitude = 1.0f + static_cast<float>(m % 128) / 128.0f;
+    return m >= 128 ? -magnitude : magnitude;
+}
+
+/**
+ * The plane generateCsrPlane must emit: the legacy pipeline's for a
+ * top-K recipe; for a Bernoulli recipe, a replay of the same draws
+ * (one trial per cell, one normal's uniforms per kept cell) whose kept
+ * cells take bernoulliRule, embedded, compressed and rotated as the
+ * legacy pipeline does.
+ */
+CsrMatrix
+oraclePlane(const PlaneRecipe &recipe, Rng &rng)
+{
+    if (recipe.method == SparsifyMethod::TopK)
+        return legacyPlane(recipe, rng);
+    Dense2d<float> inner(recipe.height, recipe.width);
+    for (std::uint32_t y = 0; y < recipe.height; ++y) {
+        for (std::uint32_t x = 0; x < recipe.width; ++x) {
+            if (rng.bernoulli(1.0 - recipe.sparsity))
+                inner.at(x, y) = bernoulliRule(rng.drawNormal().u2);
+        }
+    }
+    const CsrMatrix csr = CsrMatrix::fromDense(
+        embedPlane(inner, recipe.outHeight, recipe.outWidth,
+                   recipe.offset, recipe.dilation));
+    return recipe.rotate ? csr.rotated180() : csr;
+}
+
+/** Same dims, nnz, columns and rowPtr: the positions counters read. */
+bool
+samePositions(const CsrMatrix &a, const CsrMatrix &b)
+{
+    return a.height() == b.height() && a.width() == b.width() &&
+        a.nnz() == b.nnz() &&
+        std::ranges::equal(a.columns(), b.columns()) &&
+        std::ranges::equal(a.rowPtr(), b.rowPtr());
+}
+
+/**
+ * What differs between generateCsrPlane and the legacy pipeline or the
+ * oracle for (@p recipe, @p seed), empty when nothing does: the
+ * positions and the Rng post-state must equal the legacy pipeline's,
+ * and the plane must equal oraclePlane's.
+ */
+std::string
+fusedMismatch(const PlaneRecipe &recipe, std::uint64_t seed)
+{
+    Rng legacy_rng(seed);
+    Rng oracle_rng(seed);
+    Rng fused_rng(seed);
+    const CsrMatrix legacy = legacyPlane(recipe, legacy_rng);
+    const CsrMatrix oracle = oraclePlane(recipe, oracle_rng);
+    const CsrMatrix got = generateCsrPlane(recipe, fused_rng);
+    std::string mismatch;
+    if (!samePositions(legacy, got))
+        mismatch += " positions";
+    if (!(oracle == got))
+        mismatch += " plane";
+    // Identical random stream consumed: downstream draws stay aligned.
+    if (legacy_rng.state() != fused_rng.state() ||
+        oracle_rng.state() != fused_rng.state())
+        mismatch += " rng-state";
+    return mismatch;
+}
+
 void
 expectFusedMatchesLegacy(const PlaneRecipe &recipe, std::uint64_t seed)
 {
-    Rng legacy_rng(seed);
-    Rng fused_rng(seed);
-    const CsrMatrix expected = legacyPlane(recipe, legacy_rng);
-    const CsrMatrix got = generateCsrPlane(recipe, fused_rng);
-    EXPECT_TRUE(expected == got)
-        << "plane mismatch for " << recipe.height << "x" << recipe.width
-        << " sparsity " << recipe.sparsity << " offset " << recipe.offset
-        << " dilation " << recipe.dilation << " rotate " << recipe.rotate;
-    // Identical random stream consumed: downstream draws stay aligned.
-    EXPECT_EQ(legacy_rng.state(), fused_rng.state());
+    EXPECT_EQ(fusedMismatch(recipe, seed), "")
+        << recipe.height << "x" << recipe.width << " sparsity "
+        << recipe.sparsity << " offset " << recipe.offset << " dilation "
+        << recipe.dilation << " rotate " << recipe.rotate;
 }
 
 TEST(CensusProperty, FusedGeneratorMatchesLegacyPipeline)
@@ -238,21 +316,17 @@ TEST(CensusProperty, FusedGeneratorScratchCarriesNoStateOnOneThread)
 TEST(CensusProperty, FusedGeneratorScratchCarriesNoStateAcrossThreads)
 {
     // Every pool thread generates an interleaved stream of the mixed
-    // recipes; each plane lands in its own slot and must equal the
-    // legacy pipeline's plane for the same (recipe, seed).
+    // recipes; each plane lands in its own slot and must match the
+    // legacy pipeline and the oracle for the same (recipe, seed).
     const std::vector<PlaneRecipe> recipes = mixedRecipes();
     const std::size_t items = 8 * recipes.size();
     std::vector<char> matches(items, 0);
     ThreadPool pool(4);
     pool.parallelFor(0, items, /*grain=*/1,
                      [&recipes, &matches](std::uint64_t i, std::uint32_t) {
-                         const PlaneRecipe &recipe =
-                             recipes[(i * 5) % recipes.size()];
-                         Rng legacy_rng(i);
-                         Rng fused_rng(i);
-                         matches[i] = legacyPlane(recipe, legacy_rng) ==
-                                 generateCsrPlane(recipe, fused_rng) &&
-                             legacy_rng.state() == fused_rng.state();
+                         matches[i] = fusedMismatch(
+                             recipes[(i * 5) % recipes.size()], i)
+                                          .empty();
                      });
     for (std::size_t i = 0; i < items; ++i)
         EXPECT_TRUE(matches[i]) << "plane " << i;
@@ -268,6 +342,50 @@ TEST(CensusProperty, FusedGeneratorSparsityExtremes)
             expectFusedMatchesLegacy(recipe, 99);
         }
     }
+}
+
+/**
+ * Every Bernoulli value is non-zero, bf16-exact and of magnitude in
+ * [1, 2): the mixed and random recipes, and fig10's shapes (dense 3x3
+ * kernels, 32x32 gradients at 85%, padded 56x56 activations).
+ */
+TEST(CensusProperty, FusedBernoulliValuesAreBf16ExactInOneToTwo)
+{
+    std::vector<PlaneRecipe> recipes;
+    for (const PlaneRecipe &recipe : mixedRecipes()) {
+        if (recipe.method == SparsifyMethod::Bernoulli)
+            recipes.push_back(recipe);
+    }
+    PlaneRecipe padded =
+        PlaneRecipe::plain(56, 56, 0.5, SparsifyMethod::Bernoulli);
+    padded.outHeight = 58;
+    padded.outWidth = 58;
+    padded.offset = 1;
+    recipes.push_back(padded);
+    recipes.push_back(
+        PlaneRecipe::plain(3, 3, 0.0, SparsifyMethod::Bernoulli));
+    recipes.push_back(
+        PlaneRecipe::plain(32, 32, 0.85, SparsifyMethod::Bernoulli));
+    Rng rng(505);
+    for (int trial = 0; trial < 25; ++trial) {
+        recipes.push_back(PlaneRecipe::plain(
+            static_cast<std::uint32_t>(rng.range(1, 24)),
+            static_cast<std::uint32_t>(rng.range(1, 24)), rng.uniform(),
+            SparsifyMethod::Bernoulli));
+    }
+    std::size_t checked = 0;
+    for (std::size_t r = 0; r < recipes.size(); ++r) {
+        Rng plane_rng(8000 + r);
+        const CsrMatrix plane = generateCsrPlane(recipes[r], plane_rng);
+        for (const float v : plane.values()) {
+            ASSERT_NE(v, 0.0f) << "recipe " << r;
+            ASSERT_EQ(v, bf16Round(v)) << "recipe " << r;
+            ASSERT_GE(std::fabs(v), 1.0f) << "recipe " << r;
+            ASSERT_LT(std::fabs(v), 2.0f) << "recipe " << r;
+        }
+        checked += plane.nnz();
+    }
+    EXPECT_GT(checked, 1000u);
 }
 
 /**

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/rng.hh"
 
@@ -123,6 +124,73 @@ TEST(Rng, NormalIsBoxMullerOfItsDraw)
         ASSERT_LT(draw.u2, 1.0);
         ASSERT_EQ(x, Rng::boxMuller(draw)) << "draw " << i;
         ASSERT_EQ(whole.state(), split.state()) << "draw " << i;
+    }
+}
+
+/** The first outputs of each draw from a fresh Rng(seed). */
+struct KnownAnswers
+{
+    std::uint64_t seed;
+    std::uint64_t next[4];
+    double uniform[4];
+    /** bernoulli(0.3). */
+    bool bernoulli[16];
+    Rng::NormalDraw draws[3];
+    double normal[4];
+};
+
+/**
+ * Every trace is a function of this stream, so its first values are
+ * pinned bit for bit: a change to any draw's body, or to where it is
+ * defined, that moves one bit fails here.
+ */
+const KnownAnswers kKnownAnswers[] = {
+    {42,
+     {0x15780b2e0c2ec716ull, 0x6104d9866d113a7eull, 0xae17533239e499a1ull,
+      0xecb8ad4703b360a1ull},
+     {0x1.5780b2e0c2ecp-4, 0x1.84136619b444ep-2, 0x1.5c2ea66473c93p-1,
+      0x1.d9715a8e0766cp-1},
+     {1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0},
+     {{0x1.5780b2e0c2ecp-4, 0x1.84136619b444ep-2},
+      {0x1.5c2ea66473c93p-1, 0x1.d9715a8e0766cp-1},
+      {0x1.fbcdb8ffc5d8bp-1, 0x1.8a1b4a6202f2ap-1}},
+     {-0x1.9cfc3b5554226p+0, 0x1.9039f092211cbp-1, 0x1.0409077faf56dp-6,
+      0x1.e8ab869120c28p-2}},
+    {2022,
+     {0x3240f99fbeb236c4ull, 0x97f4c24ed811819dull, 0x9d797807af82a01dull,
+      0x428f32d0c9d15906ull},
+     {0x1.9207ccfdf5918p-3, 0x1.2fe9849db023p-1, 0x1.3af2f00f5f054p-1,
+      0x1.0a3ccb4327456p-2},
+     {1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0},
+     {{0x1.9207ccfdf5918p-3, 0x1.2fe9849db023p-1},
+      {0x1.3af2f00f5f054p-1, 0x1.0a3ccb4327456p-2},
+      {0x1.5ab32be24f4acp-3, 0x1.9a9b54cc26ebcp-3}},
+     {-0x1.805f88512a3c2p+0, -0x1.faf5332416011p-5, 0x1.275d4423d1f1bp-1,
+      -0x1.aa3b56d768a4fp-2}},
+};
+
+TEST(Rng, KnownAnswerStreams)
+{
+    for (const KnownAnswers &known : kKnownAnswers) {
+        SCOPED_TRACE("seed " + std::to_string(known.seed));
+        Rng next_rng(known.seed);
+        for (const std::uint64_t want : known.next)
+            EXPECT_EQ(next_rng.next(), want);
+        Rng uniform_rng(known.seed);
+        for (const double want : known.uniform)
+            EXPECT_EQ(uniform_rng.uniform(), want);
+        Rng bernoulli_rng(known.seed);
+        for (const bool want : known.bernoulli)
+            EXPECT_EQ(bernoulli_rng.bernoulli(0.3), want);
+        Rng draw_rng(known.seed);
+        for (const Rng::NormalDraw &want : known.draws) {
+            const Rng::NormalDraw draw = draw_rng.drawNormal();
+            EXPECT_EQ(draw.u1, want.u1);
+            EXPECT_EQ(draw.u2, want.u2);
+        }
+        Rng normal_rng(known.seed);
+        for (const double want : known.normal)
+            EXPECT_EQ(normal_rng.normal(), want);
     }
 }
 
