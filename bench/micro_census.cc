@@ -3,8 +3,7 @@
  * Google-benchmark microbenchmarks of the census engine: brute-force
  * countProducts vs CensusContext, single-kernel and stack-amortized
  * (the SCNN counting path runs one context against every kernel of a
- * stack), plus the fused CSR plane generator vs the legacy dense
- * pipeline it replaces.
+ * stack), plus the fused CSR plane generator.
  */
 
 #include <benchmark/benchmark.h>
@@ -94,22 +93,6 @@ BM_CensusContextBuild(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * image.nnz());
 }
 BENCHMARK(BM_CensusContextBuild)->Arg(16)->Arg(32)->Arg(56);
-
-void
-BM_LegacyPlanePipeline(benchmark::State &state)
-{
-    const auto dim = static_cast<std::uint32_t>(state.range(0));
-    for (auto _ : state) {
-        Rng rng(42);
-        Dense2d<float> plane =
-            generatePlane(dim, dim, 0.9, SparsifyMethod::TopK, rng);
-        auto csr = CsrMatrix::fromDense(
-            embedPlane(plane, dim + 2, dim + 2, 1));
-        benchmark::DoNotOptimize(csr);
-    }
-    state.SetItemsProcessed(state.iterations() * dim * dim);
-}
-BENCHMARK(BM_LegacyPlanePipeline)->Arg(32)->Arg(128);
 
 /**
  * A padded height x width plane at the sparsity percentage of the third

@@ -13,8 +13,9 @@ source-level rules and fails on any unsuppressed violation:
                              hash-order nondeterminism into reports,
                              reductions, or traces
   no-wall-clock-in-sim       wall-clock time or platform randomness in
-                             simulation code; simulated time must come
-                             from sim/clock, randomness from util/rng
+                             simulation code; simulated time is the
+                             modelled cycle counters, randomness comes
+                             from util/rng
   parallel-capture-discipline lambdas passed to parallelFor capturing
                              by reference: shared mutable state breaks
                              the clone-per-worker reduction model
@@ -75,8 +76,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Directories scanned when no explicit paths are given, relative to the
 # repo root. tests/ is exempt by default: test code may use std::mt19937
 # etc. to *generate* adversarial inputs, and its iteration order never
-# reaches a report.
-DEFAULT_SCAN_DIRS = ("src", "bench", "examples")
+# reaches a report. tests/oracles is scanned: it holds the reference
+# models the tests compare src/ against, under the same contracts.
+DEFAULT_SCAN_DIRS = ("src", "bench", "examples", "tests/oracles")
 
 # Never scanned, even when named explicitly by a directory argument.
 EXCLUDE_GLOBS = (
@@ -103,9 +105,10 @@ RULES = {
     "no-wall-clock-in-sim": {
         "description":
             "Wall-clock time or platform randomness in simulation "
-            "code. Simulated time must come from sim/clock; all "
-            "randomness must come from util/rng (xoshiro256**, fully "
-            "specified) so runs are bit-reproducible across platforms.",
+            "code. Simulated time must be the modelled cycle counters "
+            "(Counter::Cycles and its components); all randomness must "
+            "come from util/rng (xoshiro256**, fully specified) so runs "
+            "are bit-reproducible across platforms.",
         "whitelist": (
             # Logging timestamps diagnostics, never simulation state.
             "src/util/logging.hh",
@@ -683,8 +686,8 @@ def rule_no_wall_clock(path, tokens, ctx, findings):
             findings.append(Finding(
                 "no-wall-clock-in-sim", path, tok.line, tok.col,
                 f"'{tok.text}': wall-clock time / platform randomness "
-                "is banned in simulation code (use sim/clock and "
-                "util/rng)"))
+                "is banned in simulation code (count modelled cycles "
+                "and use util/rng)"))
             continue
         if tok.text in WALL_CLOCK_CALLS and i + 1 < n and \
                 tokens[i + 1].text == "(":
@@ -708,8 +711,8 @@ def rule_no_wall_clock(path, tokens, ctx, findings):
             findings.append(Finding(
                 "no-wall-clock-in-sim", path, tok.line, tok.col,
                 f"call to '{tok.text}()': wall-clock time / platform "
-                "randomness is banned in simulation code (use "
-                "sim/clock and util/rng)"))
+                "randomness is banned in simulation code (count "
+                "modelled cycles and use util/rng)"))
 
 
 def rule_parallel_capture(path, tokens, ctx, findings):

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Static-analysis gate for ANTSim: the project-specific antsim-lint
 # pass (determinism/conservation contracts, scripts/antsim_lint.py),
-# clang-tidy over every source file in src/ (using the
-# compile_commands.json of an existing build tree), plus a handful of
-# grep-level convention checks that clang-tidy cannot express. Run
+# clang-tidy over every source file in src/ and tests/oracles/ (using
+# the compile_commands.json of an existing build tree), plus a handful
+# of grep-level convention checks that clang-tidy cannot express. Run
 # from anywhere; exits non-zero on any finding.
 #
 # Usage: scripts/lint.sh [build-dir]
@@ -50,7 +50,8 @@ if command -v clang-tidy >/dev/null 2>&1; then
         exit 1
     fi
     echo "lint: running clang-tidy ($(clang-tidy --version | head -1))"
-    mapfile -t sources < <(cd "${repo_root}" && find src -name '*.cc' | sort)
+    mapfile -t sources < <(cd "${repo_root}" && \
+                           find src tests/oracles -name '*.cc' | sort)
     if ! (cd "${repo_root}" && \
           clang-tidy -p "${build_dir}" --quiet "${sources[@]}"); then
         status=1
@@ -65,7 +66,7 @@ cd "${repo_root}"
 
 # 1. No raw assert(): the repo uses ANT_ASSERT, which survives NDEBUG
 #    and prints file:line. static_assert is fine.
-raw_asserts=$(grep -rnE '(^|[^_[:alnum:]])assert\(' src/ \
+raw_asserts=$(grep -rnE '(^|[^_[:alnum:]])assert\(' src/ tests/oracles/ \
               --include='*.cc' --include='*.hh' | grep -v 'static_assert' || true)
 if [ -n "${raw_asserts}" ]; then
     echo "lint: raw assert() found; use ANT_ASSERT instead:" >&2
@@ -73,10 +74,12 @@ if [ -n "${raw_asserts}" ]; then
     status=1
 fi
 
-# 2. No std::cout in library code: simulation output goes through the
-#    Table/stats layer or the tools' own main(), and diagnostics go to
-#    stderr via logging.hh. util/table.cc is the sanctioned writer.
-cout_uses=$(grep -rn 'std::cout' src/ --include='*.cc' --include='*.hh' \
+# 2. No std::cout in library code (src/ and the test oracles):
+#    simulation output goes through the Table/stats layer or the tools'
+#    own main(), and diagnostics go to stderr via logging.hh.
+#    util/table.cc is the sanctioned writer.
+cout_uses=$(grep -rn 'std::cout' src/ tests/oracles/ \
+            --include='*.cc' --include='*.hh' \
             | grep -v '^src/util/table' || true)
 if [ -n "${cout_uses}" ]; then
     echo "lint: std::cout in library code; use Table or logging.hh:" >&2
@@ -84,9 +87,10 @@ if [ -n "${cout_uses}" ]; then
     status=1
 fi
 
-# 3. No printf-family in src/ (same rationale as std::cout).
-#    util/logging.cc is the logging backend and writes stderr itself.
-printf_uses=$(grep -rnE '(^|[^_[:alnum:]])f?printf\(' src/ \
+# 3. No printf-family in src/ or tests/oracles/ (same rationale as
+#    std::cout). util/logging.cc is the logging backend and writes
+#    stderr itself.
+printf_uses=$(grep -rnE '(^|[^_[:alnum:]])f?printf\(' src/ tests/oracles/ \
               --include='*.cc' --include='*.hh' \
               | grep -v '^src/util/logging\.cc' || true)
 if [ -n "${printf_uses}" ]; then

@@ -74,14 +74,14 @@ ensembleOf(const PlaneRecipe &recipe)
     e.innerW = recipe.width;
     e.offset = recipe.offset;
     e.dilation = recipe.dilation;
-    const double total = static_cast<double>(recipe.height) *
-        static_cast<double>(recipe.width);
-    const double kept = total * (1.0 - recipe.sparsity);
-    // Top-K keeps exactly llround(total * (1 - sparsity)) entries
-    // (tensor/sparsify.cc); Bernoulli keeps that many in expectation.
+    const std::size_t cells =
+        static_cast<std::size_t>(recipe.height) * recipe.width;
+    // Top-K keeps exactly topKKeep(cells, sparsity) entries (the
+    // generator's rule, workload/tracegen.hh); Bernoulli keeps
+    // cells * (1 - sparsity) in expectation.
     e.nnz = recipe.method == SparsifyMethod::TopK
-        ? static_cast<double>(std::llround(kept))
-        : kept;
+        ? static_cast<double>(topKKeep(cells, recipe.sparsity))
+        : static_cast<double>(cells) * (1.0 - recipe.sparsity);
     return e;
 }
 

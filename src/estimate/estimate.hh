@@ -7,8 +7,8 @@
  *
  * The estimator models the plane *ensemble* a PlaneRecipe describes
  * (src/workload/tracegen.hh) instead of sampling instances: top-K
- * sparsification fixes the non-zero count exactly
- * (llround(h*w*(1-s)), tensor/sparsify.cc), Bernoulli masking gives
+ * sparsification fixes the non-zero count exactly (topKKeep,
+ * llround(h*w*(1-s)), workload/tracegen.hh), Bernoulli masking gives
  * its expectation, and expected valid-product counts factorize per
  * axis because ProblemSpec validity is separable in x/s and y/r
  * (conv/problem_spec.cc). Each PE's counter charges are mirrored in

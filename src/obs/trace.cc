@@ -109,11 +109,11 @@ appendInstantEvent(std::string &out, const char *name,
 }
 
 /**
- * Deterministic reconstruction of the num_pes-wide schedule the
- * Accelerator cost model assumes: walk units in index order, place
- * each on the currently least-loaded lane (lowest index breaks ties).
- * This mirrors scheduleCycles()'s greedy bound and is a pure function
- * of unit content + order, never of worker scheduling.
+ * Deterministic reconstruction of a num_pes-wide schedule of the
+ * units: walk them in index order, place each on the currently
+ * least-loaded lane (lowest index breaks ties). This mirrors
+ * scheduleCycles()'s greedy bound (sim/accelerator.hh) and is a pure
+ * function of unit content + order, never of worker scheduling.
  */
 struct LanePlan
 {

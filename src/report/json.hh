@@ -2,14 +2,15 @@
  * @file
  * Minimal self-contained JSON document model for run reporting.
  *
- * The report subsystem needs three things no external dependency is
+ * The report subsystem needs two things no external dependency is
  * available for: (1) deterministic serialization -- two identical runs
  * must produce byte-identical documents, so object members keep their
  * insertion order and doubles print as their shortest round-trip form;
- * (2) a parser, so tests can round-trip a report and diff it against
- * the live NetworkStats; (3) exact 64-bit integers, because counter
- * values must survive serialization bit for bit (a double mantissa
- * cannot hold a full uint64).
+ * (2) exact 64-bit integers, because counter values must survive
+ * serialization bit for bit (a double mantissa cannot hold a full
+ * uint64). Only tests read documents back: the parser they round-trip
+ * reports through is tests/oracles/json_reader.hh, built on this
+ * class's public API.
  *
  * The model is deliberately small: null, bool, signed/unsigned 64-bit
  * integers, double, string, array, object. That is the entire schema
@@ -79,13 +80,6 @@ class Json
      * exact, trailing newline-free.
      */
     std::string dump() const;
-
-    /**
-     * Parse a document. On malformed input returns a Null value and
-     * stores a diagnostic in @p error (when non-null); a valid "null"
-     * document leaves @p error empty.
-     */
-    static Json parse(const std::string &text, std::string *error = nullptr);
 
     /**
      * Structural equality; numbers compare by value across Int, Uint

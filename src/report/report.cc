@@ -51,20 +51,6 @@ counterSetToJson(const CounterSet &counters)
     return json;
 }
 
-CounterSet
-counterSetFromJson(const Json &json)
-{
-    CounterSet counters;
-    ANT_ASSERT(json.size() == kNumCounters,
-               "counter object has ", json.size(), " members, expected ",
-               kNumCounters);
-    for (std::size_t i = 0; i < kNumCounters; ++i) {
-        const auto counter = static_cast<Counter>(i);
-        counters.set(counter, json.at(counterName(counter)).asUint());
-    }
-    return counters;
-}
-
 Json
 networkStatsToJson(const NetworkStats &stats, std::uint32_t num_pes)
 {
@@ -91,38 +77,6 @@ networkStatsToJson(const NetworkStats &stats, std::uint32_t num_pes)
     }
     json.set("layers", std::move(layers));
     return json;
-}
-
-NetworkStats
-networkStatsFromJson(const Json &json)
-{
-    NetworkStats stats;
-    stats.total = counterSetFromJson(json.at("total"));
-    const Json &layers = json.at("layers");
-    for (std::size_t li = 0; li < layers.size(); ++li) {
-        const Json &layer_json = layers.at(li);
-        LayerStats layer;
-        layer.name = layer_json.at("name").asString();
-        const Json &phases = layer_json.at("phases");
-        for (std::size_t i = 0; i < phases.size(); ++i) {
-            const Json &phase_json = phases.at(i);
-            const std::string &phase_name =
-                phase_json.at("phase").asString();
-            std::size_t pi = 3;
-            for (std::size_t p = 0; p < 3; ++p) {
-                if (phase_name == kPhaseNames[p])
-                    pi = p;
-            }
-            ANT_ASSERT(pi < 3, "unknown phase name '", phase_name, "'");
-            PhaseStats &phase = layer.phases[pi];
-            phase.pairsTotal = phase_json.at("pairs_total").asUint();
-            phase.pairsSimulated =
-                phase_json.at("pairs_simulated").asUint();
-            phase.counters = counterSetFromJson(phase_json.at("counters"));
-        }
-        stats.layers.push_back(std::move(layer));
-    }
-    return stats;
 }
 
 StallBreakdown

@@ -74,17 +74,11 @@ struct RunMetadata
 /** Serialize a counter set: every counter by name, exact uint64. */
 Json counterSetToJson(const CounterSet &counters);
 
-/** Parse a counter set serialized by counterSetToJson. */
-CounterSet counterSetFromJson(const Json &json);
-
 /**
  * Serialize a network run: totals, derived fractions, accelerator
  * cycles at @p num_pes, and the full per-layer/per-phase breakdown.
  */
 Json networkStatsToJson(const NetworkStats &stats, std::uint32_t num_pes);
-
-/** Parse the output of networkStatsToJson back into NetworkStats. */
-NetworkStats networkStatsFromJson(const Json &json);
 
 /**
  * The report's profile section from a host-metrics snapshot: per-stage

@@ -1,79 +1,11 @@
 #include "accelerator.hh"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 
-#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace antsim {
-
-Accelerator::Accelerator(PeModel &pe, const AcceleratorConfig &config)
-    : pe_(pe), config_(config)
-{
-    ANT_ASSERT(config_.numPes > 0, "accelerator needs at least one PE");
-    ANT_ASSERT(config_.chunkCapacity > 0, "chunk capacity must be positive");
-}
-
-AcceleratorResult
-Accelerator::runProblem(const ProblemSpec &spec, const CsrMatrix &kernel,
-                        const CsrMatrix &image, bool collect_output)
-{
-    // Dense-tiled PEs (inner-product baselines) are not subject to the
-    // sparse buffer capacity.
-    const std::uint32_t capacity = pe_.usesCompressedOperands()
-        ? config_.chunkCapacity
-        : std::numeric_limits<std::uint32_t>::max();
-    const auto kernel_chunks = chunkByCapacity(kernel, capacity);
-    const auto image_chunks = chunkByCapacity(image, capacity);
-
-    AcceleratorResult result;
-    if (collect_output)
-        result.output = Dense2d<double>(spec.outH(), spec.outW());
-
-    std::vector<std::uint64_t> task_cycles;
-    obs::UnitRecorder *rec = obs::recorder();
-    for (const auto &pair : allChunkPairs(kernel_chunks, image_chunks)) {
-        if (rec)
-            rec->beginTask();
-        PeResult pe_result =
-            pe_.runPair(spec, *pair.kernel, *pair.image, collect_output);
-        if (rec)
-            rec->endTask();
-        task_cycles.push_back(pe_result.counters.get(Counter::Cycles));
-        result.counters += pe_result.counters;
-        result.counters.add(Counter::TasksProcessed);
-        if (collect_output) {
-            for (std::size_t i = 0; i < result.output.data().size(); ++i)
-                result.output.data()[i] += pe_result.output.data()[i];
-        }
-    }
-    result.counters.set(Counter::Cycles, schedule(task_cycles));
-    return result;
-}
-
-AcceleratorResult
-Accelerator::runTasks(
-    const std::vector<std::pair<ProblemSpec, ChunkPair>> &tasks)
-{
-    AcceleratorResult result;
-    std::vector<std::uint64_t> task_cycles;
-    task_cycles.reserve(tasks.size());
-    obs::UnitRecorder *rec = obs::recorder();
-    for (const auto &[spec, pair] : tasks) {
-        if (rec)
-            rec->beginTask();
-        PeResult pe_result = pe_.runPair(spec, *pair.kernel, *pair.image,
-                                         /*collect_output=*/false);
-        if (rec)
-            rec->endTask();
-        task_cycles.push_back(pe_result.counters.get(Counter::Cycles));
-        result.counters += pe_result.counters;
-        result.counters.add(Counter::TasksProcessed);
-    }
-    result.counters.set(Counter::Cycles, schedule(task_cycles));
-    return result;
-}
 
 std::uint64_t
 scheduleCycles(const std::vector<std::uint64_t> &task_cycles,
@@ -100,13 +32,6 @@ scheduleCycles(const std::vector<std::uint64_t> &task_cycles,
         *it += c;
     }
     return *std::max_element(load.begin(), load.end());
-}
-
-std::uint64_t
-Accelerator::schedule(const std::vector<std::uint64_t> &task_cycles) const
-{
-    return scheduleCycles(task_cycles, config_.numPes,
-                          config_.loadBalance);
 }
 
 } // namespace antsim

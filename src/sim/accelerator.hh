@@ -1,14 +1,16 @@
 /**
  * @file
- * Multi-PE accelerator scheduler.
+ * Multi-PE load balance: reduce per-task PE cycles to accelerator
+ * cycles.
  *
- * Distributes chunk-pair tasks across an array of identical PEs. Per
- * the paper's methodology (Sec. 6.1) the default is a *perfect* load
- * balancer -- accelerator cycles are the ceiling of total PE cycles
- * over the PE count -- which isolates the PE-level contribution of RCP
- * anticipation from dataflow/load-balance effects. A greedy
+ * Per the paper's methodology (Sec. 6.1) the default is a *perfect*
+ * load balancer -- accelerator cycles are the ceiling of total PE
+ * cycles over the PE count -- which isolates the PE-level contribution
+ * of RCP anticipation from dataflow/load-balance effects. The runner
+ * reports that figure (NetworkStats::acceleratorCycles). A greedy
  * longest-processing-time balancer is also provided to quantify how
- * far reality can sit from the perfect-balance assumption.
+ * far reality can sit from the perfect-balance assumption
+ * (bench/abl_load_balance).
  */
 
 #ifndef ANTSIM_SIM_ACCELERATOR_HH
@@ -16,9 +18,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "sim/chunking.hh"
-#include "sim/pe_model.hh"
 
 namespace antsim {
 
@@ -30,26 +29,6 @@ enum class LoadBalance {
     GreedyLpt,
 };
 
-/** Accelerator-level configuration. */
-struct AcceleratorConfig
-{
-    /** Number of processing elements (Table 4: 64). */
-    std::uint32_t numPes = 64;
-    /** Operand chunk capacity in non-zero elements (8 KB / 16-bit). */
-    std::uint32_t chunkCapacity = 4096;
-    /** Scheduling policy. */
-    LoadBalance loadBalance = LoadBalance::Perfect;
-};
-
-/** Result of running a batch of tasks through the accelerator. */
-struct AcceleratorResult
-{
-    /** Summed counters of all tasks; Cycles holds accelerator cycles. */
-    CounterSet counters;
-    /** Sum of per-task outputs (0x0 unless collection was requested). */
-    Dense2d<double> output;
-};
-
 /**
  * Reduce per-task cycle counts to accelerator cycles under a policy:
  * perfect balance = ceil(sum / numPes); greedy LPT = the makespan of a
@@ -57,45 +36,6 @@ struct AcceleratorResult
  */
 std::uint64_t scheduleCycles(const std::vector<std::uint64_t> &task_cycles,
                              std::uint32_t num_pes, LoadBalance policy);
-
-/** Schedules chunk pairs onto an array of PeModel instances. */
-class Accelerator
-{
-  public:
-    /**
-     * @param pe     The PE cycle model (shared; PE models are
-     *               stateless across runPair calls).
-     * @param config Scheduling parameters.
-     */
-    Accelerator(PeModel &pe, const AcceleratorConfig &config);
-
-    const AcceleratorConfig &config() const { return config_; }
-
-    /**
-     * Execute one full (kernel plane, image plane) problem: chunk both
-     * operands to buffer capacity, run every chunk pair, and schedule.
-     */
-    AcceleratorResult runProblem(const ProblemSpec &spec,
-                                 const CsrMatrix &kernel,
-                                 const CsrMatrix &image,
-                                 bool collect_output = false);
-
-    /**
-     * Execute a set of pre-formed tasks (e.g., the plane pairs of a
-     * whole layer). Outputs are not collected (task output shapes may
-     * differ).
-     */
-    AcceleratorResult runTasks(
-        const std::vector<std::pair<ProblemSpec, ChunkPair>> &tasks);
-
-  private:
-    /** Reduce per-task cycles to accelerator cycles under the policy. */
-    std::uint64_t schedule(const std::vector<std::uint64_t> &task_cycles)
-        const;
-
-    PeModel &pe_;
-    AcceleratorConfig config_;
-};
 
 } // namespace antsim
 

@@ -5,9 +5,10 @@
  * A PE model consumes one (kernel chunk, image chunk) pair under a
  * ProblemSpec and reports its counters (cycles, multiplies, SRAM
  * accesses, ...) plus, optionally, the functionally accumulated output
- * plane. The SCNN-like baseline PE (src/scnn) and the ANT PE (src/ant)
- * implement this interface; the Accelerator (src/sim/accelerator.hh)
- * schedules chunk pairs across PEs.
+ * plane. The SCNN-like baseline PE (src/scnn), the ANT PE (src/ant)
+ * and the inner-product baselines (src/baselines) implement this
+ * interface; the runner (workload/runner.hh) streams each unit's chunk
+ * pairs or kernel stacks through it and sums the counters.
  */
 
 #ifndef ANTSIM_SIM_PE_MODEL_HH

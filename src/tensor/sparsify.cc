@@ -1,26 +1,8 @@
 #include "sparsify.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
-
 #include "util/logging.hh"
 
 namespace antsim {
-
-Dense2d<float>
-randomDensePlane(std::uint32_t height, std::uint32_t width, Rng &rng)
-{
-    Dense2d<float> plane(height, width);
-    for (auto &v : plane.data()) {
-        float f = static_cast<float>(rng.normal());
-        // Exact zeros would silently change nnz; nudge them.
-        if (f == 0.0f)
-            f = 1e-6f;
-        v = f;
-    }
-    return plane;
-}
 
 Dense2d<float>
 bernoulliPlane(std::uint32_t height, std::uint32_t width, double sparsity,
@@ -38,59 +20,6 @@ bernoulliPlane(std::uint32_t height, std::uint32_t width, double sparsity,
         }
     }
     return plane;
-}
-
-Dense2d<float>
-topKSparsify(const Dense2d<float> &plane, double sparsity)
-{
-    ANT_ASSERT(sparsity >= 0.0 && sparsity <= 1.0, "sparsity must be in ",
-               "[0,1], got ", sparsity);
-    const std::size_t total = plane.size();
-    const auto keep = static_cast<std::size_t>(
-        std::llround(static_cast<double>(total) * (1.0 - sparsity)));
-    if (keep >= total)
-        return plane;
-
-    std::vector<std::size_t> order(total);
-    std::iota(order.begin(), order.end(), 0);
-    const auto &data = plane.data();
-    std::nth_element(order.begin(), order.begin() + keep, order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         const float ma = std::fabs(data[a]);
-                         const float mb = std::fabs(data[b]);
-                         // Deterministic tie-break by position.
-                         return ma != mb ? ma > mb : a < b;
-                     });
-
-    Dense2d<float> out(plane.height(), plane.width());
-    for (std::size_t i = 0; i < keep; ++i)
-        out.data()[order[i]] = data[order[i]];
-    return out;
-}
-
-std::pair<Dense2d<float>, Dense2d<float>>
-reluCorrelatedPair(std::uint32_t height, std::uint32_t width,
-                   double relu_sparsity, double act_sparsity,
-                   double grad_sparsity, Rng &rng)
-{
-    ANT_ASSERT(act_sparsity >= relu_sparsity &&
-               grad_sparsity >= relu_sparsity,
-               "final sparsities must be at least the shared ReLU sparsity");
-
-    Dense2d<float> act = randomDensePlane(height, width, rng);
-    Dense2d<float> grad = randomDensePlane(height, width, rng);
-
-    // Shared ReLU mask: where the activation is clipped, the local
-    // gradient is zero too.
-    for (std::size_t i = 0; i < act.size(); ++i) {
-        if (rng.bernoulli(relu_sparsity)) {
-            act.data()[i] = 0.0f;
-            grad.data()[i] = 0.0f;
-        }
-    }
-
-    return {topKSparsify(act, act_sparsity),
-            topKSparsify(grad, grad_sparsity)};
 }
 
 } // namespace antsim

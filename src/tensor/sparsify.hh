@@ -1,29 +1,23 @@
 /**
  * @file
- * Synthetic sparsification of dense planes for trace generation.
+ * A dense Bernoulli-sparsified plane, for the examples and the micro
+ * benchmarks.
  *
- * The paper collects traces from ReSprop- and SWAT-sparsified training
- * runs, and synthetically sparsifies ResNet50/transformer/RNN tensors
- * by keeping the top-K magnitudes (Sec. 6.2). We reproduce the
- * synthetic path and add a Bernoulli sparsifier plus a ReLU-correlated
- * generator (A and G_A sharing a zero mask, as ReLU induces) so the
- * simulators see index distributions with the right statistics.
+ * The runner's trace planes come from the fused CSR generator in
+ * workload/tracegen.hh, which draws the same Bernoulli stream; the
+ * legacy dense top-K pipeline it replaced is the tests' oracle
+ * (tests/oracles/legacy_planes.hh).
  */
 
 #ifndef ANTSIM_TENSOR_SPARSIFY_HH
 #define ANTSIM_TENSOR_SPARSIFY_HH
 
 #include <cstdint>
-#include <utility>
 
 #include "tensor/matrix.hh"
 #include "util/rng.hh"
 
 namespace antsim {
-
-/** Fill a plane with i.i.d. standard-normal values. */
-Dense2d<float> randomDensePlane(std::uint32_t height, std::uint32_t width,
-                                Rng &rng);
 
 /**
  * Generate a plane where each element is non-zero with probability
@@ -32,29 +26,6 @@ Dense2d<float> randomDensePlane(std::uint32_t height, std::uint32_t width,
  */
 Dense2d<float> bernoulliPlane(std::uint32_t height, std::uint32_t width,
                               double sparsity, Rng &rng);
-
-/**
- * Keep the top-K magnitudes of @p plane so that the kept fraction is
- * 1 - sparsity (ties broken by position for determinism); zero the
- * rest. This mirrors the paper's synthetic top-K sparsification.
- */
-Dense2d<float> topKSparsify(const Dense2d<float> &plane, double sparsity);
-
-/**
- * Generate an (activation, activation-gradient) pair sharing a ReLU
- * zero mask. Elements zeroed by ReLU are zero in *both* planes; each
- * plane is then further sparsified to its own target by top-K on the
- * survivors. This reproduces the A/G_A sparsity correlation that makes
- * the zero-A and zero-G_A product sets overlap in Fig. 1c.
- *
- * @param relu_sparsity   Fraction zeroed by the shared ReLU mask.
- * @param act_sparsity    Final target sparsity of A (>= relu_sparsity).
- * @param grad_sparsity   Final target sparsity of G_A (>= relu_sparsity).
- */
-std::pair<Dense2d<float>, Dense2d<float>>
-reluCorrelatedPair(std::uint32_t height, std::uint32_t width,
-                   double relu_sparsity, double act_sparsity,
-                   double grad_sparsity, Rng &rng);
 
 } // namespace antsim
 

@@ -25,35 +25,6 @@ auditPeRunOrPanic(const char *model, const ProblemSpec &spec,
 }
 
 void
-auditPipelineCountsOrPanic(const char *model, std::uint64_t executed,
-                           std::uint64_t valid,
-                           std::uint64_t residual_rcps,
-                           std::uint64_t total_products)
-{
-    if (!audit::enabled())
-        return;
-    AuditReport report;
-    if (executed != valid + residual_rcps) {
-        report.violations.push_back(
-            {"mults-split",
-             "executed = " + std::to_string(executed) +
-                 " but valid + residual = " +
-                 std::to_string(valid + residual_rcps)});
-    }
-    if (executed > total_products) {
-        report.violations.push_back(
-            {"product-total",
-             "executed = " + std::to_string(executed) +
-                 " exceeds trace nonzero products = " +
-                 std::to_string(total_products)});
-    }
-    if (!report.ok()) {
-        ANT_PANIC("invariant audit failed for ", model, ":\n",
-                  report.toString());
-    }
-}
-
-void
 auditAggregateOrPanic(const char *what, const CounterSet &counters,
                       std::uint64_t slack)
 {

@@ -36,16 +36,6 @@ void auditPeRunOrPanic(const char *model, const ProblemSpec &spec,
                        ProductSpace space);
 
 /**
- * Audit the product census of a tick-accurate pipeline run:
- * executed == valid + residual RCPs, and executed within the trace's
- * nnzK x nnzI product space.
- */
-void auditPipelineCountsOrPanic(const char *model, std::uint64_t executed,
-                                std::uint64_t valid,
-                                std::uint64_t residual_rcps,
-                                std::uint64_t total_products);
-
-/**
  * Audit an aggregated counter set (universal laws only, since the sum
  * may span cartesian and inner-product models). @p slack absorbs the
  * per-counter rounding of CounterSet::scale(): pass 2 per scaled set

@@ -10,11 +10,17 @@
  * count, so scaling the sampled counters by pairsTotal/pairsSimulated
  * is unbiased; see DESIGN.md) and accumulates per-phase, per-layer,
  * and network totals. A matmul layer is one (kernel, image) plane pair.
+ * The runner is the simulator's one task executor: an operand larger
+ * than the PE buffers is split into capacity-sized chunks
+ * (sim/chunking.hh); each image chunk (conv, against the whole kernel
+ * stack) or chunk pair (matmul) runs as one task, and the tasks'
+ * counters are summed with TasksProcessed counting them.
  *
  * Accelerator-level cycles follow the paper's perfect-load-balance
  * assumption (Sec. 6.1): accelCycles = ceil(sum of PE task cycles /
- * numPes). Speedup and relative energy between two runs are therefore
- * ratios of summed PE cycles / energies.
+ * numPes) (NetworkStats::acceleratorCycles; sim/accelerator.hh has the
+ * greedy-LPT alternative). Speedup and relative energy between two runs
+ * are therefore ratios of summed PE cycles / energies.
  *
  * Execution is parallel when RunConfig::numThreads != 1: the sampled
  * (layer, phase, sample) units are scheduled across a ThreadPool,

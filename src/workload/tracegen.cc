@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "obs/metrics.hh"
-#include "tensor/sparsify.hh"
 #include "util/bfloat16.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
@@ -154,14 +153,6 @@ bernoulliValue(double u2)
     const auto m = static_cast<std::uint32_t>(u2 * 256.0);
     return std::bit_cast<float>((m & 0x80u) << 24 | 0x3f800000u |
                                 (m & 0x7fu) << 16);
-}
-
-/** Cells a top-K plane of @p cells cells keeps at @p sparsity. */
-std::size_t
-topKKeep(std::size_t cells, double sparsity)
-{
-    return static_cast<std::size_t>(std::llround(
-        static_cast<double>(cells) * (1.0 - sparsity)));
 }
 
 /**
@@ -351,6 +342,13 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
 
 } // namespace
 
+std::size_t
+topKKeep(std::size_t cells, double sparsity)
+{
+    return static_cast<std::size_t>(std::llround(
+        static_cast<double>(cells) * (1.0 - sparsity)));
+}
+
 TopKCut
 TopKCut::atRadius(double rho)
 {
@@ -438,40 +436,6 @@ mixSeed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
         x = x ^ (x >> 31);
     }
     return x;
-}
-
-Dense2d<float>
-generatePlane(std::uint32_t height, std::uint32_t width, double sparsity,
-              SparsifyMethod method, Rng &rng)
-{
-    Dense2d<float> plane = method == SparsifyMethod::Bernoulli
-        ? bernoulliPlane(height, width, sparsity, rng)
-        : topKSparsify(randomDensePlane(height, width, rng), sparsity);
-    // The datapath stores Bfloat16 values (Table 4); quantize here so
-    // the whole simulation sees exactly what the hardware would.
-    for (float &v : plane.data())
-        v = bf16Round(v);
-    return plane;
-}
-
-Dense2d<float>
-embedPlane(const Dense2d<float> &inner, std::uint32_t out_height,
-           std::uint32_t out_width, std::uint32_t offset,
-           std::uint32_t dilation)
-{
-    ANT_ASSERT(dilation >= 1, "dilation must be at least 1");
-    ANT_ASSERT(offset + dilation * (inner.height() - 1) < out_height &&
-               offset + dilation * (inner.width() - 1) < out_width,
-               "embedded plane does not fit: inner ", inner.height(), "x",
-               inner.width(), " offset ", offset, " dilation ", dilation,
-               " into ", out_height, "x", out_width);
-
-    Dense2d<float> out(out_height, out_width);
-    for (std::uint32_t y = 0; y < inner.height(); ++y)
-        for (std::uint32_t x = 0; x < inner.width(); ++x)
-            out.at(offset + dilation * x, offset + dilation * y) =
-                inner.at(x, y);
-    return out;
 }
 
 PlanePair

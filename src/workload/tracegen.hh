@@ -31,19 +31,22 @@
  * Every plane comes from one fused generator, generateCsrPlane, which
  * draws the identical random stream as the legacy generatePlane ->
  * bf16Round -> embedPlane -> fromDense -> rotated180 pipeline but
- * emits CSR directly, skipping the dense intermediates. Its columns,
- * rowPtr and Rng post-state equal the legacy pipeline's for both
- * methods, and so do its top-K values; its Bernoulli values follow the
- * rule above (tests/census_property_test.cc proves both). Its top-K
- * path anticipates which cells can never be kept: a radius pre-filter
- * (TopKCut) evaluates the Box-Muller transform only for cells whose
- * radius can reach the keep threshold, and falls back to the full path
- * whenever it cannot prove that threshold, so the output never changes.
+ * emits CSR directly, skipping the dense intermediates. The legacy
+ * pipeline is the tests' oracle (tests/oracles/legacy_planes.hh). The
+ * generator's columns, rowPtr and Rng post-state equal the legacy
+ * pipeline's for both methods, and so do its top-K values; its
+ * Bernoulli values follow the rule above (tests/census_property_test.cc
+ * proves both). Its top-K path anticipates which cells can never be
+ * kept: a radius pre-filter (TopKCut) evaluates the Box-Muller
+ * transform only for cells whose radius can reach the keep threshold,
+ * and falls back to the full path whenever it cannot prove that
+ * threshold, so the output never changes.
  */
 
 #ifndef ANTSIM_WORKLOAD_TRACEGEN_HH
 #define ANTSIM_WORKLOAD_TRACEGEN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -99,6 +102,13 @@ struct PlaneRecipe
                 false};
     }
 };
+
+/**
+ * Cells a top-K plane of @p cells cells keeps at @p sparsity:
+ * llround(cells * (1 - sparsity)). The generator and the analytical
+ * estimator (src/estimate) both count kept cells with it.
+ */
+std::size_t topKKeep(std::size_t cells, double sparsity);
 
 /**
  * Generate the plane described by (@p recipe, @p rng) as CSR directly.
@@ -185,8 +195,7 @@ struct SparsityProfile
      * SWAT-style: weights, activations and activation gradients all
      * sparsified to the target, each by its own independent Bernoulli
      * mask. (The paper's gradients inherit the activations' ReLU zero
-     * mask, Sec. 2.1; no run path models that correlation --
-     * reluCorrelatedPair in tensor/sparsify is exercised by tests only.)
+     * mask, Sec. 2.1; no run path models that correlation.)
      */
     static SparsityProfile
     swat(double target)
@@ -257,11 +266,6 @@ struct StackTask
 std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                       std::uint64_t c_value = 0);
 
-/** Generate one plane at the given dims/sparsity/method. */
-Dense2d<float> generatePlane(std::uint32_t height, std::uint32_t width,
-                             double sparsity, SparsifyMethod method,
-                             Rng &rng);
-
 /**
  * Build the (kernel, image) pair for one sampled (k, c) plane pair of
  * a conv layer in the given phase. @p rng provides all randomness.
@@ -306,15 +310,6 @@ PlaneRecipe convImageRecipe(const ConvLayer &layer, TrainingPhase phase,
 PlaneRecipe convKernelRecipe(const ConvLayer &layer, TrainingPhase phase,
                              const SparsityProfile &profile,
                              const PhaseSpecs &specs);
-
-/**
- * Embed an unpadded plane into a larger plane with the given border
- * offset (used for padding and, with @p dilation > 1, zero-dilation of
- * the backward-phase gradient).
- */
-Dense2d<float> embedPlane(const Dense2d<float> &inner,
-                          std::uint32_t out_height, std::uint32_t out_width,
-                          std::uint32_t offset, std::uint32_t dilation = 1);
 
 } // namespace antsim
 

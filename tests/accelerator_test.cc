@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the multi-PE accelerator scheduler (chunking + load
- * balancing, Sec. 6.1).
+ * Tests for the multi-PE level: chunked execution of one pair
+ * (functionally exact, counters additive) and the load-balance
+ * reduction of task cycles to accelerator cycles (Sec. 6.1).
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ant/ant_pe.hh"
 #include "conv/dense_conv.hh"
+#include "oracles/chunked_run.hh"
 #include "scnn/scnn_pe.hh"
 #include "sim/accelerator.hh"
 #include "tensor/sparsify.hh"
@@ -16,25 +20,14 @@
 namespace antsim {
 namespace {
 
-TEST(Accelerator, SingleChunkMatchesBarePe)
+/** @p count task cycle counts in [1, 1000]. */
+std::vector<std::uint64_t>
+randomTaskCycles(std::size_t count, Rng &rng)
 {
-    Rng rng(1);
-    const auto kernel_plane = bernoulliPlane(3, 3, 0.4, rng);
-    const auto image_plane = bernoulliPlane(10, 10, 0.5, rng);
-    const auto spec = ProblemSpec::conv(3, 3, 10, 10);
-    const CsrMatrix kernel = CsrMatrix::fromDense(kernel_plane);
-    const CsrMatrix image = CsrMatrix::fromDense(image_plane);
-
-    ScnnPe pe;
-    AcceleratorConfig cfg;
-    cfg.numPes = 1;
-    Accelerator accel(pe, cfg);
-    const auto accel_result = accel.runProblem(spec, kernel, image, true);
-    const auto pe_result = pe.runPair(spec, kernel, image, true);
-    EXPECT_EQ(accel_result.counters.get(Counter::Cycles),
-              pe_result.counters.get(Counter::Cycles));
-    EXPECT_EQ(accel_result.counters.get(Counter::TasksProcessed), 1u);
-    EXPECT_LT(maxAbsDiff(accel_result.output, pe_result.output), 1e-12);
+    std::vector<std::uint64_t> cycles(count);
+    for (std::uint64_t &c : cycles)
+        c = 1 + rng.below(1000);
+    return cycles;
 }
 
 TEST(Accelerator, ChunkingPreservesFunctionalOutput)
@@ -45,12 +38,10 @@ TEST(Accelerator, ChunkingPreservesFunctionalOutput)
     const auto spec = ProblemSpec::conv(8, 8, 16, 16);
 
     AntPe pe;
-    AcceleratorConfig cfg;
-    cfg.chunkCapacity = 16; // force many chunks
-    Accelerator accel(pe, cfg);
-    const auto result =
-        accel.runProblem(spec, CsrMatrix::fromDense(kernel_plane),
-                         CsrMatrix::fromDense(image_plane), true);
+    const auto result = runChunked(pe, spec,
+                                   CsrMatrix::fromDense(kernel_plane),
+                                   CsrMatrix::fromDense(image_plane),
+                                   /*capacity=*/16); // force many chunks
     EXPECT_GT(result.counters.get(Counter::TasksProcessed), 1u);
     EXPECT_LT(maxAbsDiff(result.output,
                          referenceExecute(spec, kernel_plane, image_plane)),
@@ -60,44 +51,38 @@ TEST(Accelerator, ChunkingPreservesFunctionalOutput)
 TEST(Accelerator, PerfectLoadBalanceIsCeilingOfSum)
 {
     Rng rng(3);
-    const auto kernel_plane = bernoulliPlane(6, 6, 0.4, rng);
-    const auto image_plane = bernoulliPlane(12, 12, 0.4, rng);
-    const auto spec = ProblemSpec::conv(6, 6, 12, 12);
-    const CsrMatrix kernel = CsrMatrix::fromDense(kernel_plane);
-    const CsrMatrix image = CsrMatrix::fromDense(image_plane);
-
-    ScnnPe pe;
-    AcceleratorConfig one;
-    one.numPes = 1;
-    one.chunkCapacity = 8;
-    AcceleratorConfig many = one;
-    many.numPes = 64;
-    const auto r1 = Accelerator(pe, one).runProblem(spec, kernel, image);
-    const auto r64 = Accelerator(pe, many).runProblem(spec, kernel, image);
-    const std::uint64_t total = r1.counters.get(Counter::Cycles);
-    EXPECT_EQ(r64.counters.get(Counter::Cycles), (total + 63) / 64);
+    for (std::size_t count : {1u, 7u, 64u, 65u, 300u}) {
+        const auto cycles = randomTaskCycles(count, rng);
+        std::uint64_t total = 0;
+        for (std::uint64_t c : cycles)
+            total += c;
+        EXPECT_EQ(scheduleCycles(cycles, 1, LoadBalance::Perfect), total);
+        EXPECT_EQ(scheduleCycles(cycles, 64, LoadBalance::Perfect),
+                  (total + 63) / 64);
+    }
 }
 
 TEST(Accelerator, GreedyLptNeverBeatsPerfect)
 {
     Rng rng(4);
-    const auto kernel_plane = bernoulliPlane(8, 8, 0.2, rng);
-    const auto image_plane = bernoulliPlane(14, 14, 0.2, rng);
-    const auto spec = ProblemSpec::conv(8, 8, 14, 14);
-    const CsrMatrix kernel = CsrMatrix::fromDense(kernel_plane);
-    const CsrMatrix image = CsrMatrix::fromDense(image_plane);
+    for (std::uint32_t pes : {1u, 2u, 4u, 64u}) {
+        for (std::size_t count : {1u, 5u, 33u, 200u}) {
+            const auto cycles = randomTaskCycles(count, rng);
+            EXPECT_GE(scheduleCycles(cycles, pes, LoadBalance::GreedyLpt),
+                      scheduleCycles(cycles, pes, LoadBalance::Perfect))
+                << pes << " PEs, " << count << " tasks";
+        }
+    }
+}
 
-    ScnnPe pe;
-    AcceleratorConfig perfect;
-    perfect.numPes = 4;
-    perfect.chunkCapacity = 10;
-    AcceleratorConfig greedy = perfect;
-    greedy.loadBalance = LoadBalance::GreedyLpt;
-    const auto rp =
-        Accelerator(pe, perfect).runProblem(spec, kernel, image);
-    const auto rg = Accelerator(pe, greedy).runProblem(spec, kernel, image);
-    EXPECT_GE(rg.counters.get(Counter::Cycles),
-              rp.counters.get(Counter::Cycles));
+TEST(Accelerator, LoadBalanceKnownAnswer)
+{
+    // Sum 18 on 2 PEs: perfect balance takes 9 cycles. LPT places 5
+    // and 4, then each 3 on the lighter PE: {5, 3} and {4, 3, 3}.
+    const std::vector<std::uint64_t> cycles = {5, 4, 3, 3, 3};
+    EXPECT_EQ(scheduleCycles(cycles, 2, LoadBalance::Perfect), 9u);
+    EXPECT_EQ(scheduleCycles(cycles, 2, LoadBalance::GreedyLpt), 10u);
+    EXPECT_EQ(scheduleCycles({}, 2, LoadBalance::GreedyLpt), 0u);
 }
 
 TEST(Accelerator, CountersSumOverTasks)
@@ -112,12 +97,8 @@ TEST(Accelerator, CountersSumOverTasks)
     const CsrMatrix image = CsrMatrix::fromDense(image_plane);
 
     ScnnPe pe;
-    AcceleratorConfig big;
-    big.chunkCapacity = 4096;
-    AcceleratorConfig small;
-    small.chunkCapacity = 5;
-    const auto rb = Accelerator(pe, big).runProblem(spec, kernel, image);
-    const auto rs = Accelerator(pe, small).runProblem(spec, kernel, image);
+    const auto rb = runChunked(pe, spec, kernel, image, 4096);
+    const auto rs = runChunked(pe, spec, kernel, image, 5);
     EXPECT_EQ(rb.counters.get(Counter::MultsExecuted),
               rs.counters.get(Counter::MultsExecuted));
     EXPECT_EQ(rb.counters.get(Counter::MultsValid),
@@ -125,38 +106,6 @@ TEST(Accelerator, CountersSumOverTasks)
     // But chunking pays more startup.
     EXPECT_GT(rs.counters.get(Counter::StartupCycles),
               rb.counters.get(Counter::StartupCycles));
-}
-
-TEST(Accelerator, RunTasksAggregates)
-{
-    Rng rng(6);
-    const auto kernel_plane = bernoulliPlane(3, 3, 0.4, rng);
-    const auto image_plane = bernoulliPlane(9, 9, 0.4, rng);
-    const auto spec = ProblemSpec::conv(3, 3, 9, 9);
-    const CsrMatrix kernel = CsrMatrix::fromDense(kernel_plane);
-    const CsrMatrix image = CsrMatrix::fromDense(image_plane);
-
-    ScnnPe pe;
-    AcceleratorConfig cfg;
-    cfg.numPes = 2;
-    Accelerator accel(pe, cfg);
-    std::vector<std::pair<ProblemSpec, ChunkPair>> tasks = {
-        {spec, {&kernel, &image}}, {spec, {&kernel, &image}}};
-    const auto r = accel.runTasks(tasks);
-    EXPECT_EQ(r.counters.get(Counter::TasksProcessed), 2u);
-    const auto single = pe.runPair(spec, kernel, image, false);
-    EXPECT_EQ(r.counters.get(Counter::MultsExecuted),
-              2 * single.counters.get(Counter::MultsExecuted));
-    EXPECT_EQ(r.counters.get(Counter::Cycles),
-              single.counters.get(Counter::Cycles));
-}
-
-TEST(AcceleratorDeathTest, BadConfig)
-{
-    ScnnPe pe;
-    AcceleratorConfig cfg;
-    cfg.numPes = 0;
-    EXPECT_DEATH(Accelerator(pe, cfg), "at least one PE");
 }
 
 } // namespace

@@ -10,8 +10,8 @@
 #include <tuple>
 
 #include "ant/ant_pe.hh"
-#include "conv/anticipate.hh"
 #include "conv/dense_conv.hh"
+#include "oracles/anticipate.hh"
 #include "scnn/scnn_pe.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"

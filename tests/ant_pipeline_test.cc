@@ -9,7 +9,7 @@
 #include <tuple>
 
 #include "ant/ant_pe.hh"
-#include "ant/ant_pipeline.hh"
+#include "oracles/ant_pipeline.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"
 

@@ -8,8 +8,8 @@
 
 #include <tuple>
 
-#include "conv/anticipate.hh"
 #include "conv/dense_conv.hh"
+#include "oracles/anticipate.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"
 

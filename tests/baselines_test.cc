@@ -8,6 +8,7 @@
 
 #include "baselines/inner_product.hh"
 #include "conv/dense_conv.hh"
+#include "oracles/legacy_planes.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"
 

@@ -26,7 +26,7 @@
 
 #include "conv/census.hh"
 #include "conv/outer_product.hh"
-#include "tensor/sparsify.hh"
+#include "oracles/legacy_planes.hh"
 #include "util/bfloat16.hh"
 #include "util/thread_pool.hh"
 #include "workload/tracegen.hh"

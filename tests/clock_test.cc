@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/clock.hh"
+#include "oracles/clock.hh"
 
 namespace antsim {
 namespace {

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "conv/dense_conv.hh"
-#include "tensor/sparsify.hh"
+#include "oracles/legacy_planes.hh"
 #include "util/rng.hh"
 
 namespace antsim {

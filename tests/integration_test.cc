@@ -9,8 +9,8 @@
 #include "ant/ant_pe.hh"
 #include "baselines/inner_product.hh"
 #include "conv/dense_conv.hh"
+#include "oracles/chunked_run.hh"
 #include "scnn/scnn_pe.hh"
-#include "sim/accelerator.hh"
 #include "workload/runner.hh"
 
 namespace antsim {
@@ -54,13 +54,10 @@ TEST(Integration, FunctionalAgreementAcrossAllModels)
     ScnnPe scnn;
     AntPe ant;
     DenseInnerProductPe dense;
-    AcceleratorConfig acfg;
-    acfg.chunkCapacity = 32;
     for (PeModel *pe :
          std::initializer_list<PeModel *>{&scnn, &ant, &dense}) {
-        Accelerator accel(*pe, acfg);
-        const auto result =
-            accel.runProblem(pair.spec, pair.kernel, pair.image, true);
+        const auto result = runChunked(*pe, pair.spec, pair.kernel,
+                                       pair.image, /*capacity=*/32);
         EXPECT_LT(maxAbsDiff(result.output, ref), 1e-9) << pe->name();
     }
 }
@@ -201,10 +198,8 @@ TEST(Integration, ChunkedLargePairStillCorrect)
     ASSERT_GT(pair.image.nnz(), 4096u);
 
     AntPe ant;
-    AcceleratorConfig acfg; // default 4096 capacity
-    Accelerator accel(ant, acfg);
-    const auto result =
-        accel.runProblem(pair.spec, pair.kernel, pair.image, true);
+    const auto result = runChunked(ant, pair.spec, pair.kernel, pair.image,
+                                   /*capacity=*/4096);
     EXPECT_GT(result.counters.get(Counter::TasksProcessed), 1u);
     const auto ref = referenceExecute(pair.spec, pair.kernel.toDense(),
                                       pair.image.toDense());

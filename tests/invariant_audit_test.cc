@@ -15,6 +15,7 @@
 
 #include "ant/ant_pe.hh"
 #include "baselines/inner_product.hh"
+#include "oracles/ant_pipeline.hh"
 #include "scnn/scnn_pe.hh"
 #include "tensor/sparsify.hh"
 #include "util/audit.hh"

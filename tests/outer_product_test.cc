@@ -10,6 +10,7 @@
 
 #include "conv/dense_conv.hh"
 #include "conv/outer_product.hh"
+#include "oracles/legacy_planes.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"
 

@@ -5,8 +5,7 @@
  * counter, every layer, every phase -- at every thread count (the
  * clone-per-worker + ordered-reduction design, DESIGN.md "Parallel
  * execution model"). Checked across 3 seeds and 2 networks for thread
- * counts {1, 2, 8}, plus the matmul runner and the tick-accurate
- * pipeline model's parallel plan construction. A multi-model call must
+ * counts {1, 2, 8}, plus the matmul runner. A multi-model call must
  * give every model exactly what a call of its own gives it.
  */
 
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "ant/ant_pe.hh"
-#include "ant/ant_pipeline.hh"
 #include "baselines/inner_product.hh"
 #include "scnn/scnn_pe.hh"
 #include "workload/runner.hh"
@@ -221,27 +219,6 @@ TEST(ParallelDeterminism, MultiModelMatmulCallEqualsSingleModelCalls)
             runMatmulNetwork(scnn, rnnLayers(), 0.9, SparsifyMethod::TopK,
                              config),
             multi[1], "SCNN/matmul/" + std::to_string(threads) + " threads");
-    }
-}
-
-TEST(ParallelDeterminism, PipelineModelPlanConstruction)
-{
-    // The tick-accurate model's parallel per-group plan construction
-    // must not perturb the simulated outcome.
-    Rng rng(99);
-    const PlanePair pair = makeConvPhasePair(
-        ConvLayer{"p", 8, 8, 24, 24, 3, 1, 1}, TrainingPhase::Update,
-        SparsityProfile::swat(0.9), rng);
-    const AntPipelineModel ticks;
-    const auto serial = ticks.run(pair.spec, pair.kernel, pair.image, 1);
-    for (const std::uint32_t threads : kThreadCounts) {
-        const auto parallel =
-            ticks.run(pair.spec, pair.kernel, pair.image, threads);
-        EXPECT_EQ(serial.cycles, parallel.cycles);
-        EXPECT_EQ(serial.executed, parallel.executed);
-        EXPECT_EQ(serial.valid, parallel.valid);
-        EXPECT_EQ(serial.residualRcps, parallel.residualRcps);
-        EXPECT_EQ(serial.fnirEvaluations, parallel.fnirEvaluations);
     }
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Tests for the structured run-reporting subsystem (src/report): the
  * JSON document model, the CounterSet/NetworkStats serializers (full
- * round trips against live runner output), the profile section built
+ * round trips through the reader in oracles/json_reader.hh against
+ * live runner output), the profile section built
  * from the host metrics registry, and the golden-JSON guarantee that
  * the deterministic part of a report is byte-identical at every thread
  * count.
@@ -17,6 +18,7 @@
 
 #include "ant/ant_pe.hh"
 #include "obs/metrics.hh"
+#include "oracles/json_reader.hh"
 #include "report/json.hh"
 #include "report/report.hh"
 #include "report/rollup.hh"
@@ -47,12 +49,12 @@ TEST(Json, ScalarsDumpAndParse)
     EXPECT_EQ(Json("a \"b\"\n").dump(), "\"a \\\"b\\\"\\n\"");
 
     std::string error;
-    const Json big = Json::parse("18446744073709551615", &error);
+    const Json big = parseJson("18446744073709551615", &error);
     EXPECT_TRUE(error.empty());
     EXPECT_EQ(big.asUint(), 18446744073709551615ull);
-    EXPECT_EQ(Json::parse("-7").asInt(), -7);
-    EXPECT_DOUBLE_EQ(Json::parse("2.5e3").asDouble(), 2500.0);
-    EXPECT_EQ(Json::parse("\"x\\u0041y\"").asString(), "xAy");
+    EXPECT_EQ(parseJson("-7").asInt(), -7);
+    EXPECT_DOUBLE_EQ(parseJson("2.5e3").asDouble(), 2500.0);
+    EXPECT_EQ(parseJson("\"x\\u0041y\"").asString(), "xAy");
 }
 
 TEST(Json, ObjectsPreserveInsertionOrder)
@@ -79,7 +81,7 @@ TEST(Json, RoundTripEquality)
     nested.push(Json::object());
 
     std::string error;
-    const Json parsed = Json::parse(doc.dump(), &error);
+    const Json parsed = parseJson(doc.dump(), &error);
     EXPECT_TRUE(error.empty()) << error;
     EXPECT_EQ(parsed, doc);
     // And the dump of the parse is byte-identical: full fixpoint.
@@ -89,13 +91,13 @@ TEST(Json, RoundTripEquality)
 TEST(Json, ParseErrorsAreReported)
 {
     std::string error;
-    Json::parse("{\"a\": }", &error);
+    parseJson("{\"a\": }", &error);
     EXPECT_FALSE(error.empty());
-    Json::parse("[1, 2", &error);
+    parseJson("[1, 2", &error);
     EXPECT_FALSE(error.empty());
-    Json::parse("12 34", &error);
+    parseJson("12 34", &error);
     EXPECT_FALSE(error.empty());
-    Json::parse("", &error);
+    parseJson("", &error);
     EXPECT_FALSE(error.empty());
 }
 
@@ -107,7 +109,7 @@ TEST(Report, CounterSetRoundTrip)
     const Json json = counterSetToJson(counters);
     // Every counter is present by name, exactly.
     EXPECT_EQ(json.size(), kNumCounters);
-    const CounterSet back = counterSetFromJson(Json::parse(json.dump()));
+    const CounterSet back = counterSetFromJson(parseJson(json.dump()));
     for (std::size_t i = 0; i < kNumCounters; ++i) {
         const auto counter = static_cast<Counter>(i);
         EXPECT_EQ(back.get(counter), counters.get(counter))
@@ -123,7 +125,7 @@ TEST(Report, NetworkStatsRoundTripAgainstLiveRun)
                                       fastConfig());
     const Json json = networkStatsToJson(stats, /*num_pes=*/64);
     const NetworkStats back =
-        networkStatsFromJson(Json::parse(json.dump()));
+        networkStatsFromJson(parseJson(json.dump()));
 
     for (std::size_t c = 0; c < kNumCounters; ++c) {
         const auto counter = static_cast<Counter>(c);
@@ -310,7 +312,7 @@ TEST(Report, WriteJsonFileParsesBack)
     std::stringstream buffer;
     buffer << in.rdbuf();
     std::string error;
-    const Json parsed = Json::parse(buffer.str(), &error);
+    const Json parsed = parseJson(buffer.str(), &error);
     EXPECT_TRUE(error.empty()) << error;
     EXPECT_DOUBLE_EQ(parsed.at("metrics").at("alpha").asDouble(), 1.5);
     std::remove(path.c_str());

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the synthetic sparsifiers used in trace generation.
+ * Tests for the dense synthetic sparsifiers: bernoulliPlane and the
+ * legacy pipeline's top-K oracle (oracles/legacy_planes.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "oracles/legacy_planes.hh"
 #include "tensor/sparsify.hh"
 
 namespace antsim {
@@ -80,42 +82,6 @@ TEST(Sparsify, TopKDeterministicTieBreak)
     EXPECT_EQ(sparse.at(1, 0), 1.0f);
     EXPECT_EQ(sparse.at(2, 0), 0.0f);
     EXPECT_EQ(sparse.at(3, 0), 0.0f);
-}
-
-TEST(Sparsify, ReluCorrelatedSharedMask)
-{
-    Rng rng(7);
-    const auto [act, grad] =
-        reluCorrelatedPair(64, 64, 0.5, 0.5, 0.5, rng);
-    // With final sparsity == relu sparsity, the zero masks coincide
-    // except for top-K rounding.
-    std::size_t both_zero = 0;
-    std::size_t act_zero = 0;
-    for (std::size_t i = 0; i < act.size(); ++i) {
-        const bool az = act.data()[i] == 0.0f;
-        const bool gz = grad.data()[i] == 0.0f;
-        act_zero += az;
-        both_zero += (az && gz);
-    }
-    // Strong overlap: at least 90% of act zeros are also grad zeros.
-    EXPECT_GT(static_cast<double>(both_zero),
-              0.9 * static_cast<double>(act_zero));
-}
-
-TEST(Sparsify, ReluCorrelatedFinalTargets)
-{
-    Rng rng(8);
-    const auto [act, grad] =
-        reluCorrelatedPair(100, 100, 0.4, 0.8, 0.9, rng);
-    EXPECT_NEAR(act.sparsity(), 0.8, 0.02);
-    EXPECT_NEAR(grad.sparsity(), 0.9, 0.02);
-}
-
-TEST(SparsifyDeathTest, ReluCorrelatedRequiresConsistentTargets)
-{
-    Rng rng(9);
-    EXPECT_DEATH(reluCorrelatedPair(10, 10, 0.8, 0.5, 0.9, rng),
-                 "at least the shared");
 }
 
 TEST(SparsifyDeathTest, SparsityOutOfRange)

@@ -7,6 +7,7 @@
 
 #include "conv/dense_conv.hh"
 #include "obs/metrics.hh"
+#include "oracles/legacy_planes.hh"
 #include "workload/layer.hh"
 #include "workload/tracegen.hh"
 
