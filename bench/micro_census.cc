@@ -120,13 +120,18 @@ BENCHMARK_CAPTURE(BM_FusedPlaneGenerator, topk, SparsifyMethod::TopK)
     ->Args({56, 56, 90})
     ->Args({128, 128, 90})
     ->Args({72, 512, 90});
-// fig10's shapes: dense and 85%-sparse 3x3 kernels and 32x32 planes.
+// fig10's shapes: dense and 85%-sparse 3x3 kernels, and 32x32 planes
+// dense, at the mid densities of its update-phase gradients (where the
+// kept branch is least predictable) and at 85%.
 BENCHMARK_CAPTURE(BM_FusedPlaneGenerator, bernoulli,
                   SparsifyMethod::Bernoulli)
     ->Args({56, 56, 90})
     ->Args({3, 3, 0})
     ->Args({3, 3, 85})
     ->Args({32, 32, 0})
+    ->Args({32, 32, 30})
+    ->Args({32, 32, 50})
+    ->Args({32, 32, 70})
     ->Args({32, 32, 85});
 
 } // namespace

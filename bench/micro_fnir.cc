@@ -52,8 +52,10 @@ executedProducts(const PeResult &result)
 /**
  * ANT counting run on one fig10 ResNet18 task: 256 dense 3x3 weight
  * planes against a 34x34 padded activation plane at 85% sparsity
- * (forward, first arg 0), or 256 32x32 gradient planes at 42% against
- * the same activations (update, first arg 2). The second arg picks the
+ * (forward, first arg 0), 64 rotated dense 3x3 weight planes against a
+ * padded 32x32 gradient plane at 42% (backward, first arg 1, fig10's
+ * largest ANT phase), or 256 32x32 gradient planes at 42% against the
+ * activations (update, first arg 2). The second arg picks the
  * dataflow: 0 image stationary, 1 kernel stationary. Items are
  * executed products.
  */
@@ -80,6 +82,7 @@ BM_AntConvStackCounting(benchmark::State &state)
 }
 BENCHMARK(BM_AntConvStackCounting)
     ->Args({0, 0})
+    ->Args({1, 0})
     ->Args({2, 0})
     ->Args({0, 1});
 

@@ -1,6 +1,7 @@
 #include "ant_pe.hh"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
 #include <span>
@@ -143,20 +144,28 @@ struct ScanTotals
  * rules of Fnir::evaluate. Each window costs what the functional loop
  * charges: ceil(width / 8) index reads, 2k compares, one Active or
  * IdleScan cycle, ceil(selected / 4) value reads and selected x group
- * products. The costs add up in integers and reach the CounterSet in
- * one charge() per call. Runs of full idle windows are charged in one
- * step; with a recorder attached they add one zero FnirValidPartners
- * sample each and one IdleScan span, which the recorder's span merging
- * makes identical to the functional path's per-window trace.
+ * products. The read costs come from tables of accesses(w), w = 0..64,
+ * built once, so a window divides nothing; a scan tallies in locals and
+ * adds them to the members once, and the CounterSet sees one charge()
+ * per call. A window that selects nothing starts a run of full idle
+ * windows, which Fnir::idleWindows measures (the walk's one division)
+ * and which is charged in one step; with a recorder attached it adds
+ * one zero FnirValidPartners sample per window and one IdleScan span,
+ * which the recorder's span merging makes identical to the functional
+ * path's per-window trace.
  */
 class CountingScan
 {
   public:
     CountingScan(const Fnir &fnir, const SramConfig &index_cfg,
                  const SramConfig &value_cfg)
-        : fnir_(fnir), indexCfg_(index_cfg), valueCfg_(value_cfg),
-          rec_(obs::recorder())
-    {}
+        : fnir_(fnir), rec_(obs::recorder())
+    {
+        for (std::uint32_t w = 0; w < indexCost_.size(); ++w) {
+            indexCost_[w] = index_cfg.accesses(w);
+            valueCost_[w] = value_cfg.accesses(w);
+        }
+    }
 
     /**
      * Scan one group's non-empty candidate @p stream against @p range,
@@ -169,44 +178,52 @@ class CountingScan
     {
         Fnir::compareStream(stream, range.lo, range.hi, bits_);
         const std::uint32_t k = fnir_.k();
-        const std::uint64_t windows_before = windows_;
+        std::uint64_t windows = 0;
+        std::uint64_t idle = 0;
+        std::uint64_t streamed = 0;
+        std::uint64_t fetched = 0;
+        std::uint64_t index_accesses = 0;
+        std::uint64_t value_accesses = 0;
         std::size_t pos = 0;
         while (pos < stream.size()) {
-            const std::size_t idle = fnir_.idleWindows(bits_, pos);
-            if (idle != 0) {
-                windows_ += idle;
-                idle_ += idle;
-                totals_.streamed += idle * k;
-                indexAccesses_ += idle * indexCfg_.accesses(k);
-                pos += idle * k;
+            const FnirWindow w = fnir_.window(bits_, pos);
+            if (w.selected == 0 && w.width == k) {
+                // A full idle window: the run of them from here on.
+                const std::size_t run = fnir_.idleWindows(bits_, pos);
+                windows += run;
+                idle += run;
+                streamed += run * k;
+                index_accesses += run * indexCost_[k];
+                pos += run * k;
                 if (rec_ != nullptr) {
-                    for (std::size_t i = 0; i < idle; ++i)
+                    for (std::size_t i = 0; i < run; ++i)
                         rec_->hist(obs::HistId::FnirValidPartners, 0);
-                    rec_->advance(obs::SpanKind::IdleScan, idle);
+                    rec_->advance(obs::SpanKind::IdleScan, run);
                 }
                 continue;
             }
-            const FnirWindow w = fnir_.window(bits_, pos);
-            ++windows_;
-            totals_.streamed += w.width;
-            indexAccesses_ += indexCfg_.accesses(w.width);
+            ++windows;
+            idle += w.selected == 0 ? 1 : 0;
+            streamed += w.width;
+            fetched += w.selected;
+            index_accesses += indexCost_[w.width];
+            value_accesses += valueCost_[w.selected];
             if (rec_ != nullptr) {
                 rec_->hist(obs::HistId::FnirValidPartners, w.selected);
                 rec_->advance(w.selected == 0 ? obs::SpanKind::IdleScan
                                               : obs::SpanKind::Active,
                               1);
             }
-            if (w.selected == 0) {
-                ++idle_;
-            } else {
-                totals_.fetched += w.selected;
-                valueAccesses_ += valueCfg_.accesses(w.selected);
-                totals_.executed +=
-                    static_cast<std::uint64_t>(w.selected) * group;
-            }
             pos = w.next;
         }
-        return windows_ - windows_before;
+        windows_ += windows;
+        idle_ += idle;
+        totals_.streamed += streamed;
+        totals_.fetched += fetched;
+        totals_.executed += fetched * group;
+        indexAccesses_ += index_accesses;
+        valueAccesses_ += value_accesses;
+        return windows;
     }
 
     /** Charge the scan costs tallied so far to @p c. */
@@ -224,9 +241,10 @@ class CountingScan
 
   private:
     const Fnir &fnir_;
-    const SramConfig &indexCfg_;
-    const SramConfig &valueCfg_;
     obs::UnitRecorder *rec_;
+    /** SRAM accesses of a w-lane index read and a w-value read. */
+    std::array<std::uint64_t, 65> indexCost_{};
+    std::array<std::uint64_t, 65> valueCost_{};
     FnirRangeBits bits_;
     ScanTotals totals_;
     std::uint64_t windows_ = 0;

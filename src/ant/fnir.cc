@@ -171,33 +171,6 @@ Fnir::compareStream(std::span<const std::uint32_t> s_indices,
               bits.words.data());
 }
 
-FnirWindow
-Fnir::window(const FnirRangeBits &bits, std::size_t pos) const
-{
-    const auto width =
-        static_cast<std::uint32_t>(std::min<std::size_t>(k_, bits.size - pos));
-    // The window's lanes, lowest first: a 64-bit funnel shift across
-    // the two words it can touch (the trailing zero word keeps the
-    // second read in bounds).
-    const std::size_t word = pos / 64;
-    const unsigned offset = pos % 64;
-    std::uint64_t lanes = bits.words[word] >> offset;
-    if (offset != 0)
-        lanes |= bits.words[word + 1] << (64 - offset);
-    if (width < 64)
-        lanes &= (1ull << width) - 1;
-
-    const auto in_range = static_cast<std::uint32_t>(std::popcount(lanes));
-    if (in_range <= n_)
-        return {width, in_range, pos + width};
-    // The first n in-range lanes fill the ports; the lowest one left is
-    // the n+1-st, where the feedback restarts the scan.
-    for (std::uint32_t port = 0; port < n_; ++port)
-        lanes &= lanes - 1;
-    return {width, n_,
-            pos + static_cast<std::size_t>(std::countr_zero(lanes))};
-}
-
 std::size_t
 Fnir::idleWindows(const FnirRangeBits &bits, std::size_t pos) const
 {

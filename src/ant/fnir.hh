@@ -25,14 +25,17 @@
  * The ANT PE's counting runs need only what each window decides -- how
  * many ports fire and where the next window starts -- so they use a
  * stream form: one comparator pass over a group's whole candidate
- * stream into a bitset (compareStream), then a popcount walk over it
- * (window, idleWindows). tests/fnir_test.cc checks the walk against
+ * stream into a bitset (compareStream), then a walk over its set bits
+ * (window, inline and division-free, and idleWindows for runs of
+ * empty windows). tests/fnir_test.cc checks the walk against
  * evaluate() window by window.
  */
 
 #ifndef ANTSIM_ANT_FNIR_HH
 #define ANTSIM_ANT_FNIR_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -138,13 +141,17 @@ class Fnir
      * min(k, size - pos), selected = min(c, n), and the next window
      * starts at the n+1-st in-range lane when c > n, else right after
      * this one. Equal to evaluate() on the same lanes (selectedCount
-     * and the feedback port), window by window.
+     * and the feedback port), window by window. Inline, and free of
+     * divisions, because the ANT PE's counting walk calls it once per
+     * window.
      */
     FnirWindow window(const FnirRangeBits &bits, std::size_t pos) const;
 
     /**
      * Full k-lane windows from @p pos on that hold no in-range lane,
      * each of which selects nothing and hands over to the next k lanes.
+     * It divides by k, so the counting walk calls it only from a window
+     * that selects nothing.
      */
     std::size_t idleWindows(const FnirRangeBits &bits,
                             std::size_t pos) const;
@@ -165,6 +172,37 @@ class Fnir
     std::uint32_t n_;
     std::uint32_t k_;
 };
+
+inline FnirWindow
+Fnir::window(const FnirRangeBits &bits, std::size_t pos) const
+{
+    const auto width =
+        static_cast<std::uint32_t>(std::min<std::size_t>(k_, bits.size - pos));
+    // The window's lanes, lowest first: a 64-bit funnel shift across
+    // the two words it can touch (the trailing zero word keeps the
+    // second read in bounds).
+    const std::size_t word = pos / 64;
+    const unsigned offset = pos % 64;
+    std::uint64_t lanes = bits.words[word] >> offset;
+    if (offset != 0)
+        lanes |= bits.words[word + 1] << (64 - offset);
+    if (width < 64)
+        lanes &= (1ull << width) - 1;
+
+    // The first n in-range lanes fill the ports (cleared lowest first,
+    // which needs no popcount: without a popcnt target it is a libgcc
+    // call); the lowest one left is the n+1-st, where the feedback
+    // restarts the scan.
+    std::uint32_t selected = 0;
+    for (std::uint32_t port = 0; port < n_; ++port) {
+        selected += lanes != 0 ? 1 : 0;
+        lanes &= lanes - 1;
+    }
+    if (lanes == 0)
+        return {width, selected, pos + width};
+    return {width, n_,
+            pos + static_cast<std::size_t>(std::countr_zero(lanes))};
+}
 
 } // namespace antsim
 

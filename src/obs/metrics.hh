@@ -509,7 +509,6 @@ struct Snapshot
 
 /** Stable snake_case metric names (exposition / report keys). */
 const char *counterName(Counter c);
-const char *workerCounterName(WorkerCounter c);
 const char *gaugeName(Gauge g);
 const char *histName(Hist h);
 const char *profileCountName(ProfileCount c);

@@ -218,36 +218,6 @@ planLanes(const std::vector<const UnitRecorder *> &units_by_run_flat,
 
 } // namespace
 
-std::vector<std::uint64_t>
-TraceSink::laneBusyCycles(std::uint32_t num_pes) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<const UnitRecorder *> flat;
-    std::vector<std::size_t> run_sizes;
-    for (const Run &run : runs_) {
-        run_sizes.push_back(run.units.size());
-        for (std::size_t u = 0; u < run.units.size(); ++u)
-            flat.push_back(run.present[u] ? &run.units[u] : nullptr);
-    }
-    std::vector<std::uint64_t> busy(num_pes, 0);
-    if (flat.empty())
-        return busy;
-    const LanePlan plan = planLanes(flat, run_sizes, num_pes);
-    std::size_t i = 0;
-    for (std::size_t r = 0; r < run_sizes.size(); ++r) {
-        for (std::size_t u = 0; u < run_sizes[r]; ++u, ++i) {
-            const UnitRecorder *rec = flat[i];
-            if (!rec)
-                continue;
-            for (const Span &span : rec->spans()) {
-                if (span.kind != SpanKind::IdleScan)
-                    busy[plan.lane[r][u]] += span.end - span.begin;
-            }
-        }
-    }
-    return busy;
-}
-
 std::string
 TraceSink::toChromeJson(std::uint32_t num_pes) const
 {

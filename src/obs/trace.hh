@@ -223,13 +223,6 @@ class TraceSink
     HistogramRegistry mergedHistograms() const;
 
     /**
-     * Busy (startup + active) cycles per PE lane of the reconstructed
-     * schedule over @p num_pes lanes -- the load-imbalance signal
-     * (max minus mean) the stall table and trace_summary.py report.
-     */
-    std::vector<std::uint64_t> laneBusyCycles(std::uint32_t num_pes) const;
-
-    /**
      * Serialize everything as Chrome trace-event JSON with one thread
      * lane per PE of the reconstructed @p num_pes-PE schedule.
      * Deterministic: byte-identical for identical submitted content.

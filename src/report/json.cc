@@ -73,13 +73,6 @@ Json::isNumber() const
         type_ == Type::Double;
 }
 
-bool
-Json::asBool() const
-{
-    ANT_ASSERT(type_ == Type::Bool, "JSON value is not a bool");
-    return bool_;
-}
-
 std::int64_t
 Json::asInt() const
 {
@@ -180,13 +173,6 @@ Json::at(const std::string &key) const
     const Json *value = find(key);
     ANT_ASSERT(value != nullptr, "JSON object has no member '", key, "'");
     return *value;
-}
-
-const std::vector<std::pair<std::string, Json>> &
-Json::members() const
-{
-    ANT_ASSERT(type_ == Type::Object, "members on a non-object JSON value");
-    return object_;
 }
 
 void

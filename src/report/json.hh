@@ -51,7 +51,6 @@ class Json
     bool isNumber() const;
 
     /** Typed accessors; panic if the value has a different type. */
-    bool asBool() const;
     std::int64_t asInt() const;
     std::uint64_t asUint() const;
     /** Numeric value widened to double (any numeric type). */
@@ -71,8 +70,6 @@ class Json
     const Json *find(const std::string &key) const;
     /** Object: member lookup; panics when absent. */
     const Json &at(const std::string &key) const;
-    /** Object: the members in insertion order. */
-    const std::vector<std::pair<std::string, Json>> &members() const;
 
     /**
      * Serialize deterministically: 2-space indentation, members in

@@ -257,9 +257,9 @@ CsrMatrix::fromDense(const Dense2d<float> &dense)
 
 CsrMatrix
 CsrMatrix::fromRaw(std::uint32_t height, std::uint32_t width,
-                   const std::vector<float> &values,
-                   const std::vector<std::uint32_t> &columns,
-                   const std::vector<std::uint32_t> &row_ptr)
+                   std::span<const float> values,
+                   std::span<const std::uint32_t> columns,
+                   std::span<const std::uint32_t> row_ptr)
 {
     ANT_ASSERT(row_ptr.size() == static_cast<std::size_t>(height) + 1,
                "rowPtr size ", row_ptr.size(), " != height+1 ", height + 1);

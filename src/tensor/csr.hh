@@ -70,13 +70,14 @@ class CsrMatrix
     static CsrMatrix fromDense(const Dense2d<float> &dense);
 
     /**
-     * Build directly from raw arrays (copied into the matrix's slab).
-     * Panics if the arrays violate the CSR invariants.
+     * Build directly from raw arrays (copied into the matrix's slab);
+     * the spans may be prefixes of larger scratch arrays. Panics if the
+     * arrays violate the CSR invariants.
      */
     static CsrMatrix fromRaw(std::uint32_t height, std::uint32_t width,
-                             const std::vector<float> &values,
-                             const std::vector<std::uint32_t> &columns,
-                             const std::vector<std::uint32_t> &row_ptr);
+                             std::span<const float> values,
+                             std::span<const std::uint32_t> columns,
+                             std::span<const std::uint32_t> row_ptr);
 
     /**
      * Build from an unsorted coordinate list (duplicates are summed,

@@ -39,22 +39,6 @@ parseLogLevel(const std::string &name)
                           "' (expected error, warn, info, or debug)");
 }
 
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Silent:
-        return "error";
-      case LogLevel::Warn:
-        return "warn";
-      case LogLevel::Info:
-        return "info";
-      case LogLevel::Debug:
-        return "debug";
-    }
-    return "warn";
-}
-
 void
 initLogLevelFromEnv()
 {

@@ -33,9 +33,6 @@ void setLogLevel(LogLevel level);
  */
 LogLevel parseLogLevel(const std::string &name);
 
-/** Stable name of a log level (inverse of parseLogLevel). */
-const char *logLevelName(LogLevel level);
-
 /**
  * Apply the ANTSIM_LOG_LEVEL environment variable when set (same
  * names as parseLogLevel). Called by bench_common before flag

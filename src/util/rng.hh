@@ -12,6 +12,7 @@
 #define ANTSIM_UTIL_RNG_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -21,10 +22,10 @@ namespace antsim {
  * xoshiro256** generator (public-domain algorithm by Blackman & Vigna).
  *
  * Seeded through SplitMix64 so that any 64-bit seed produces a
- * well-mixed state. next, uniform, bernoulli and drawNormal are defined
- * inline: the trace generator calls them once or more per plane cell,
- * and on a local copy of the generator the state then stays in
- * registers.
+ * well-mixed state. next, uniform, the Bernoulli trials and drawNormal
+ * are defined inline: the trace generator calls them once or more per
+ * plane cell, and on a local copy of the generator the state then
+ * stays in registers.
  */
 class Rng
 {
@@ -68,6 +69,34 @@ class Rng
     bernoulli(double p)
     {
         return uniform() < p;
+    }
+
+    /**
+     * The integer form of bernoulli(@p p): bernoulliBelow of this
+     * threshold returns what bernoulli(p) would, draw for draw. The
+     * draw m = next() >> 11 is a 53-bit integer and uniform() is
+     * m * 2^-53, so uniform() < p iff m < p * 2^53 (scaling by a power
+     * of two is exact in double) iff m < ceil(p * 2^53). The threshold
+     * is 0 for p <= 0 (or NaN) and 2^53 for p >= 1.
+     */
+    static std::uint64_t
+    bernoulliThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return 1ull << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /**
+     * Bernoulli trial against a bernoulliThreshold: one draw, an
+     * integer compare and no conversion to double.
+     */
+    bool
+    bernoulliBelow(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
     }
 
     /** Standard normal via Box-Muller (deterministic, no cached spare). */

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 
 #include "obs/metrics.hh"
 #include "util/bfloat16.hh"
@@ -99,45 +101,55 @@ countGreater(const float *data, std::size_t n, float threshold)
     return countGreaterScalar(data, n, threshold);
 }
 
-/** The entry count, row_ptr[row + 1], of the embedded row that inner
- *  row @p y lands on. */
-inline std::uint32_t &
-rowCount(std::vector<std::uint32_t> &row_ptr, std::uint32_t y,
-         const PlaneRecipe &recipe)
-{
-    return row_ptr[recipe.offset + recipe.dilation * y + 1];
-}
-
-/** Append an entry of inner column @p x to the CSR arrays under
- *  construction, counting it in its embedded row's @p row_count. */
-inline void
-appendEntry(float value, std::uint32_t x, std::uint32_t &row_count,
-            const PlaneRecipe &recipe, std::vector<float> &values,
-            std::vector<std::uint32_t> &columns)
-{
-    values.push_back(value);
-    columns.push_back(recipe.offset + recipe.dilation * x);
-    ++row_count;
-}
-
 /**
- * Emit one surviving inner-plane value into the CSR arrays under
- * construction. Quantizes to bf16 exactly where the legacy pipeline
- * does (after sparsification, before compression) and drops values the
- * rounding flushed to zero, as fromDense would.
+ * Writes a plane's CSR entries into scratch arrays sized for every cell
+ * of the plane, through cursors a local writer keeps in registers. A
+ * row's entry count is the cursor's advance over the row, stored at
+ * row_ptr[row + 1] of the embedded row (prefix-summed later).
  */
-inline void
-emitValue(float value, std::uint32_t x, std::uint32_t y,
-          const PlaneRecipe &recipe, std::vector<float> &values,
-          std::vector<std::uint32_t> &columns,
-          std::vector<std::uint32_t> &row_ptr)
+class EntryWriter
 {
-    const float quantized = bf16Round(value);
-    if (quantized == 0.0f)
-        return;
-    appendEntry(quantized, x, rowCount(row_ptr, y, recipe), recipe, values,
-                columns);
-}
+  public:
+    EntryWriter(const PlaneRecipe &recipe, float *values,
+                std::uint32_t *columns, std::uint32_t *row_ptr)
+        : offset_(recipe.offset), dilation_(recipe.dilation),
+          value_(values), column_(columns), columnsBegin_(columns),
+          rowStart_(columns), rowPtr_(row_ptr)
+    {}
+
+    /** Append an entry of inner column @p x. */
+    void
+    put(float value, std::uint32_t x)
+    {
+        *value_++ = value;
+        *column_++ = offset_ + dilation_ * x;
+    }
+
+    /** Close inner row @p y: count its entries in its embedded row. */
+    void
+    endRow(std::uint32_t y)
+    {
+        rowPtr_[offset_ + dilation_ * y + 1] =
+            static_cast<std::uint32_t>(column_ - rowStart_);
+        rowStart_ = column_;
+    }
+
+    /** Entries written so far. */
+    std::size_t
+    size() const
+    {
+        return static_cast<std::size_t>(column_ - columnsBegin_);
+    }
+
+  private:
+    std::uint32_t offset_;
+    std::uint32_t dilation_;
+    float *value_;
+    std::uint32_t *column_;
+    const std::uint32_t *columnsBegin_;
+    const std::uint32_t *rowStart_;
+    std::uint32_t *rowPtr_;
+};
 
 /**
  * A kept Bernoulli cell's value, from the angle uniform @p u2 of the
@@ -227,33 +239,47 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
 
     // Thread-local scratch: benchmarks generate millions of planes per
     // run, and with the arrays reused the finished plane's arena slab
-    // is its only allocation. row_ptr counts entries per embedded row
-    // at [row + 1] and is prefix-summed below.
-    static thread_local std::vector<float> values;
-    static thread_local std::vector<std::uint32_t> columns;
+    // is its only allocation. values and columns hold the largest
+    // plane's cell count so far, which bounds any plane's entries, so
+    // the writer needs no capacity check. They are left uninitialized,
+    // so growing them touches no page: resident memory follows the
+    // entries written, not the cells. row_ptr counts entries per
+    // embedded row at [row + 1] and is prefix-summed below.
+    const std::size_t total =
+        static_cast<std::size_t>(recipe.height) * recipe.width;
+    static thread_local std::size_t capacity = 0;
+    static thread_local std::unique_ptr<float[]> values;
+    static thread_local std::unique_ptr<std::uint32_t[]> columns;
     static thread_local std::vector<std::uint32_t> row_ptr;
-    values.clear();
-    columns.clear();
+    if (capacity < total) {
+        values = std::make_unique_for_overwrite<float[]>(total);
+        columns = std::make_unique_for_overwrite<std::uint32_t[]>(total);
+        capacity = total;
+    }
     row_ptr.assign(recipe.outHeight + 1, 0);
+    EntryWriter writer(recipe, values.get(), columns.get(), row_ptr.data());
 
     bool prefiltered = false;
     if (recipe.method == SparsifyMethod::Bernoulli) {
         // Same draw sequence as bernoulliPlane: one Bernoulli trial per
         // cell in row-major order, one normal's uniforms per kept cell.
-        // The values skip the Box-Muller transform (bernoulliValue)
-        // and need neither bf16Round nor emitValue's zero drop, so they
-        // go straight to appendEntry. The loop runs on a local copy of
-        // the Rng, so its state can stay in registers across
-        // push_back's growth calls.
-        const double keep_p = 1.0 - recipe.sparsity;
+        // The trial is bernoulli(keep_p)'s integer form, and the values
+        // skip the Box-Muller transform (bernoulliValue) and need
+        // neither bf16Round nor the zero drop. The loop runs on a local
+        // copy of the Rng and on local bounds, which the writer's stores
+        // cannot alias, so the state, bounds and cursors stay in
+        // registers.
+        const std::uint64_t keep =
+            Rng::bernoulliThreshold(1.0 - recipe.sparsity);
+        const std::uint32_t height = recipe.height;
+        const std::uint32_t width = recipe.width;
         Rng local = rng;
-        for (std::uint32_t y = 0; y < recipe.height; ++y) {
-            std::uint32_t &row_count = rowCount(row_ptr, y, recipe);
-            for (std::uint32_t x = 0; x < recipe.width; ++x) {
-                if (local.bernoulli(keep_p))
-                    appendEntry(bernoulliValue(local.drawNormal().u2), x,
-                                row_count, recipe, values, columns);
+        for (std::uint32_t y = 0; y < height; ++y) {
+            for (std::uint32_t x = 0; x < width; ++x) {
+                if (local.bernoulliBelow(keep))
+                    writer.put(bernoulliValue(local.drawNormal().u2), x);
             }
+            writer.endRow(y);
         }
         rng = local;
     } else {
@@ -266,8 +292,6 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
         // legacy index-vector selection bit for bit at a fraction of
         // the memory traffic. Scratch buffers persist per thread:
         // benchmarks generate hundreds of thousands of planes.
-        const std::size_t total =
-            static_cast<std::size_t>(recipe.height) * recipe.width;
         const std::size_t keep = topKKeep(total, recipe.sparsity);
         const bool selects = keep > 0 && keep < total;
         static thread_local std::vector<float> data;
@@ -306,6 +330,9 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
                 selection = keepThreshold(mags, total, keep);
             }
         }
+        // Quantize to bf16 exactly where the legacy pipeline does
+        // (after sparsification, before compression), and drop values
+        // the rounding flushed to zero, as fromDense would.
         std::size_t idx = 0;
         for (std::uint32_t y = 0; y < recipe.height && keep > 0; ++y) {
             for (std::uint32_t x = 0; x < recipe.width; ++x, ++idx) {
@@ -317,26 +344,31 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
                         continue;
                     --selection.tieBudget;
                 }
-                emitValue(data[idx], x, y, recipe, values, columns,
-                          row_ptr);
+                const float quantized = bf16Round(data[idx]);
+                if (quantized != 0.0f)
+                    writer.put(quantized, x);
             }
+            writer.endRow(y);
         }
     }
 
+    const std::size_t nnz = writer.size();
+    const std::span<float> entry_values(values.get(), nnz);
+    const std::span<std::uint32_t> entry_columns(columns.get(), nnz);
     if (recipe.rotate) {
         // rotated180 in place: y' = H - 1 - y and x' = W - 1 - x reverse
         // the row-major entry order, so reverse the arrays and the
         // per-row counts, and mirror the columns.
-        std::reverse(values.begin(), values.end());
-        std::reverse(columns.begin(), columns.end());
-        for (std::uint32_t &x : columns)
+        std::ranges::reverse(entry_values);
+        std::ranges::reverse(entry_columns);
+        for (std::uint32_t &x : entry_columns)
             x = recipe.outWidth - 1 - x;
         std::reverse(row_ptr.begin() + 1, row_ptr.end());
     }
     for (std::uint32_t y = 0; y < recipe.outHeight; ++y)
         row_ptr[y + 1] += row_ptr[y];
-    return {CsrMatrix::fromRaw(recipe.outHeight, recipe.outWidth, values,
-                               columns, row_ptr),
+    return {CsrMatrix::fromRaw(recipe.outHeight, recipe.outWidth,
+                               entry_values, entry_columns, row_ptr),
             prefiltered};
 }
 

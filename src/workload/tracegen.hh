@@ -115,10 +115,12 @@ std::size_t topKKeep(std::size_t cells, double sparsity);
  * Consumes exactly the same random stream and produces bit-identical
  * columns/rowPtr arrays as the legacy dense pipeline, and top-K values
  * too; a kept Bernoulli cell's value follows the rule in the file
- * comment. The arrays are built in thread-local scratch (a rotation
- * reverses them in place), so the plane's arena slab is its one
- * allocation. Top-K recipes are pre-filtered with TopKCut::forPlane's
- * cut.
+ * comment, and its trial is bernoulli()'s exact integer form
+ * (Rng::bernoulliThreshold). The entries are written through cursors
+ * into thread-local scratch that holds the largest plane's cell count
+ * so far (a rotation reverses them in place), so the plane's arena
+ * slab is its one allocation. Top-K recipes are pre-filtered with
+ * TopKCut::forPlane's cut.
  */
 CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
 

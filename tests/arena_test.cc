@@ -137,7 +137,10 @@ TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
     check_csr(from_dense.rotated180(), "rotated180");
     check_csr(from_dense.transposed(), "transposed");
     check_csr(CsrMatrix(4, 4), "empty");
-    check_csr(CsrMatrix::fromRaw(2, 3, {1.0f, 2.0f}, {0, 2}, {0, 1, 2}),
+    const std::vector<float> raw_values{1.0f, 2.0f};
+    const std::vector<std::uint32_t> raw_columns{0, 2};
+    const std::vector<std::uint32_t> raw_row_ptr{0, 1, 2};
+    check_csr(CsrMatrix::fromRaw(2, 3, raw_values, raw_columns, raw_row_ptr),
               "fromRaw");
     check_csr(CsrMatrix::fromCoo(3, 3, {{1.0f, 2, 1}, {3.0f, 0, 0}}),
               "fromCoo");
@@ -179,7 +182,10 @@ TEST(ArenaLayout, EveryFactoryAllocatesOneSlab)
     const std::vector<std::pair<const char *, std::uint64_t>> slabs = {
         {"fromDense", slabsAllocatedBy([&] { CsrMatrix::fromDense(plane); })},
         {"fromRaw", slabsAllocatedBy([] {
-             CsrMatrix::fromRaw(2, 3, {1.0f, 2.0f}, {0, 2}, {0, 1, 2});
+             const std::vector<float> values{1.0f, 2.0f};
+             const std::vector<std::uint32_t> columns{0, 2};
+             const std::vector<std::uint32_t> row_ptr{0, 1, 2};
+             CsrMatrix::fromRaw(2, 3, values, columns, row_ptr);
          })},
         {"fromCoo", slabsAllocatedBy([] {
              CsrMatrix::fromCoo(3, 3, {{1.0f, 2, 1}, {3.0f, 0, 0}});

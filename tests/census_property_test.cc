@@ -9,11 +9,12 @@
  *  - generateCsrPlane must consume the identical random stream and
  *    emit the same positions (dims, columns, rowPtr) as the legacy
  *    dense pipeline generatePlane -> embedPlane -> fromDense ->
- *    rotated180, also when differently shaped recipes share its
- *    thread-local scratch, and at the sizes the benches generate,
- *    where the top-K pre-filter runs. Top-K planes equal the legacy
- *    pipeline's bit for bit; a Bernoulli cell's value follows the
- *    value rule, checked against a replay of the same draws;
+ *    rotated180, also when differently shaped recipes share (and grow)
+ *    its thread-local scratch, on every recipe fig10 generates, and at
+ *    the sizes the benches generate, where the top-K pre-filter runs.
+ *    Top-K planes equal the legacy pipeline's bit for bit; a Bernoulli
+ *    cell's value follows the value rule, checked against a replay of
+ *    the same draws;
  *  - the pre-filter's cut must bound every cell it skips, and its
  *    fallback must reproduce the full path.
  */
@@ -22,13 +23,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "conv/census.hh"
 #include "conv/outer_product.hh"
 #include "oracles/legacy_planes.hh"
 #include "util/bfloat16.hh"
 #include "util/thread_pool.hh"
+#include "workload/networks.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {
@@ -270,9 +275,62 @@ TEST(CensusProperty, FusedGeneratorMatchesLegacyPipeline)
 }
 
 /**
+ * fig10's planes, recipe for recipe: every ResNet18 (CIFAR) layer's
+ * image and kernel recipe in every phase, at the dense baseline and at
+ * the seven ReSprop points (G_A / A sparsity) fig10 runs. They are the
+ * planes that bench spends its generation time on: update-phase G_A
+ * planes from 32x32 down to 4x4, dense rotated 3x3 and 1x1 weight
+ * planes, padded activations and stride-dilated gradients.
+ */
+TEST(CensusProperty, FusedGeneratorMatchesLegacyOnFig10Recipes)
+{
+    std::vector<SparsityProfile> profiles = {SparsityProfile::dense()};
+    for (const auto &[grad, act] :
+         {std::pair{0.30, 0.80}, std::pair{0.42, 0.85},
+          std::pair{0.50, 0.86}, std::pair{0.70, 0.88},
+          std::pair{0.80, 0.90}, std::pair{0.90, 0.91},
+          std::pair{0.95, 0.92}})
+        profiles.push_back(SparsityProfile::resprop(grad, act));
+
+    std::set<std::uint32_t> update_kernel_dims;
+    std::set<std::uint32_t> rotated_kernel_dims;
+    std::size_t padded_images = 0;
+    std::size_t dilated_images = 0;
+    std::uint64_t seed = 9000;
+    for (const SparsityProfile &profile : profiles) {
+        for (const ConvLayer &layer : resnet18Cifar()) {
+            const PhaseSpecs specs = layer.phaseSpecs();
+            for (const TrainingPhase phase :
+                 {TrainingPhase::Forward, TrainingPhase::Backward,
+                  TrainingPhase::Update}) {
+                const PlaneRecipe image =
+                    convImageRecipe(layer, phase, profile, specs);
+                const PlaneRecipe kernel =
+                    convKernelRecipe(layer, phase, profile, specs);
+                SCOPED_TRACE(layer.name);
+                expectFusedMatchesLegacy(image, seed++);
+                expectFusedMatchesLegacy(kernel, seed++);
+                if (phase == TrainingPhase::Update)
+                    update_kernel_dims.insert(kernel.height);
+                if (kernel.rotate && kernel.sparsity == 0.0)
+                    rotated_kernel_dims.insert(kernel.height);
+                padded_images += image.offset > 0 ? 1 : 0;
+                dilated_images += image.dilation > 1 ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_EQ(update_kernel_dims, (std::set<std::uint32_t>{4, 8, 16, 32}));
+    EXPECT_EQ(rotated_kernel_dims, (std::set<std::uint32_t>{1, 3}));
+    EXPECT_GT(padded_images, 0u);
+    EXPECT_GT(dilated_images, 0u);
+}
+
+/**
  * Big, small, rotated and empty recipes of both methods: the generator
  * keeps its arrays in thread-local scratch, so a plane must not inherit
- * anything from the (larger, smaller, rotated) plane before it.
+ * anything from the (larger, smaller, rotated) plane before it. The
+ * last recipe is a Bernoulli plane larger than every one before it,
+ * after a top-K plane, so each thread's scratch grows there.
  */
 std::vector<PlaneRecipe>
 mixedRecipes()
@@ -294,6 +352,12 @@ mixedRecipes()
     PlaneRecipe rotated_top_k = PlaneRecipe::plain(7, 5, 0.6,
                                                    SparsifyMethod::TopK);
     rotated_top_k.rotate = true;
+    PlaneRecipe growing = PlaneRecipe::plain(80, 70, 0.42,
+                                             SparsifyMethod::Bernoulli);
+    growing.outHeight = 82;
+    growing.outWidth = 72;
+    growing.offset = 1;
+    growing.rotate = true;
     return {big,
             PlaneRecipe::plain(1, 1, 0.0, SparsifyMethod::Bernoulli),
             rotated,
@@ -301,7 +365,8 @@ mixedRecipes()
             dilated,
             PlaneRecipe::plain(30, 30, 1.0, SparsifyMethod::TopK),
             rotated_top_k,
-            PlaneRecipe::plain(64, 64, 0.9, SparsifyMethod::TopK)};
+            PlaneRecipe::plain(64, 64, 0.9, SparsifyMethod::TopK),
+            growing};
 }
 
 TEST(CensusProperty, FusedGeneratorScratchCarriesNoStateOnOneThread)

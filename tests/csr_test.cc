@@ -113,26 +113,37 @@ TEST(Csr, FromCooSortsAndSumsDuplicates)
 
 TEST(Csr, FromRawValidates)
 {
-    const CsrMatrix csr = CsrMatrix::fromRaw(2, 3, {1.0f, 2.0f}, {0, 2},
-                                             {0, 1, 2});
+    const std::vector<float> values{1.0f, 2.0f};
+    const std::vector<std::uint32_t> columns{0, 2};
+    const std::vector<std::uint32_t> row_ptr{0, 1, 2};
+    const CsrMatrix csr = CsrMatrix::fromRaw(2, 3, values, columns, row_ptr);
     EXPECT_EQ(csr.nnz(), 2u);
 }
 
 TEST(CsrDeathTest, FromRawRejectsBadRowPtr)
 {
-    EXPECT_DEATH(CsrMatrix::fromRaw(2, 3, {1.0f}, {0}, {0, 2, 1}),
+    const std::vector<float> values{1.0f};
+    const std::vector<std::uint32_t> columns{0};
+    const std::vector<std::uint32_t> row_ptr{0, 2, 1};
+    EXPECT_DEATH(CsrMatrix::fromRaw(2, 3, values, columns, row_ptr),
                  "rowPtr");
 }
 
 TEST(CsrDeathTest, FromRawRejectsUnsortedColumns)
 {
-    EXPECT_DEATH(CsrMatrix::fromRaw(1, 4, {1.0f, 2.0f}, {2, 1}, {0, 2}),
+    const std::vector<float> values{1.0f, 2.0f};
+    const std::vector<std::uint32_t> columns{2, 1};
+    const std::vector<std::uint32_t> row_ptr{0, 2};
+    EXPECT_DEATH(CsrMatrix::fromRaw(1, 4, values, columns, row_ptr),
                  "strictly increasing");
 }
 
 TEST(CsrDeathTest, FromRawRejectsWideColumn)
 {
-    EXPECT_DEATH(CsrMatrix::fromRaw(1, 2, {1.0f}, {2}, {0, 1}),
+    const std::vector<float> values{1.0f};
+    const std::vector<std::uint32_t> columns{2};
+    const std::vector<std::uint32_t> row_ptr{0, 1};
+    EXPECT_DEATH(CsrMatrix::fromRaw(1, 2, values, columns, row_ptr),
                  "out of width");
 }
 

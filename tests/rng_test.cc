@@ -7,6 +7,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "util/rng.hh"
 
@@ -91,6 +92,48 @@ TEST(Rng, BernoulliRate)
     for (int i = 0; i < trials; ++i)
         hits += rng.bernoulli(0.1) ? 1 : 0;
     EXPECT_NEAR(static_cast<double>(hits) / trials, 0.1, 0.01);
+}
+
+TEST(Rng, BernoulliThresholdIsTheExactIntegerTrial)
+{
+    // The trace generator's Bernoulli planes test bernoulliBelow of a
+    // hoisted threshold in place of bernoulli(p): the two must agree on
+    // every 53-bit draw, at the edges of [0, 1], at rates that are not
+    // dyadic, and at random ones.
+    std::vector<double> probabilities = {
+        0.0, 0x1.0p-53, 0.25, 0.3, 1.0 / 3.0, 0.42, 0.5, 1.0 - 0x1.0p-53,
+        1.0};
+    Rng pick(53);
+    for (int i = 0; i < 1000; ++i)
+        probabilities.push_back(pick.uniform());
+
+    constexpr std::uint64_t kDraws = 1ull << 53;
+    for (std::size_t i = 0; i < probabilities.size(); ++i) {
+        const double p = probabilities[i];
+        SCOPED_TRACE("p " + std::to_string(p) + " (#" + std::to_string(i) +
+                     ")");
+        const std::uint64_t threshold = Rng::bernoulliThreshold(p);
+        ASSERT_LE(threshold, kDraws);
+        // Around the threshold the integer compare m < T is the double
+        // compare uniform() < p that m would produce.
+        for (const std::uint64_t m :
+             {std::uint64_t{0}, threshold - 1, threshold, threshold + 1,
+              kDraws - 1}) {
+            if (m >= kDraws)
+                continue;
+            EXPECT_EQ(m < threshold, static_cast<double>(m) * 0x1.0p-53 < p)
+                << "m " << m;
+        }
+        // Draw for draw on a stream, which both trials consume alike.
+        Rng by_double(1000 + i);
+        Rng by_threshold(1000 + i);
+        for (int draw = 0; draw < 10000; ++draw) {
+            ASSERT_EQ(by_threshold.bernoulliBelow(threshold),
+                      by_double.bernoulli(p))
+                << "draw " << draw;
+        }
+        EXPECT_EQ(by_threshold.state(), by_double.state());
+    }
 }
 
 TEST(Rng, NormalMomentsRoughlyStandard)
