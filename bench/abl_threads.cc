@@ -42,11 +42,7 @@ sweepPoints(std::uint32_t limit)
     return points;
 }
 
-/**
- * Wall-clock seconds of one full run at @p threads workers. Always
- * the cycle-level engine, never the --estimate fast path: the whole
- * point of this bench is the engine's thread-scaling curve.
- */
+/** Wall-clock seconds of one full run at @p threads workers. */
 double
 timedRun(PeModel &pe, const RunConfig &base, std::uint32_t threads,
          NetworkStats &stats_out)

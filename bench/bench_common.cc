@@ -2,16 +2,15 @@
 
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <sstream>
 
-#include "estimate/estimate.hh"
 #include "obs/host_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/energy.hh"
 #include "sim/pe_model.hh"
 #include "util/audit.hh"
+#include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -20,7 +19,6 @@ namespace bench {
 
 namespace {
 
-std::unique_ptr<Cli> g_cli;
 RunReport g_report;
 /** Experiment id of the last printHeader, names recorded tables. */
 std::string g_experiment = "run";
@@ -48,57 +46,53 @@ getCount(const Cli &cli, const std::string &name, std::uint32_t fallback)
 } // namespace
 
 BenchOptions
-parseOptions(int argc, const char *const *argv,
-             const std::vector<std::string> &extra_flags, Cli **cli_out)
+parseOptions(int argc, const char *const *argv)
 {
-    std::vector<std::string> known = {
-        "samples",   "seed",        "pes",         "csv",
-        "chunk",     "audit",       "threads",     "json",
-        "networks",  "trace-out",   "log-level",   "simd",
-        "estimate",  "metrics-out", "host-trace-out"};
-    known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     // Environment first, flags after: --log-level wins over
     // ANTSIM_LOG_LEVEL, --trace-out wins over ANTSIM_TRACE.
     initLogLevelFromEnv();
-    g_cli = std::make_unique<Cli>(argc, argv, known);
-    if (g_cli->has("log-level")) {
-        const std::string level = g_cli->get("log-level");
+    const Cli cli(argc, argv,
+                  {"samples", "seed", "pes", "csv", "chunk", "audit",
+                   "threads", "json", "networks", "trace-out", "log-level",
+                   "simd", "metrics-out", "host-trace-out"});
+    if (cli.has("log-level")) {
+        const std::string level = cli.get("log-level");
         if (level == "true")
             ANT_FATAL("flag --log-level expects error, warn, info, or debug");
         setLogLevel(parseLogLevel(level));
     }
 
     BenchOptions options;
-    options.run.sampleCap = getCount(*g_cli, "samples", 16);
-    const std::int64_t seed = g_cli->getInt("seed", 42);
+    options.run.sampleCap = getCount(cli, "samples", 16);
+    const std::int64_t seed = cli.getInt("seed", 42);
     if (seed < 0)
         ANT_FATAL("flag --seed must be non-negative, got ", seed);
     options.run.seed = static_cast<std::uint64_t>(seed);
-    options.run.numPes = getCount(*g_cli, "pes", 64);
-    options.run.chunkCapacity = getCount(*g_cli, "chunk", 4096);
+    options.run.numPes = getCount(cli, "pes", 64);
+    options.run.chunkCapacity = getCount(cli, "chunk", 4096);
     // Benches default to every hardware thread: the parallel engine is
     // deterministic, so the tables cannot depend on the thread count.
-    options.run.numThreads = getCount(*g_cli, "threads", 0);
+    options.run.numThreads = getCount(cli, "threads", 0);
     options.run.validate();
 
     // Bare --csv keeps the historical print-to-stdout behaviour; a
     // value is the output path. ("true" cannot be a path: flag values
     // never get that spelling from a real file name.)
-    if (g_cli->has("csv")) {
-        const std::string value = g_cli->get("csv");
+    if (cli.has("csv")) {
+        const std::string value = cli.get("csv");
         if (value == "true")
             options.csv = true;
         else
             options.csvPath = value;
     }
-    if (g_cli->has("json")) {
-        options.jsonPath = g_cli->get("json");
+    if (cli.has("json")) {
+        options.jsonPath = cli.get("json");
         if (options.jsonPath == "true")
             ANT_FATAL("flag --json expects an output path");
     }
-    options.networksFilter = g_cli->get("networks");
-    if (g_cli->has("trace-out")) {
-        options.traceOutPath = g_cli->get("trace-out");
+    options.networksFilter = cli.get("networks");
+    if (cli.has("trace-out")) {
+        options.traceOutPath = cli.get("trace-out");
         if (options.traceOutPath == "true")
             ANT_FATAL("flag --trace-out expects an output path");
     } else if (const char *env = std::getenv("ANTSIM_TRACE");
@@ -111,16 +105,16 @@ parseOptions(int argc, const char *const *argv,
     // ANTSIM_HOST_TRACE (same precedence as --trace-out/ANTSIM_TRACE).
     // A non-empty path switches the collector on for the whole run and
     // attaches the main thread; pool workers attach themselves.
-    if (g_cli->has("metrics-out")) {
-        options.metricsOutPath = g_cli->get("metrics-out");
+    if (cli.has("metrics-out")) {
+        options.metricsOutPath = cli.get("metrics-out");
         if (options.metricsOutPath == "true")
             ANT_FATAL("flag --metrics-out expects an output path");
     } else if (const char *env = std::getenv("ANTSIM_METRICS");
                env != nullptr && env[0] != '\0') {
         options.metricsOutPath = env;
     }
-    if (g_cli->has("host-trace-out")) {
-        options.hostTraceOutPath = g_cli->get("host-trace-out");
+    if (cli.has("host-trace-out")) {
+        options.hostTraceOutPath = cli.get("host-trace-out");
         if (options.hostTraceOutPath == "true")
             ANT_FATAL("flag --host-trace-out expects an output path");
     } else if (const char *env = std::getenv("ANTSIM_HOST_TRACE");
@@ -135,30 +129,20 @@ parseOptions(int argc, const char *const *argv,
         obs::host::setEnabled(true);
         obs::host::threadAttach("main");
     }
-    if (g_cli->getBool("audit"))
+    if (cli.getBool("audit"))
         audit::setEnabled(true);
     // --simd wins over the ANTSIM_SIMD environment setting (resolved
     // at startup). The mode never influences results -- AVX2 and
     // scalar kernels are bit-identical (simd_equivalence_test) -- only
     // wall time, so it is safe to flip per run.
-    if (g_cli->has("simd")) {
-        const std::string text = g_cli->get("simd");
+    if (cli.has("simd")) {
+        const std::string text = cli.get("simd");
         simd::Mode mode = simd::Mode::Auto;
         if (text == "true" || !simd::parseMode(text, mode))
             ANT_FATAL("flag --simd expects auto, scalar, or avx2; got '",
                       text, "'");
         simd::setMode(mode);
     }
-    // --estimate wins over ANTSIM_ESTIMATE (same precedence as every
-    // other env-backed flag). Any non-empty env value enables it.
-    if (g_cli->has("estimate")) {
-        options.estimate = g_cli->getBool("estimate");
-    } else if (const char *env = std::getenv("ANTSIM_ESTIMATE");
-               env != nullptr && env[0] != '\0') {
-        options.estimate = true;
-    }
-    if (cli_out != nullptr)
-        *cli_out = g_cli.get();
 
     RunMetadata metadata;
     metadata.binary = argc > 0 ? basenameOf(argv[0]) : "unknown";
@@ -174,7 +158,6 @@ parseOptions(int argc, const char *const *argv,
     metadata.chunk = options.run.chunkCapacity;
     metadata.audit = audit::enabled();
     metadata.energyTableVersion = kEnergyTableVersion;
-    metadata.mode = options.estimate ? "estimated" : "simulated";
     g_report.setMetadata(std::move(metadata));
     return options;
 }
@@ -206,18 +189,6 @@ emitTable(const Table &table, const BenchOptions &options)
 
 namespace {
 
-/** Describe @p pe for estimation; fatal when no analytical model. */
-estimate::PeDescriptor
-describeOrDie(const PeModel &pe)
-{
-    const std::optional<estimate::PeDescriptor> desc =
-        estimate::describePe(pe);
-    if (!desc)
-        ANT_FATAL("--estimate: no analytical model for PE '", pe.name(),
-                  "'; run without --estimate");
-    return *desc;
-}
-
 /**
  * runConv with each trace run labelled "<model name><label_suffix>";
  * the label never influences simulation results.
@@ -228,14 +199,6 @@ runConvLabelled(const std::vector<PeModel *> &pes,
                 const SparsityProfile &profile, const BenchOptions &options,
                 const std::string &label_suffix)
 {
-    if (options.estimate) {
-        std::vector<NetworkStats> stats;
-        for (const PeModel *pe : pes) {
-            stats.push_back(estimate::estimateConvNetwork(
-                describeOrDie(*pe), layers, profile, options.run));
-        }
-        return stats;
-    }
     std::vector<ModelRun> models;
     for (PeModel *pe : pes)
         models.emplace_back(*pe, pe->name() + label_suffix);
@@ -283,14 +246,6 @@ runMatmul(const std::vector<PeModel *> &pes,
           const std::vector<MatmulLayer> &layers, double sparsity,
           SparsifyMethod method, const BenchOptions &options)
 {
-    if (options.estimate) {
-        std::vector<NetworkStats> stats;
-        for (const PeModel *pe : pes) {
-            stats.push_back(estimate::estimateMatmulNetwork(
-                describeOrDie(*pe), layers, sparsity, method, options.run));
-        }
-        return stats;
-    }
     // Matmul runs keep the runner's generic trace label.
     std::vector<ModelRun> models;
     for (PeModel *pe : pes)
@@ -302,14 +257,6 @@ RunReport &
 report()
 {
     return g_report;
-}
-
-void
-markEstimated()
-{
-    RunMetadata metadata = g_report.metadata();
-    metadata.mode = "estimated";
-    g_report.setMetadata(std::move(metadata));
 }
 
 void

@@ -20,13 +20,6 @@
  *                 networks; an empty selection is a fatal error
  *   --audit       run the invariant audits (src/verify) on every
  *                 model execution; violations abort the bench
- *   --estimate    replace cycle-level simulation with the analytical
- *                 fast path (src/estimate) in every bench::runNetwork
- *                 / runConv / runMatmul call; defaults on when the
- *                 ANTSIM_ESTIMATE environment variable is non-empty.
- *                 Reports carry metadata.mode = "estimated" so
- *                 downstream tooling never mixes them into the
- *                 simulated headline numbers
  *   --trace-out path  write the simulated-time Chrome trace (src/obs,
  *                 docs/OBSERVABILITY.md) to @p path; defaults to the
  *                 ANTSIM_TRACE environment variable when set
@@ -62,7 +55,6 @@
 #include <vector>
 
 #include "report/report.hh"
-#include "util/cli.hh"
 #include "util/table.hh"
 #include "workload/runner.hh"
 
@@ -101,24 +93,13 @@ struct BenchOptions
      * variable). A non-empty path enables host span collection.
      */
     std::string hostTraceOutPath;
-    /**
-     * Use the analytical estimator instead of the cycle-level engine
-     * (--estimate, or the ANTSIM_ESTIMATE environment variable). Only
-     * honoured by call sites that go through the BenchOptions-taking
-     * run helpers below; benches that measure the engine itself (e.g.
-     * abl_threads' scaling curve) call the simulator directly and say
-     * so at the call site.
-     */
-    bool estimate = false;
 };
 
 /**
- * Parse argv with the standard flags plus @p extra_flags.
- * Exits with a usage error on unknown flags.
+ * Parse argv with the standard flags. Exits with a usage error on
+ * unknown flags.
  */
-BenchOptions parseOptions(int argc, const char *const *argv,
-                          const std::vector<std::string> &extra_flags = {},
-                          Cli **cli_out = nullptr);
+BenchOptions parseOptions(int argc, const char *const *argv);
 
 /** Print the bench header: experiment id and the paper's claim. */
 void printHeader(const std::string &experiment,
@@ -131,12 +112,10 @@ void printHeader(const std::string &experiment,
 void emitTable(const Table &table, const BenchOptions &options);
 
 /*
- * Estimate-aware run helpers. By default every model of @p pes runs in
- * one multi-model runner call, so each trace plane is generated once
- * and simulated on all of them (workload/runner.hh); under --estimate
- * each model gets the analytical fast path in turn. Fatal when
- * --estimate is set and a model has no analytical model. The
- * multi-model forms return one NetworkStats per model, in order.
+ * Run helpers. Every model of @p pes runs in one multi-model runner
+ * call, so each trace plane is generated once and simulated on all of
+ * them (workload/runner.hh). The multi-model forms return one
+ * NetworkStats per model, in order.
  */
 
 /**
@@ -172,15 +151,6 @@ std::vector<NetworkStats> runMatmul(const std::vector<PeModel *> &pes,
 
 /** The process-wide run report the binary accumulates into. */
 RunReport &report();
-
-/**
- * Force metadata.mode to "estimated" regardless of --estimate.
- * For benches whose headline numbers come from the analytical model by
- * design (sweep_dse): downstream tooling must never mistake their
- * output for cycle-level measurement, even though they may also run
- * the exact engine internally (frontier escalation).
- */
-void markEstimated();
 
 /** Record a named scalar result in the run report. */
 void reportMetric(const std::string &name, double value);

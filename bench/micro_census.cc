@@ -203,7 +203,7 @@ BENCHMARK(BM_CensusStackScalar);
 } // namespace
 
 /**
- * Kernel-level gate pairs: the two census hot loops in isolation
+ * Kernel-level gate pair: the census hot loop in isolation
  * (census_kernels, conv/census.hh), where the speedup target of the
  * SIMD work is defined. The whole-build pairs above include table
  * allocation and the O(nnz) census-point scatter, which dilute the
@@ -234,29 +234,6 @@ satIntegrateWithMode(benchmark::State &state, simd::Mode mode)
     simd::setMode(saved);
 }
 
-void
-gatherSumWithMode(benchmark::State &state, simd::Mode mode)
-{
-    const simd::Mode saved = simd::mode();
-    simd::setMode(mode);
-    constexpr std::size_t kTable = 1 << 16;
-    constexpr std::size_t kIndices = 4096;
-    std::vector<std::uint64_t> table(kTable);
-    for (std::size_t i = 0; i < kTable; ++i)
-        table[i] = i * 7;
-    std::vector<std::uint32_t> idx(kIndices);
-    Rng rng(3);
-    for (std::size_t i = 0; i < kIndices; ++i)
-        idx[i] = static_cast<std::uint32_t>(rng.below(kTable));
-    for (auto _ : state) {
-        const std::uint64_t sum =
-            census_kernels::gatherSum(table.data(), idx.data(), kIndices);
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(state.iterations() * kIndices);
-    simd::setMode(saved);
-}
-
 namespace {
 
 void
@@ -265,13 +242,6 @@ BM_SatIntegrateScalar(benchmark::State &state)
     satIntegrateWithMode(state, simd::Mode::Scalar);
 }
 BENCHMARK(BM_SatIntegrateScalar);
-
-void
-BM_GatherSumScalar(benchmark::State &state)
-{
-    gatherSumWithMode(state, simd::Mode::Scalar);
-}
-BENCHMARK(BM_GatherSumScalar);
 
 } // namespace
 } // namespace antsim
@@ -294,10 +264,6 @@ main(int argc, char **argv)
         benchmark::RegisterBenchmark(
             "BM_SatIntegrateAvx2", [](benchmark::State &state) {
                 antsim::satIntegrateWithMode(state, antsim::simd::Mode::Avx2);
-            });
-        benchmark::RegisterBenchmark(
-            "BM_GatherSumAvx2", [](benchmark::State &state) {
-                antsim::gatherSumWithMode(state, antsim::simd::Mode::Avx2);
             });
     }
     benchmark::Initialize(&argc, argv);

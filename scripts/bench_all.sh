@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the headline benchmark suite (fig09 speedup/energy, table5 RCP
-# avoidance, abl_threads scaling, sweep_dse estimator design sweep),
+# avoidance, abl_threads scaling, sweep_dse design-space sweep),
 # collecting each binary's structured --json report, then merge them
 # into a single BENCH_antsim.json at the repo root and validate it
 # against docs/report_schema.json.
@@ -107,7 +107,7 @@ entry = {
     "smoke": smoke == "1",
 }
 for key in ("speedup_geomean", "energy_reduction_geomean",
-            "rcp_avoided_mean", "estimate_speedup"):
+            "rcp_avoided_mean"):
     if key in summary:
         entry[key] = summary[key]
 entry["stage_seconds"] = summary.get("stage_seconds", {})

@@ -16,11 +16,6 @@ stage and the check fails if any stage exceeds factor * baseline
 enough to catch an accidental revert of the census engine or the fused
 plane generator).
 
-When the baseline carries an "estimate_speedup_min" number, the
-report's summary.estimate_speedup (the bench/sweep_dse wall-clock
-advantage of analytical estimation over exact simulation) must meet
-it; see check_estimate_speedup below.
-
 When one or more --micro reports are given (google-benchmark
 --benchmark_format=json output from bench/micro_census and
 bench/micro_csr), the baseline's "micro_speedups" pairs are also
@@ -41,8 +36,8 @@ Stages whose baseline is below --min-seconds (default 0.05) are skipped:
 sub-50ms stages are timer noise, not signal.
 
 Every gate is evaluated and every verdict printed before the exit
-status is decided -- stages, then the micro-kernel pairs, then the
-estimator floor -- so one failing gate never hides another's verdict.
+status is decided -- stages, then the micro-kernel pairs -- so one
+failing gate never hides another's verdict.
 
 --trend is informational, never a gate: it reads the BENCH_history.jsonl
 appended by scripts/bench_all.sh (one JSON object per suite run:
@@ -229,36 +224,6 @@ def write_job_summary(rows, factor, report_path):
             err), file=sys.stderr)
 
 
-def check_estimate_speedup(baseline, report):
-    """Gate the estimator's wall-clock advantage over simulation.
-
-    The baseline's "estimate_speedup_min" is the minimum
-    summary.estimate_speedup (mean seconds per exactly-simulated design
-    point over mean seconds per estimated point, measured by
-    bench/sweep_dse) a run must keep. The whole point of the --estimate
-    fast path is seconds-scale design sweeps; a change that makes the
-    estimator only, say, 10x faster than simulation has silently
-    re-introduced per-nonzero work and must fail loudly.
-
-    Returns the failure message, or None when the floor holds or the
-    baseline sets none."""
-    minimum = baseline.get("estimate_speedup_min")
-    if minimum is None:
-        return None
-    speedup = report.get("summary", {}).get("estimate_speedup")
-    if speedup is None:
-        fatal("baseline sets estimate_speedup_min but the report's "
-              "summary has no estimate_speedup (sweep_dse missing "
-              "from the suite?)")
-    verdict = "ok" if speedup >= float(minimum) else "REGRESSED"
-    print("check_perf: estimate_speedup {:8.0f}x  (min {:.0f}x)  {}".format(
-        speedup, float(minimum), verdict))
-    if verdict == "REGRESSED":
-        return ("estimator wall-clock advantage {:.0f}x fell below the "
-                "{:.0f}x floor".format(speedup, float(minimum)))
-    return None
-
-
 def run_trend(args):
     """Print the newest history entry's delta vs the previous one."""
     path = args[0] if args else "BENCH_history.jsonl"
@@ -297,7 +262,7 @@ def run_trend(args):
                   "value)".format(label, cur, unit))
 
     for key in ("speedup_geomean", "energy_reduction_geomean",
-                "rcp_avoided_mean", "estimate_speedup"):
+                "rcp_avoided_mean"):
         delta_line(key, current.get(key), previous.get(key), "x")
     def delta_group(key, label, unit=""):
         cur = current.get(key, {})
@@ -403,10 +368,6 @@ def main(argv):
         if micro_failures:
             failures.append("micro-kernel pair(s) below minimum "
                             "speedup: {}".format(", ".join(micro_failures)))
-
-    estimate_failure = check_estimate_speedup(baseline_doc, report)
-    if estimate_failure:
-        failures.append(estimate_failure)
 
     for message in failures:
         print("check_perf: error: " + message, file=sys.stderr)

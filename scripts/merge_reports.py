@@ -9,14 +9,6 @@ headline numbers -- fig09 geomeans, table5 mean RCP avoidance, and the
 abl_threads per-stage wall-clock breakdown -- into a "summary" block so
 downstream tooling does not need to know each binary's metric names.
 
-Runs produced by the analytical fast path carry metadata.mode ==
-"estimated" (bench --estimate / ANTSIM_ESTIMATE). They merge into the
-"runs" section like any other report -- the sweep_dse design-space
-bench is estimated by design -- but they can never supply the headline
-summary numbers: a run whose metrics feed the summary block must be
-mode "simulated", and the merge fails loudly otherwise rather than
-publishing estimator output as measured truth.
-
 Only the Python standard library is used: the bench containers (and the
 CI runner) deliberately have no third-party packages installed.
 """
@@ -51,23 +43,15 @@ def stage_seconds(report):
     return {stage["name"]: stage["seconds"] for stage in stages}
 
 
-def require_simulated(runs, binary):
-    """A run whose numbers feed the headline summary must be simulated:
-    estimator output (metadata.mode == "estimated") is a prediction,
-    not a measurement, and must never become a headline geomean."""
+def require_run(runs, binary):
+    """The run of `binary`, which the headline summary needs."""
     if binary not in runs:
         fatal("required run '{}' missing from inputs".format(binary))
-    mode = runs[binary]["metadata"].get("mode", "simulated")
-    if mode != "simulated":
-        fatal("run '{}' has metadata.mode '{}'; headline summary "
-              "numbers must come from cycle-level simulation -- rerun "
-              "it without --estimate / ANTSIM_ESTIMATE".format(
-                  binary, mode))
     return runs[binary]
 
 
 def require_metric(runs, binary, metric):
-    metrics = require_simulated(runs, binary)["metrics"]
+    metrics = require_run(runs, binary)["metrics"]
     if metric not in metrics:
         fatal("run '{}' has no metric '{}'".format(binary, metric))
     return metrics[metric]
@@ -96,20 +80,10 @@ def main(argv):
             runs, "fig09_speedup_energy", "energy_reduction_geomean"),
         "rcp_avoided_mean": require_metric(
             runs, "table5_rcp_avoided", "rcp_avoided_mean"),
-        "stage_seconds": stage_seconds(require_simulated(runs,
-                                                         "abl_threads")),
+        "stage_seconds": stage_seconds(require_run(runs, "abl_threads")),
     }
     if not summary["stage_seconds"]:
         fatal("abl_threads report carries no profile section")
-    # sweep_dse's wall-clock advantage of estimation over simulation.
-    # Optional (older suites did not run the sweep); check_perf.py
-    # gates it against estimate_speedup_min when present.
-    if "sweep_dse" in runs:
-        speedup = runs["sweep_dse"]["metrics"].get("estimate_speedup")
-        if speedup is None:
-            fatal("sweep_dse run has no metric 'estimate_speedup'")
-        summary["estimate_speedup"] = speedup
-
     merged = {
         "schema_version": 1,
         "generator": "antsim",

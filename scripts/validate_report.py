@@ -21,14 +21,7 @@ On top of the structural check, two semantic laws are enforced:
     exactly. The C++ side builds the decomposition saturating so the
     sum holds by construction (src/report/report.cc stallBreakdown); a
     report violating it was produced by a buggy or incompatible writer.
- 2. in a merged document, every run whose metrics source the headline
-    summary block (fig09_speedup_energy, table5_rcp_avoided,
-    abl_threads) must carry metadata.mode == "simulated": estimator
-    output (--estimate, metadata.mode "estimated") may be merged as a
-    run but must never be laundered into the headline geomeans
-    (scripts/merge_reports.py enforces the same law at merge time;
-    this check catches documents assembled any other way).
- 3. every "host_metrics" histogram (metered runs, --metrics-out) must
+ 2. every "host_metrics" histogram (metered runs, --metrics-out) must
     satisfy count == sum(bins): the producer records every sample into
     exactly one bucket (src/obs/metrics.hh histRecord), so a mismatch
     means a corrupted or hand-edited snapshot.
@@ -183,27 +176,6 @@ def check_host_metrics(node, path, errors):
             check_host_metrics(item, "{}[{}]".format(path, index), errors)
 
 
-SUMMARY_SOURCE_RUNS = (
-    "fig09_speedup_energy", "table5_rcp_avoided", "abl_threads")
-
-
-def check_summary_sources(document, errors):
-    """Merged documents only: the runs that feed the summary block must
-    be cycle-level simulations, never --estimate predictions."""
-    runs = document.get("runs")
-    if not isinstance(runs, dict):
-        return
-    for binary in SUMMARY_SOURCE_RUNS:
-        run = runs.get(binary)
-        if not isinstance(run, dict):
-            continue  # structural validation already reported absence
-        mode = run.get("metadata", {}).get("mode", "simulated")
-        if mode != "simulated":
-            errors.append(
-                "runs.{}.metadata.mode: '{}' run feeds the headline "
-                "summary; only 'simulated' runs may".format(binary, mode))
-
-
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -229,8 +201,6 @@ def main(argv):
         validator.check(schema, document, "")
     check_stall_sums(document, "", validator.errors)
     check_host_metrics(document, "", validator.errors)
-    if isinstance(document, dict):
-        check_summary_sources(document, validator.errors)
     if validator.errors:
         print("validate_report: {} FAILS {} ({} violations):".format(
             doc_path, schema_path, len(validator.errors)))

@@ -73,9 +73,6 @@ class DenseInnerProductPe : public PeModel
                       const std::vector<const CsrMatrix *> &kernels,
                       const CsrMatrix &image, bool collect_output) override;
 
-    /** Static parameters (read by the analytical estimator). */
-    const InnerProductConfig &config() const { return config_; }
-
   private:
     InnerProductConfig config_;
 };
@@ -113,9 +110,6 @@ class TensorDashPe : public PeModel
     PeResult runStack(const ProblemSpec &spec,
                       const std::vector<const CsrMatrix *> &kernels,
                       const CsrMatrix &image, bool collect_output) override;
-
-    /** Static parameters (read by the analytical estimator). */
-    const InnerProductConfig &config() const { return config_; }
 
   private:
     InnerProductConfig config_;

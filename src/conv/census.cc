@@ -31,17 +31,6 @@ satIntegrateRowScalar(std::uint32_t *row, const std::uint32_t *prev,
     }
 }
 
-/** Ground-truth gather-accumulate: sum of table[idx[i]]. */
-std::uint64_t
-gatherSumScalar(const std::uint64_t *table, const std::uint32_t *idx,
-                std::size_t n)
-{
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += table[idx[i]];
-    return sum;
-}
-
 #ifdef ANTSIM_X86_SIMD
 
 /**
@@ -112,55 +101,6 @@ satIntegrateRowAvx2(std::uint32_t *row, const std::uint32_t *prev,
     }
 }
 
-__attribute__((target("avx2"))) std::uint64_t
-gatherSumAvx2(const std::uint64_t *table, const std::uint32_t *idx,
-              std::size_t n)
-{
-    // Four independent gather/accumulate streams keep several gathers
-    // in flight at once; u64 addition wraps associatively, so any
-    // accumulation order is exact.
-    const auto *tbl = reinterpret_cast<const long long *>(table);
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    __m256i acc3 = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i lanes0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i));
-        const __m128i lanes1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i + 4));
-        const __m128i lanes2 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i + 8));
-        const __m128i lanes3 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i + 12));
-        acc0 = _mm256_add_epi64(acc0,
-                                _mm256_i32gather_epi64(tbl, lanes0, 8));
-        acc1 = _mm256_add_epi64(acc1,
-                                _mm256_i32gather_epi64(tbl, lanes1, 8));
-        acc2 = _mm256_add_epi64(acc2,
-                                _mm256_i32gather_epi64(tbl, lanes2, 8));
-        acc3 = _mm256_add_epi64(acc3,
-                                _mm256_i32gather_epi64(tbl, lanes3, 8));
-    }
-    __m256i acc = _mm256_add_epi64(_mm256_add_epi64(acc0, acc1),
-                                   _mm256_add_epi64(acc2, acc3));
-    for (; i + 4 <= n; i += 4) {
-        const __m128i lanes = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(idx + i));
-        acc = _mm256_add_epi64(
-            acc, _mm256_i32gather_epi64(
-                     reinterpret_cast<const long long *>(table), lanes,
-                     8));
-    }
-    alignas(32) std::uint64_t parts[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(parts), acc);
-    std::uint64_t sum = parts[0] + parts[1] + parts[2] + parts[3];
-    for (; i < n; ++i)
-        sum += table[idx[i]];
-    return sum;
-}
-
 #endif // ANTSIM_X86_SIMD
 
 void
@@ -176,35 +116,17 @@ satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
     satIntegrateRowScalar(row, prev, n);
 }
 
-std::uint64_t
-gatherSum(const std::uint64_t *table, const std::uint32_t *idx,
-          std::size_t n)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return gatherSumAvx2(table, idx, n);
-#endif
-    return gatherSumScalar(table, idx, n);
-}
-
 } // namespace
 
 namespace census_kernels {
 
-// Qualified calls so lookup finds the file-local dispatch wrappers,
-// not these same-named exported shims.
+// A qualified call so lookup finds the file-local dispatch wrapper,
+// not this same-named exported shim.
 
 void
 satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev, std::size_t n)
 {
     antsim::satIntegrateRow(row, prev, n);
-}
-
-std::uint64_t
-gatherSum(const std::uint64_t *table, const std::uint32_t *idx,
-          std::size_t n)
-{
-    return antsim::gatherSum(table, idx, n);
 }
 
 } // namespace census_kernels
@@ -356,9 +278,10 @@ CensusContext::countProducts(const CsrMatrix &kernel) const
             const std::uint64_t *row_counts =
                 entryCounts_.data() +
                 static_cast<std::size_t>(r) * kernelW_;
-            census.validProducts +=
-                gatherSum(row_counts, columns.data() + row_ptr[r],
-                          row_ptr[r + 1] - row_ptr[r]);
+            std::uint64_t row_valid = 0;
+            for (std::uint32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
+                row_valid += row_counts[columns[i]];
+            census.validProducts += row_valid;
         }
     }
     census.rcpProducts = census.nonzeroProducts - census.validProducts;

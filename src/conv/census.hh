@@ -84,11 +84,11 @@ class CensusContext
 namespace census_kernels {
 
 /**
- * The census engine's two SIMD-dispatched hot loops, exposed at kernel
+ * The census engine's SIMD-dispatched hot loop, exposed at kernel
  * granularity for the micro-benchmark perf gate (bench/micro_census +
- * scripts/check_perf.py "micro_speedups") and for equivalence tests.
- * Production code reaches them through CensusContext; these wrappers
- * add nothing but a name with external linkage.
+ * scripts/check_perf.py "micro_speedups"). Production code reaches it
+ * through CensusContext; this wrapper adds nothing but a name with
+ * external linkage.
  */
 
 /**
@@ -97,10 +97,6 @@ namespace census_kernels {
  */
 void satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
                      std::size_t n);
-
-/** Sum table[idx[i]] for i in [0, n) (u64 wrap-around, exact). */
-std::uint64_t gatherSum(const std::uint64_t *table,
-                        const std::uint32_t *idx, std::size_t n);
 
 } // namespace census_kernels
 

@@ -313,13 +313,6 @@ RunReport::setHistograms(const obs::HistogramRegistry &hists)
 }
 
 void
-RunReport::setEstimate(Json estimate)
-{
-    estimate_ = std::move(estimate);
-    hasEstimate_ = true;
-}
-
-void
 RunReport::setHostMetrics(const obs::metrics::Snapshot &snap)
 {
     hostMetrics_ = hostMetricsToJson(snap);
@@ -344,7 +337,9 @@ RunReport::toJson(bool include_profile) const
     metadata.set("chunk", static_cast<std::uint64_t>(metadata_.chunk));
     metadata.set("audit", metadata_.audit);
     metadata.set("energy_table_version", metadata_.energyTableVersion);
-    metadata.set("mode", metadata_.mode);
+    // Every report comes from the cycle-level engine. The key stays
+    // because report consumers (perfbench/run.py) require it.
+    metadata.set("mode", "simulated");
     json.set("metadata", std::move(metadata));
 
     json.set("metrics", metrics_);
@@ -385,9 +380,6 @@ RunReport::toJson(bool include_profile) const
 
     if (hasHistograms_)
         json.set("histograms", histograms_);
-
-    if (hasEstimate_)
-        json.set("estimate", estimate_);
 
     if (hasHostMetrics_)
         json.set("host_metrics", hostMetrics_);

@@ -62,13 +62,6 @@ struct RunMetadata
     bool audit = false;
     /** Version tag of the per-op energy table (kEnergyTableVersion). */
     std::string energyTableVersion;
-    /**
-     * How the numbers were produced: "simulated" (cycle-level engine)
-     * or "estimated" (analytical fast path, src/estimate). Downstream
-     * tooling keys on this -- merge_reports.py refuses to fold
-     * estimated rows into the headline geomeans.
-     */
-    std::string mode = "simulated";
 };
 
 /** Serialize a counter set: every counter by name, exact uint64. */
@@ -170,14 +163,6 @@ class RunReport
     void setHistograms(const obs::HistogramRegistry &hists);
 
     /**
-     * Attach the estimator detail section (estimation runs only --
-     * grid sizes, Pareto frontier, wall-clock advantage, accuracy
-     * spot-checks; see bench/sweep_dse.cc). Omitted when never set,
-     * so simulation reports are unchanged.
-     */
-    void setEstimate(Json estimate);
-
-    /**
      * Attach the host-metrics snapshot (metered runs only -- benches
      * call this from finish() when --metrics-out enabled collection).
      * Omitted when never set, so metrics-off reports are byte-identical
@@ -227,8 +212,6 @@ class RunReport
     std::vector<StallEntry> stalls_;
     Json histograms_ = Json::object();
     bool hasHistograms_ = false;
-    Json estimate_ = Json::object();
-    bool hasEstimate_ = false;
     Json hostMetrics_ = Json::object();
     bool hasHostMetrics_ = false;
 };

@@ -62,8 +62,6 @@ class ScnnPe : public PeModel
         return std::make_unique<ScnnPe>(config_);
     }
 
-    const ScnnPeConfig &config() const { return config_; }
-
     PeResult runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
                      const CsrMatrix &image, bool collect_output) override;
 

@@ -64,19 +64,6 @@ Rng::boxMuller(const NormalDraw &draw)
 }
 
 std::vector<std::uint32_t>
-Rng::permutation(std::uint32_t n)
-{
-    std::vector<std::uint32_t> idx(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        idx[i] = i;
-    for (std::uint32_t i = n; i > 1; --i) {
-        const auto j = static_cast<std::uint32_t>(below(i));
-        std::swap(idx[i - 1], idx[j]);
-    }
-    return idx;
-}
-
-std::vector<std::uint32_t>
 Rng::sampleWithoutReplacement(std::uint32_t n, std::uint32_t count)
 {
     ANT_ASSERT(count <= n, "cannot sample ", count, " items from ", n);

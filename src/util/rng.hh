@@ -134,12 +134,6 @@ class Rng
     static double boxMuller(const NormalDraw &draw);
 
     /**
-     * Deterministic Fisher-Yates shuffle of an index vector.
-     * @param n Number of indices, shuffled result is a permutation of 0..n-1.
-     */
-    std::vector<std::uint32_t> permutation(std::uint32_t n);
-
-    /**
      * Sample @p count distinct indices from [0, n) (Floyd's algorithm),
      * returned unsorted. Requires count <= n. Each draw is checked
      * against the samples so far by a linear scan, so the work is

@@ -1,6 +1,5 @@
 #include "stats.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "logging.hh"
@@ -28,64 +27,6 @@ geomean(const std::vector<double> &xs)
         log_sum += std::log(x);
     }
     return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    const double mu = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - mu) * (x - mu);
-    return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double
-minOf(const std::vector<double> &xs)
-{
-    ANT_ASSERT(!xs.empty(), "minOf of empty set");
-    return *std::min_element(xs.begin(), xs.end());
-}
-
-double
-maxOf(const std::vector<double> &xs)
-{
-    ANT_ASSERT(!xs.empty(), "maxOf of empty set");
-    return *std::max_element(xs.begin(), xs.end());
-}
-
-void
-RunningStats::push(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    sum_ += x;
-}
-
-double
-RunningStats::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double
-RunningStats::min() const
-{
-    return min_;
-}
-
-double
-RunningStats::max() const
-{
-    return max_;
 }
 
 } // namespace antsim

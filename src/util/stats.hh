@@ -6,7 +6,6 @@
 #ifndef ANTSIM_UTIL_STATS_HH
 #define ANTSIM_UTIL_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace antsim {
@@ -19,44 +18,6 @@ double mean(const std::vector<double> &xs);
  * This is how the paper aggregates per-network speedups (Sec. 7.1).
  */
 double geomean(const std::vector<double> &xs);
-
-/** Population standard deviation; returns 0 for fewer than 2 items. */
-double stddev(const std::vector<double> &xs);
-
-/** Minimum; requires a non-empty input. */
-double minOf(const std::vector<double> &xs);
-
-/** Maximum; requires a non-empty input. */
-double maxOf(const std::vector<double> &xs);
-
-/** Online accumulator for mean/min/max over a stream of samples. */
-class RunningStats
-{
-  public:
-    /** Record one sample. */
-    void push(double x);
-
-    /** Number of samples recorded so far. */
-    std::size_t count() const { return count_; }
-
-    /** Mean of samples (0 if empty). */
-    double mean() const;
-
-    /** Smallest sample (0 if empty). */
-    double min() const;
-
-    /** Largest sample (0 if empty). */
-    double max() const;
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
-
-  private:
-    std::size_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace antsim
 

@@ -15,23 +15,4 @@ phaseName(TrainingPhase phase)
     ANT_PANIC("unknown training phase");
 }
 
-ProblemSpec
-ConvLayer::spec(TrainingPhase phase) const
-{
-    const PhaseSpecs specs = phaseSpecs();
-    switch (phase) {
-      case TrainingPhase::Forward: return specs.forward;
-      case TrainingPhase::Backward: return specs.backward;
-      case TrainingPhase::Update: return specs.update;
-    }
-    ANT_PANIC("unknown training phase");
-}
-
-std::uint64_t
-ConvLayer::forwardMacs() const
-{
-    const ProblemSpec fwd = spec(TrainingPhase::Forward);
-    return planePairs() * fwd.denseValidProducts();
-}
-
 } // namespace antsim

@@ -66,18 +66,12 @@ struct ConvLayer
                                   stride);
     }
 
-    /** Spec of one phase. */
-    ProblemSpec spec(TrainingPhase phase) const;
-
     /** Plane pairs per phase: outChannels * inChannels. */
     std::uint64_t
     planePairs() const
     {
         return static_cast<std::uint64_t>(outChannels) * inChannels;
     }
-
-    /** Total dense MACs of the forward pass (for FLOP accounting). */
-    std::uint64_t forwardMacs() const;
 };
 
 /** One matmul layer (Sec. 5 / Table 3 convention; W == R). */

@@ -168,6 +168,17 @@ bernoulliValue(double u2)
 }
 
 /**
+ * Cells a top-K plane of @p cells cells keeps at @p sparsity:
+ * llround(cells * (1 - sparsity)).
+ */
+std::size_t
+topKKeep(std::size_t cells, double sparsity)
+{
+    return static_cast<std::size_t>(std::llround(
+        static_cast<double>(cells) * (1.0 - sparsity)));
+}
+
+/**
  * x with P(Z >= x) = @p tail for a standard normal Z, 0 < tail <= 0.5
  * (Abramowitz & Stegun 26.2.23; absolute error below 4.5e-4).
  */
@@ -374,13 +385,6 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
 
 } // namespace
 
-std::size_t
-topKKeep(std::size_t cells, double sparsity)
-{
-    return static_cast<std::size_t>(std::llround(
-        static_cast<double>(cells) * (1.0 - sparsity)));
-}
-
 TopKCut
 TopKCut::atRadius(double rho)
 {
@@ -506,7 +510,7 @@ makeConvPhaseTask(const ConvLayer &layer, TrainingPhase phase,
                   const SparsityProfile &profile, Rng &rng)
 {
     // Image plane first, then the kernel stack -- the draw order this
-    // API has always used (layer_replay and the estimator rely on it;
+    // API has always used (layer_replay relies on it;
     // tests/workload_test.cc pins it).
     //
     //  - forward:  task per input channel c -- image = A[c], kernels =

@@ -104,13 +104,6 @@ struct PlaneRecipe
 };
 
 /**
- * Cells a top-K plane of @p cells cells keeps at @p sparsity:
- * llround(cells * (1 - sparsity)). The generator and the analytical
- * estimator (src/estimate) both count kept cells with it.
- */
-std::size_t topKKeep(std::size_t cells, double sparsity);
-
-/**
  * Generate the plane described by (@p recipe, @p rng) as CSR directly.
  * Consumes exactly the same random stream and produces bit-identical
  * columns/rowPtr arrays as the legacy dense pipeline, and top-K values
@@ -299,10 +292,8 @@ StackTask makeConvPhaseTask(const ConvLayer &layer, TrainingPhase phase,
                             const SparsityProfile &profile, Rng &rng);
 
 /**
- * Recipe of a conv phase's image plane (padding/dilation included).
- * The single source of geometric truth for both the trace generator
- * and the analytical estimator (src/estimate), which models the plane
- * *ensemble* the recipe describes instead of sampling instances.
+ * Recipe of a conv phase's image plane (padding/dilation included):
+ * the trace generator's single source of geometric truth.
  */
 PlaneRecipe convImageRecipe(const ConvLayer &layer, TrainingPhase phase,
                             const SparsityProfile &profile,

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "ant/ant_pe.hh"
 #include "baselines/inner_product.hh"
 #include "conv/dense_conv.hh"
@@ -38,6 +41,31 @@ runCfg()
     cfg.sampleCap = 6;
     cfg.seed = 11;
     return cfg;
+}
+
+/** Total cycles of @p pe over smallNetwork() at SWAT @p sparsity. */
+std::uint64_t
+swatCycles(PeModel &pe, double sparsity)
+{
+    return runConvNetwork(pe, smallNetwork(),
+                          SparsityProfile::swat(sparsity), runCfg())
+        .total.get(Counter::Cycles);
+}
+
+/**
+ * Expect @p pe's cycles to be non-decreasing as density rises through
+ * @p sparsities (given sparsest first), with zero slack.
+ */
+void
+expectCyclesGrowWithDensity(PeModel &pe,
+                            const std::vector<double> &sparsities)
+{
+    std::uint64_t prev = 0;
+    for (const double sparsity : sparsities) {
+        const std::uint64_t cycles = swatCycles(pe, sparsity);
+        EXPECT_GE(cycles, prev) << pe.name() << " at sparsity " << sparsity;
+        prev = cycles;
+    }
 }
 
 TEST(Integration, FunctionalAgreementAcrossAllModels)
@@ -109,6 +137,56 @@ TEST(Integration, AntSpeedupGrowsWithSparsity)
     EXPECT_GT(prev, 3.0);
 }
 
+TEST(Integration, CyclesNonDecreasingInDensity)
+{
+    // bench/sweep_dse ranks designs by these cycles, so more non-zero
+    // work must never read as less time. SCNN+ and TensorDash are
+    // checked from 5% to 100% density, ANT only up to 90%. A fully
+    // dense plane has no gaps, so ANT's anticipated groups are tight
+    // and it avoids more RCPs than at 90% density. On this network its
+    // RCPs fall from 3.09M to 2.30M while its cycles still rise by 1%.
+    // On a 3-layer network (3->16 32x32 3x3, 16->16 16x16 3x3 stride 2,
+    // 16->8 8x8 1x1, default RunConfig) its cycles fall, from 197,177
+    // to 190,630. On the ResNet18 sweep grid, 4x4 and 8x8 at k16 and
+    // k32 are faster at 100% than at 90% density too.
+    const std::vector<double> to_dense = {0.95, 0.9, 0.8, 0.7, 0.6, 0.5,
+                                          0.4,  0.3, 0.2, 0.1, 0.0};
+    ScnnPe scnn;
+    expectCyclesGrowWithDensity(scnn, to_dense);
+    TensorDashPe td;
+    expectCyclesGrowWithDensity(td, to_dense);
+    AntPe ant;
+    expectCyclesGrowWithDensity(
+        ant, {0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1});
+}
+
+TEST(Integration, DenseCyclesNonIncreasingInMultipliers)
+{
+    std::uint64_t prev = UINT64_MAX;
+    for (const std::uint32_t m : {4u, 8u, 16u, 32u, 64u}) {
+        InnerProductConfig cfg;
+        cfg.multipliers = m;
+        DenseInnerProductPe dense(cfg);
+        const std::uint64_t cycles = swatCycles(dense, 0.9);
+        EXPECT_LE(cycles, prev) << "multipliers " << m;
+        prev = cycles;
+    }
+}
+
+TEST(Integration, WiderFnirWindowNeverSlower)
+{
+    // At fixed n, a wider FNIR window screens candidates faster.
+    std::uint64_t prev = UINT64_MAX;
+    for (const std::uint32_t k : {4u, 8u, 16u, 32u}) {
+        AntPeConfig cfg;
+        cfg.k = k;
+        AntPe ant(cfg);
+        const std::uint64_t cycles = swatCycles(ant, 0.9);
+        EXPECT_LE(cycles, prev) << "k " << k;
+        prev = cycles;
+    }
+}
+
 TEST(Integration, AntVsScnnSameSparsityBand)
 {
     // Fig. 11: at matched sparsity ANT wins on both cycles and energy.
@@ -127,10 +205,13 @@ TEST(Integration, AntVsScnnSameSparsityBand)
 
 TEST(Integration, MultiplierArraySweepKeepsAntAhead)
 {
-    // Fig. 12: ANT outperforms SCNN+ at n = 4, 6, 8.
+    // Fig. 12: ANT outperforms SCNN+ at n = 4, 6, 8, and a larger
+    // array never makes either model slower.
     const auto net = smallNetwork();
     const auto cfg = runCfg();
     const auto profile = SparsityProfile::swat(0.9);
+    std::uint64_t prev_scnn = UINT64_MAX;
+    std::uint64_t prev_ant = UINT64_MAX;
     for (std::uint32_t n : {4u, 6u, 8u}) {
         ScnnPeConfig scfg;
         scfg.n = n;
@@ -142,6 +223,10 @@ TEST(Integration, MultiplierArraySweepKeepsAntAhead)
         const auto scnn_s = runConvNetwork(scnn, net, profile, cfg);
         const auto ant_s = runConvNetwork(ant, net, profile, cfg);
         EXPECT_GT(speedupOf(scnn_s, ant_s), 1.0) << "n=" << n;
+        EXPECT_LE(scnn_s.total.get(Counter::Cycles), prev_scnn) << "n=" << n;
+        EXPECT_LE(ant_s.total.get(Counter::Cycles), prev_ant) << "n=" << n;
+        prev_scnn = scnn_s.total.get(Counter::Cycles);
+        prev_ant = ant_s.total.get(Counter::Cycles);
     }
 }
 

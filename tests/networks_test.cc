@@ -18,7 +18,7 @@ checkChannelChaining(const std::vector<ConvLayer> &layers)
     for (const auto &layer : layers) {
         EXPECT_GT(layer.inChannels, 0u) << layer.name;
         EXPECT_GT(layer.outChannels, 0u) << layer.name;
-        const auto fwd = layer.spec(TrainingPhase::Forward);
+        const auto fwd = layer.phaseSpecs().forward;
         EXPECT_GE(fwd.outH(), 1u) << layer.name;
         EXPECT_EQ(fwd.outH(), (layer.paddedH() - layer.kernel) /
                       layer.stride + 1)
@@ -113,7 +113,7 @@ TEST(Networks, ResNet50ImagenetStructure)
 TEST(Networks, ResNet50StemOutputIs112)
 {
     const auto stem = resnet50Imagenet().front();
-    EXPECT_EQ(stem.spec(TrainingPhase::Forward).outH(), 112u);
+    EXPECT_EQ(stem.phaseSpecs().forward.outH(), 112u);
     // The stem's padded image is the Table 2 row: 230x230.
     EXPECT_EQ(stem.paddedH(), 230u);
 }

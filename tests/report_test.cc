@@ -255,29 +255,13 @@ TEST(Report, MatmulStallAttributionReachesCsvAndJson)
               std::string::npos);
 }
 
-TEST(Report, ModeAndEstimateSection)
+TEST(Report, ModeIsSimulated)
 {
-    // Reports default to mode "simulated" with no estimate section;
-    // the section and the "estimated" tag only appear when set, so
-    // simulation documents are byte-identical to the pre-estimator
-    // format except for the mode key.
+    // Every report comes from the cycle-level engine; the metadata key
+    // stays for the consumers that check it.
     RunReport report;
     EXPECT_EQ(report.toJson().at("metadata").at("mode").asString(),
               "simulated");
-    EXPECT_EQ(report.toJson().find("estimate"), nullptr);
-
-    RunMetadata metadata;
-    metadata.mode = "estimated";
-    report.setMetadata(metadata);
-    Json detail = Json::object();
-    detail.set("design_points", std::uint64_t{108});
-    report.setEstimate(std::move(detail));
-
-    const Json doc = report.toJson();
-    EXPECT_EQ(doc.at("metadata").at("mode").asString(), "estimated");
-    const Json *estimate = doc.find("estimate");
-    ASSERT_NE(estimate, nullptr);
-    EXPECT_EQ(estimate->at("design_points").asUint(), 108u);
 }
 
 TEST(Report, RollupStandardMetricNames)

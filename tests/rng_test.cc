@@ -237,16 +237,6 @@ TEST(Rng, KnownAnswerStreams)
     }
 }
 
-TEST(Rng, PermutationIsPermutation)
-{
-    Rng rng(17);
-    const auto perm = rng.permutation(50);
-    std::set<std::uint32_t> seen(perm.begin(), perm.end());
-    EXPECT_EQ(seen.size(), 50u);
-    EXPECT_EQ(*seen.begin(), 0u);
-    EXPECT_EQ(*seen.rbegin(), 49u);
-}
-
 TEST(Rng, SampleWithoutReplacementDistinct)
 {
     Rng rng(19);

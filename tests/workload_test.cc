@@ -38,31 +38,20 @@ TEST(Layer, PaddedDims)
 
 TEST(Layer, PhaseSpecShapes)
 {
-    const ConvLayer layer = sampleLayer();
-    const auto fwd = layer.spec(TrainingPhase::Forward);
-    EXPECT_EQ(fwd.outH(), 14u);
-    const auto upd = layer.spec(TrainingPhase::Update);
-    EXPECT_EQ(upd.kernelH(), 14u);
-    EXPECT_EQ(upd.outH(), 3u);
-    const auto bwd = layer.spec(TrainingPhase::Backward);
-    EXPECT_EQ(bwd.outH(), 14u);
+    const PhaseSpecs specs = sampleLayer().phaseSpecs();
+    EXPECT_EQ(specs.forward.outH(), 14u);
+    EXPECT_EQ(specs.update.kernelH(), 14u);
+    EXPECT_EQ(specs.update.outH(), 3u);
+    EXPECT_EQ(specs.backward.outH(), 14u);
 }
 
 TEST(Layer, StridedPhaseSpecs)
 {
     const ConvLayer layer{"s2", 4, 8, 28, 28, 3, 2, 1};
-    const auto fwd = layer.spec(TrainingPhase::Forward);
-    EXPECT_EQ(fwd.outH(), 14u);
-    const auto upd = layer.spec(TrainingPhase::Update);
-    EXPECT_EQ(upd.dilation(), 2u);
-    EXPECT_EQ(upd.outH(), 3u);
-}
-
-TEST(Layer, ForwardMacs)
-{
-    const ConvLayer layer = sampleLayer();
-    // 128 pairs x 9 x 14 x 14.
-    EXPECT_EQ(layer.forwardMacs(), 128ull * 9 * 14 * 14);
+    const PhaseSpecs specs = layer.phaseSpecs();
+    EXPECT_EQ(specs.forward.outH(), 14u);
+    EXPECT_EQ(specs.update.dilation(), 2u);
+    EXPECT_EQ(specs.update.outH(), 3u);
 }
 
 TEST(Layer, PhaseNames)
@@ -182,7 +171,7 @@ TEST(Tracegen, DeterministicGivenSameRngSeed)
 TEST(Tracegen, StackTaskEqualsPlaneByPlaneGeneration)
 {
     // The task-level draw order (image first, then every kernel of the
-    // stack) is what the per-layer replay and the estimator assume.
+    // stack) is what the per-layer replay assumes.
     const ConvLayer layer{"s2", 4, 8, 28, 28, 3, 2, 1};
     const PhaseSpecs specs = layer.phaseSpecs();
     for (const SparsifyMethod method :
