@@ -134,6 +134,37 @@ BENCHMARK_CAPTURE(BM_FusedPlaneGenerator, bernoulli,
     ->Args({32, 32, 70})
     ->Args({32, 32, 85});
 
+/**
+ * A runner unit's kernel stack: Args(planes, dim, sparsity %) of
+ * dim x dim kernel planes, generated into one slab (generateCsrStack).
+ * Items are cells.
+ */
+void
+BM_KernelStackGenerator(benchmark::State &state, SparsifyMethod method)
+{
+    const auto count = static_cast<std::uint32_t>(state.range(0));
+    const auto dim = static_cast<std::uint32_t>(state.range(1));
+    const double sparsity = static_cast<double>(state.range(2)) / 100.0;
+    const PlaneRecipe recipe = PlaneRecipe::plain(dim, dim, sparsity, method);
+    for (auto _ : state) {
+        Rng rng(42);
+        auto stack = generateCsrStack(recipe, count, rng);
+        benchmark::DoNotOptimize(stack);
+    }
+    state.SetItemsProcessed(state.iterations() * count * dim * dim);
+}
+// fig10's stacks: dense 3x3 weights, and update-phase gradients of
+// 32x32 at 42% and 4x4 at 90%.
+BENCHMARK_CAPTURE(BM_KernelStackGenerator, bernoulli,
+                  SparsifyMethod::Bernoulli)
+    ->Args({512, 3, 0})
+    ->Args({64, 32, 42})
+    ->Args({512, 4, 90});
+// fig9's ResNet50 stacks: 7x7 weights and 56x56 update gradients.
+BENCHMARK_CAPTURE(BM_KernelStackGenerator, topk, SparsifyMethod::TopK)
+    ->Args({2048, 7, 90})
+    ->Args({256, 56, 90});
+
 } // namespace
 
 /**

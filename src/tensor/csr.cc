@@ -213,9 +213,9 @@ CsrMatrix::allocateStorage(std::size_t nnz)
     arena_.reset(Arena::aligned(padded * sizeof(float)) +
                  Arena::aligned(padded * sizeof(std::uint32_t)) +
                  Arena::aligned(rows * sizeof(std::uint32_t)));
-    valuesOff_ = arena_.alloc<float>(padded);
-    columnsOff_ = arena_.alloc<std::uint32_t>(padded);
-    rowPtrOff_ = arena_.alloc<std::uint32_t>(rows);
+    values_ = arena_.ptr<float>(arena_.alloc<float>(padded));
+    columns_ = arena_.ptr<std::uint32_t>(arena_.alloc<std::uint32_t>(padded));
+    rowPtr_ = arena_.ptr<std::uint32_t>(arena_.alloc<std::uint32_t>(rows));
 }
 
 void
@@ -231,6 +231,27 @@ CsrMatrix::CsrMatrix(std::uint32_t height, std::uint32_t width)
     allocateStorage(0);
 }
 
+CsrMatrix::CsrMatrix(const CsrMatrix &o)
+    : height_(o.height_), width_(o.width_)
+{
+    allocateStorage(o.nnz_);
+    if (nnz_ > 0) {
+        std::memcpy(values_, o.values_, nnz_ * sizeof(float));
+        std::memcpy(columns_, o.columns_, nnz_ * sizeof(std::uint32_t));
+    }
+    std::memcpy(rowPtr_, o.rowPtr_,
+                (static_cast<std::size_t>(height_) + 1) *
+                    sizeof(std::uint32_t));
+}
+
+CsrMatrix &
+CsrMatrix::operator=(const CsrMatrix &o)
+{
+    if (this != &o)
+        *this = CsrMatrix(o);
+    return *this;
+}
+
 CsrMatrix
 CsrMatrix::fromDense(const Dense2d<float> &dense)
 {
@@ -239,9 +260,9 @@ CsrMatrix::fromDense(const Dense2d<float> &dense)
     const std::size_t cells = dense.data().size();
     csr.allocateStorage(countNonzeros(data, cells));
 
-    float *values = csr.valuesData();
-    std::uint32_t *columns = csr.columnsData();
-    std::uint32_t *row_ptr = csr.rowPtrData();
+    float *values = csr.values_;
+    std::uint32_t *columns = csr.columns_;
+    std::uint32_t *row_ptr = csr.rowPtr_;
     std::uint32_t cur = 0;
     for (std::uint32_t y = 0; y < dense.height(); ++y) {
         cur += compressRow(data + static_cast<std::size_t>(y) *
@@ -268,12 +289,12 @@ CsrMatrix::fromRaw(std::uint32_t height, std::uint32_t width,
     CsrMatrix csr(height, width, Unallocated{});
     csr.allocateStorage(values.size());
     if (!values.empty()) {
-        std::memcpy(csr.valuesData(), values.data(),
+        std::memcpy(csr.values_, values.data(),
                     values.size() * sizeof(float));
-        std::memcpy(csr.columnsData(), columns.data(),
+        std::memcpy(csr.columns_, columns.data(),
                     columns.size() * sizeof(std::uint32_t));
     }
-    std::memcpy(csr.rowPtrData(), row_ptr.data(),
+    std::memcpy(csr.rowPtr_, row_ptr.data(),
                 row_ptr.size() * sizeof(std::uint32_t));
     csr.validate();
     return csr;
@@ -304,9 +325,9 @@ CsrMatrix::fromCoo(std::uint32_t height, std::uint32_t width,
 
     CsrMatrix csr(height, width, Unallocated{});
     csr.allocateStorage(unique);
-    float *values = csr.valuesData();
-    std::uint32_t *columns = csr.columnsData();
-    std::uint32_t *row_ptr = csr.rowPtrData();
+    float *values = csr.values_;
+    std::uint32_t *columns = csr.columns_;
+    std::uint32_t *row_ptr = csr.rowPtr_;
     std::uint32_t cur = 0;
     for (std::size_t i = 0; i < entries.size();) {
         float v = entries[i].value;
@@ -389,14 +410,14 @@ CsrMatrix::slice(std::uint32_t begin, std::uint32_t end) const
     CsrMatrix out(height_, width_, Unallocated{});
     out.allocateStorage(end - begin);
     if (end > begin) {
-        std::memcpy(out.valuesData(), values().data() + begin,
+        std::memcpy(out.values_, values().data() + begin,
                     (end - begin) * sizeof(float));
-        std::memcpy(out.columnsData(), columns().data() + begin,
+        std::memcpy(out.columns_, columns().data() + begin,
                     (end - begin) * sizeof(std::uint32_t));
     }
     // Each row keeps the part of its range that falls inside the slice.
     const auto row_ptr = rowPtr();
-    std::uint32_t *out_row_ptr = out.rowPtrData();
+    std::uint32_t *out_row_ptr = out.rowPtr_;
     for (std::uint32_t y = 0; y < height_; ++y)
         out_row_ptr[y + 1] = std::clamp(row_ptr[y + 1], begin, end) - begin;
     out.maybeValidate();
@@ -413,9 +434,9 @@ CsrMatrix::rotated180() const
     const auto row_ptr = rowPtr();
     const auto cols = columns();
     const auto vals = values();
-    float *out_values = out.valuesData();
-    std::uint32_t *out_columns = out.columnsData();
-    std::uint32_t *out_row_ptr = out.rowPtrData();
+    float *out_values = out.values_;
+    std::uint32_t *out_columns = out.columns_;
+    std::uint32_t *out_row_ptr = out.rowPtr_;
     std::uint32_t cur = 0;
     // The rotated row H-1-y enumerates source rows in reverse; within a
     // row, rotated columns W-1-x reverse the column order.
@@ -439,8 +460,7 @@ CsrMatrix::transposed() const
 {
     CsrMatrix out(width_, height_, Unallocated{});
     out.allocateStorage(nnz());
-    transposeInto(*this, out.valuesData(), out.columnsData(),
-                  out.rowPtrData());
+    transposeInto(*this, out.values_, out.columns_, out.rowPtr_);
     out.maybeValidate();
     return out;
 }
@@ -483,6 +503,83 @@ CsrMatrix::operator==(const CsrMatrix &o) const
         std::equal(columns().begin(), columns().end(),
                    o.columns().begin()) &&
         std::equal(rowPtr().begin(), rowPtr().end(), o.rowPtr().begin());
+}
+
+CsrStack::CsrStack(std::uint32_t count, std::uint32_t height,
+                   std::uint32_t width, std::size_t entry_slots)
+    : count_(count), height_(height), width_(width),
+      rowSlots_(paddedEntries(static_cast<std::size_t>(height) + 1))
+{
+    planes_.reserve(count);
+    carve(entry_slots);
+}
+
+void
+CsrStack::carve(std::size_t entry_slots)
+{
+    entrySlots_ = paddedEntries(entry_slots);
+    const std::size_t row_slots = count_ * rowSlots_;
+    slab_.reset((row_slots + 2 * entrySlots_) * sizeof(std::uint32_t));
+    // Only the row pointers need zeros: the generator writes every
+    // entry it counts but only the rows that hold entries.
+    rowPtrs_ = slab_.ptr<std::uint32_t>(
+        slab_.alloc<std::uint32_t>(row_slots));
+    values_ = slab_.ptr<float>(slab_.allocUninitialized<float>(entrySlots_));
+    columns_ = slab_.ptr<std::uint32_t>(
+        slab_.allocUninitialized<std::uint32_t>(entrySlots_));
+}
+
+void
+CsrStack::grow(std::size_t entry_slots)
+{
+    Arena old = std::move(slab_);
+    const std::uint32_t *old_row_ptrs = rowPtrs_;
+    const float *old_values = values_;
+    const std::uint32_t *old_columns = columns_;
+    carve(entry_slots);
+    std::memcpy(rowPtrs_, old_row_ptrs,
+                count_ * rowSlots_ * sizeof(std::uint32_t));
+    std::memcpy(values_, old_values, used_ * sizeof(float));
+    std::memcpy(columns_, old_columns, used_ * sizeof(std::uint32_t));
+    for (CsrMatrix &plane : planes_) {
+        plane.values_ = values_ + (plane.values_ - old_values);
+        plane.columns_ = columns_ + (plane.columns_ - old_columns);
+        plane.rowPtr_ = rowPtrs_ + (plane.rowPtr_ - old_row_ptrs);
+    }
+}
+
+CsrStack::PlaneSlot
+CsrStack::beginPlane(std::size_t max_nnz)
+{
+    ANT_ASSERT(!planeOpen_ && planes_.size() < count_,
+               "beginPlane past the stack's ", count_, " planes");
+    if (entrySlots_ - used_ < max_nnz)
+        grow(std::max(2 * entrySlots_, used_ + max_nnz));
+    planeOpen_ = true;
+    open_ = max_nnz;
+    return {values_ + used_, columns_ + used_,
+            rowPtrs_ + planes_.size() * rowSlots_};
+}
+
+void
+CsrStack::endPlane(std::size_t nnz)
+{
+    ANT_ASSERT(planeOpen_ && nnz <= open_, "endPlane of ", nnz,
+               " entries into room for ", open_);
+    planeOpen_ = false;
+    planes_.push_back(CsrMatrix(height_, width_, narrowNnz(nnz),
+                                values_ + used_, columns_ + used_,
+                                rowPtrs_ + planes_.size() * rowSlots_));
+    used_ += paddedEntries(nnz);
+}
+
+void
+CsrStack::validate() const
+{
+    ANT_ASSERT(!planeOpen_ && planes_.size() == count_, "stack holds ",
+               planes_.size(), " of its ", count_, " planes");
+    for (const CsrMatrix &plane : planes_)
+        plane.validate();
 }
 
 void

@@ -17,10 +17,13 @@
  * Storage layout: the three arrays are a structure-of-arrays carved
  * out of one 64-byte-aligned Arena slab (util/arena.hh), sized exactly
  * from the nnz counted before filling. Every factory allocates exactly
- * one slab. Accessors hand out read-only spans; the SIMD construction
- * kernels (docs/MODEL.md Sec. 11) rely on the alignment, and the exact
- * pre-sizing removes the push_back reallocation churn of the old
- * vector-backed layout.
+ * one slab, and so does a copy. A CsrStack holds a whole stack of
+ * planes in one slab, and its planes borrow their arrays from it. The
+ * exact pre-sizing removes the push_back reallocation churn of the old
+ * vector-backed layout. Accessors hand out read-only spans; the SIMD
+ * readers (docs/MODEL.md Sec. 11) use unaligned loads with a scalar
+ * tail, and the AVX2 compress kernels of fromDense rely on the 8-entry
+ * tail slack allocateStorage reserves, not on the alignment.
  */
 
 #ifndef ANTSIM_TENSOR_CSR_HH
@@ -51,11 +54,18 @@ struct SparseEntry
  */
 std::uint32_t narrowNnz(std::size_t nnz);
 
+class CsrStack;
+
 /**
  * Compressed Sparse Row matrix of float values.
  *
+ * A matrix owns its slab, except a CsrStack plane, whose arrays borrow
+ * the stack's slab; copying either gives a compact matrix that owns
+ * its memory.
+ *
  * Invariants (checked by validate(); every construction path validates
- * when the ANTSIM_AUDIT runtime switch is on, fromRaw unconditionally):
+ * when the ANTSIM_AUDIT runtime switch is on, fromRaw and CsrStack
+ * unconditionally):
  *  - rowPtr has height()+1 entries, rowPtr[0] == 0, non-decreasing;
  *  - columns within each row are strictly increasing and < width();
  *  - values.size() == columns.size() == rowPtr.back().
@@ -65,6 +75,12 @@ class CsrMatrix
   public:
     /** Construct an empty matrix of the given shape. */
     CsrMatrix(std::uint32_t height, std::uint32_t width);
+
+    /** A compact copy in a slab of its own (also of a stack plane). */
+    CsrMatrix(const CsrMatrix &o);
+    CsrMatrix &operator=(const CsrMatrix &o);
+    CsrMatrix(CsrMatrix &&) noexcept = default;
+    CsrMatrix &operator=(CsrMatrix &&) noexcept = default;
 
     /** Compress a dense plane (drops exact zeros). */
     static CsrMatrix fromDense(const Dense2d<float> &dense);
@@ -103,22 +119,21 @@ class CsrMatrix
     std::span<const float>
     values() const
     {
-        return {arena_.ptr<float>(valuesOff_), nnz_};
+        return {values_, nnz_};
     }
 
     /** Columns array (column index per stored value). */
     std::span<const std::uint32_t>
     columns() const
     {
-        return {arena_.ptr<std::uint32_t>(columnsOff_), nnz_};
+        return {columns_, nnz_};
     }
 
     /** Row-pointers array (height()+1 entries). */
     std::span<const std::uint32_t>
     rowPtr() const
     {
-        return {arena_.ptr<std::uint32_t>(rowPtrOff_),
-                static_cast<std::size_t>(height_) + 1};
+        return {rowPtr_, static_cast<std::size_t>(height_) + 1};
     }
 
     /** Row index of the stored element at flat position @p pos. */
@@ -165,6 +180,15 @@ class CsrMatrix
         : height_(height), width_(width)
     {}
 
+    /** A CsrStack plane over arrays in the stack's slab. */
+    CsrMatrix(std::uint32_t height, std::uint32_t width, std::uint32_t nnz,
+              float *values, std::uint32_t *columns, std::uint32_t *row_ptr)
+        : height_(height), width_(width), nnz_(nnz), values_(values),
+          columns_(columns), rowPtr_(row_ptr)
+    {}
+
+    friend class CsrStack;
+
     /**
      * Size the arena for exactly @p nnz stored entries (guarding the
      * uint32 narrowing) plus the row-pointer array, and carve the
@@ -175,23 +199,124 @@ class CsrMatrix
     /** Validate when the ANTSIM_AUDIT runtime switch is on. */
     void maybeValidate() const;
 
-    float *valuesData() { return arena_.ptr<float>(valuesOff_); }
-    std::uint32_t *columnsData()
-    {
-        return arena_.ptr<std::uint32_t>(columnsOff_);
-    }
-    std::uint32_t *rowPtrData()
-    {
-        return arena_.ptr<std::uint32_t>(rowPtrOff_);
-    }
-
     std::uint32_t height_;
     std::uint32_t width_;
     std::uint32_t nnz_ = 0;
-    std::size_t valuesOff_ = 0;
-    std::size_t columnsOff_ = 0;
-    std::size_t rowPtrOff_ = 0;
+    float *values_ = nullptr;
+    std::uint32_t *columns_ = nullptr;
+    std::uint32_t *rowPtr_ = nullptr;
+    /** The arrays' slab; empty for a stack plane, which borrows. */
     Arena arena_;
+};
+
+/**
+ * A stack of same-shape CSR planes in one 64-byte-aligned slab: the
+ * kernel stack a PE streams back to back from one buffer (Sec. 4.3).
+ * The slab holds every plane's row pointers, then every plane's values,
+ * then every plane's columns, and each plane's three blocks start on a
+ * 64-byte boundary. A plane is reachable only as a const CsrMatrix &
+ * that borrows the slab: a copy of it is a compact matrix that owns
+ * its memory, and no plane can be moved out of the stack or outlive
+ * it. Moving the stack moves neither the slab nor its planes.
+ *
+ * A generator fills the planes in order. beginPlane hands out the next
+ * plane's arrays with room for a stated number of entries, growing the
+ * slab geometrically when the caller's sizing fell short; the
+ * generator writes the entries and prefix-summed row pointers, and
+ * endPlane closes the plane. validate() then checks every plane in one
+ * pass. Nothing writes a plane with vector stores, so its blocks carry
+ * no tail slack.
+ */
+class CsrStack
+{
+  public:
+    /** The arrays of the plane being filled. */
+    struct PlaneSlot
+    {
+        float *values;
+        std::uint32_t *columns;
+        /** height + 1 row pointers, zeroed. */
+        std::uint32_t *rowPtr;
+    };
+
+    /** Values (and columns) slots a plane of @p nnz entries takes. */
+    static constexpr std::size_t
+    paddedEntries(std::size_t nnz)
+    {
+        return Arena::aligned(nnz * sizeof(float)) / sizeof(float);
+    }
+
+    /**
+     * A stack of @p count planes of @p height x @p width, none filled
+     * yet, in one slab with @p entry_slots values and columns slots
+     * (each plane takes paddedEntries of its nnz).
+     */
+    CsrStack(std::uint32_t count, std::uint32_t height, std::uint32_t width,
+             std::size_t entry_slots);
+
+    CsrStack(CsrStack &&) noexcept = default;
+    CsrStack &operator=(CsrStack &&) noexcept = default;
+    CsrStack(const CsrStack &) = delete;
+    CsrStack &operator=(const CsrStack &) = delete;
+
+    /**
+     * The arrays of the next plane, with room for @p max_nnz entries.
+     * When the slab lacks that room it is reallocated at twice its
+     * entry slots (at least enough), the planes so far copied over.
+     */
+    PlaneSlot beginPlane(std::size_t max_nnz);
+
+    /** Close the plane beginPlane opened, which stored @p nnz entries. */
+    void endPlane(std::size_t nnz);
+
+    /**
+     * Panics unless every plane is filled and satisfies
+     * CsrMatrix::validate's invariants (one pass over the stack).
+     */
+    void validate() const;
+
+    /** Planes filled so far (all of them once validated). */
+    std::size_t size() const { return planes_.size(); }
+
+    /** Plane @p i, borrowing the slab. */
+    const CsrMatrix &operator[](std::size_t i) const { return planes_[i]; }
+
+    std::vector<CsrMatrix>::const_iterator
+    begin() const
+    {
+        return planes_.cbegin();
+    }
+
+    std::vector<CsrMatrix>::const_iterator
+    end() const
+    {
+        return planes_.cend();
+    }
+
+  private:
+    /** Move the slab to one with @p entry_slots values/columns slots. */
+    void grow(std::size_t entry_slots);
+
+    /** Carve the row-pointer, values and columns regions of slab_. */
+    void carve(std::size_t entry_slots);
+
+    std::uint32_t count_;
+    std::uint32_t height_;
+    std::uint32_t width_;
+    /** Slots of one plane's row-pointer block. */
+    std::size_t rowSlots_;
+    /** Values (and columns) slots in the slab. */
+    std::size_t entrySlots_ = 0;
+    /** Values slots the closed planes take. */
+    std::size_t used_ = 0;
+    /** Room beginPlane promised the open plane. */
+    std::size_t open_ = 0;
+    bool planeOpen_ = false;
+    std::uint32_t *rowPtrs_ = nullptr;
+    float *values_ = nullptr;
+    std::uint32_t *columns_ = nullptr;
+    Arena slab_;
+    std::vector<CsrMatrix> planes_;
 };
 
 /**

@@ -2,20 +2,22 @@
  * @file
  * 64-byte-aligned arena (bump) allocator for SoA tensor storage.
  *
- * The CSR/CSC matrices and the census/plan structures keep their
- * values/columns/row-pointer arrays as separate structure-of-arrays
- * buffers carved out of one Arena slab. Every buffer starts on a
- * 64-byte boundary (one cache line, and the widest vector register
- * this simulator targets), so the SIMD kernels (util/simd.hh) can use
- * aligned loads and never straddle an allocation boundary.
+ * The CSR/CSC matrices keep their values/columns/row-pointer arrays as
+ * separate structure-of-arrays buffers carved out of one Arena slab,
+ * and a CsrStack keeps a whole kernel stack in one. Every buffer
+ * starts on a 64-byte boundary (one cache line), so no two buffers
+ * share a line. The SIMD kernels (util/simd.hh) do not rely on it:
+ * they read with unaligned loads and a scalar tail, and what the AVX2
+ * compress stores need is the 8-entry tail slack CsrMatrix reserves.
  *
- * The arena is sized exactly once, up front, from the known element
- * counts -- construction paths count first and fill second, which is
- * also what removes the push_back reallocation churn the profile used
- * to show. Blocks are never freed individually; the whole slab goes
- * at once. Copying an Arena deep-copies the slab, so objects that
- * store byte offsets (never raw pointers) into their arena can use
- * defaulted copy/move semantics.
+ * The arena is sized once, up front, from the known element counts --
+ * construction paths count first and fill second, which is also what
+ * removes the push_back reallocation churn the profile used to show (a
+ * CsrStack sized from an estimate moves to a larger slab on overflow).
+ * Blocks are never freed individually; the whole slab goes at once.
+ * Copying an Arena deep-copies the slab, so objects that store byte
+ * offsets (never raw pointers) into their arena, as CscMatrix does,
+ * can use defaulted copy/move semantics.
  */
 
 #ifndef ANTSIM_UTIL_ARENA_HH
@@ -102,7 +104,7 @@ class Arena
             slab_ = static_cast<std::byte *>(::operator new(
                 capacity_, std::align_val_t{kAlignment}));
             // Metered per slab, not per block: a slab is the one
-            // allocation a CSR/CSC matrix makes.
+            // allocation a CSR/CSC matrix, or a whole CsrStack, makes.
             if (obs::metrics::shard() != nullptr) {
                 obs::metrics::count(obs::metrics::Counter::ArenaSlabs);
                 obs::metrics::count(obs::metrics::Counter::ArenaSlabBytes,
@@ -125,6 +127,20 @@ class Arena
     std::size_t
     alloc(std::size_t count)
     {
+        const std::size_t offset = allocUninitialized<T>(count);
+        if (count > 0)
+            std::memset(slab_ + offset, 0, count * sizeof(T));
+        return offset;
+    }
+
+    /**
+     * alloc without the zero fill, for a block the caller writes before
+     * it reads it (a CsrStack's values and columns).
+     */
+    template <typename T>
+    std::size_t
+    allocUninitialized(std::size_t count)
+    {
         static_assert(std::is_trivially_copyable_v<T>,
                       "arena blocks hold trivially copyable data only");
         static_assert(alignof(T) <= kAlignment);
@@ -133,8 +149,6 @@ class Arena
         ANT_ASSERT(bytes <= capacity_ - used_, "arena overflow: block of ",
                    bytes, " bytes does not fit in ", capacity_ - used_,
                    " remaining of ", capacity_);
-        if (count > 0)
-            std::memset(slab_ + offset, 0, count * sizeof(T));
         used_ += bytes;
         return offset;
     }

@@ -126,6 +126,21 @@ class Rng
     }
 
     /**
+     * floor(256 u2) of drawNormal()'s angle uniform, consuming exactly
+     * its stream, in integer form: the zero test u1 <= 0.0 is
+     * (next() >> 11) == 0, and floor(256 (next() >> 11) 2^-53) is
+     * next() >> 56, both exact. The Bernoulli trace planes need only
+     * this byte of a kept cell's normal (workload/tracegen.hh).
+     */
+    std::uint32_t
+    drawNormalAngleByte()
+    {
+        while ((next() >> 11) == 0) {
+        }
+        return static_cast<std::uint32_t>(next() >> 56);
+    }
+
+    /**
      * The Box-Muller transform sqrt(-2 ln u1) * cos(2 pi u2), so
      * normal() == boxMuller(drawNormal()). Its magnitude never exceeds
      * the radius sqrt(-2 ln u1), which the top-K trace generator's

@@ -152,17 +152,16 @@ class EntryWriter
 };
 
 /**
- * A kept Bernoulli cell's value, from the angle uniform @p u2 of the
- * normal the stream draws for it: with m = floor(256 u2), it is
- * (-1)^[m >= 128] (1 + (m mod 128) / 128). No counter reads a value,
- * so the Box-Muller transform is skipped; the value is non-zero and
- * bf16-exact (seven mantissa bits), built from its float bits without
- * a branch.
+ * A kept Bernoulli cell's value, from @p m = floor(256 u2) of the angle
+ * uniform u2 of the normal the stream draws for it
+ * (Rng::drawNormalAngleByte): (-1)^[m >= 128] (1 + (m mod 128) / 128).
+ * No counter reads a value, so the Box-Muller transform is skipped;
+ * the value is non-zero and bf16-exact (seven mantissa bits), built
+ * from its float bits without a branch.
  */
 inline float
-bernoulliValue(double u2)
+bernoulliValue(std::uint32_t m)
 {
-    const auto m = static_cast<std::uint32_t>(u2 * 256.0);
     return std::bit_cast<float>((m & 0x80u) << 24 | 0x3f800000u |
                                 (m & 0x7fu) << 16);
 }
@@ -226,84 +225,132 @@ keepThreshold(std::vector<float> &mags, std::size_t count, std::size_t keep)
     return {threshold, keep - countGreater(mags.data(), keep, threshold)};
 }
 
-/**
- * The plane generator behind generateCsrPlane and generateTopKPlane,
- * pre-filtering a top-K plane with @p cut (ignored for Bernoulli
- * recipes).
- */
-TopKPlane
-buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
-           Rng &rng)
+/** Entries the plane drawn last stored, and whether its top-K
+ *  pre-filtered result was taken. */
+struct DrawnPlane
 {
-    ANT_ASSERT(recipe.height > 0 && recipe.width > 0,
-               "plane recipe needs positive inner dims");
-    ANT_ASSERT(recipe.dilation >= 1, "dilation must be at least 1");
-    ANT_ASSERT(recipe.offset +
-                       recipe.dilation * (recipe.height - 1) <
-                   recipe.outHeight &&
-               recipe.offset + recipe.dilation * (recipe.width - 1) <
-                   recipe.outWidth,
-               "embedded plane does not fit: inner ", recipe.height, "x",
-               recipe.width, " offset ", recipe.offset, " dilation ",
-               recipe.dilation, " into ", recipe.outHeight, "x",
-               recipe.outWidth);
-
-    // Thread-local scratch: benchmarks generate millions of planes per
-    // run, and with the arrays reused the finished plane's arena slab
-    // is its only allocation. values and columns hold the largest
-    // plane's cell count so far, which bounds any plane's entries, so
-    // the writer needs no capacity check. They are left uninitialized,
-    // so growing them touches no page: resident memory follows the
-    // entries written, not the cells. row_ptr counts entries per
-    // embedded row at [row + 1] and is prefix-summed below.
-    const std::size_t total =
-        static_cast<std::size_t>(recipe.height) * recipe.width;
-    static thread_local std::size_t capacity = 0;
-    static thread_local std::unique_ptr<float[]> values;
-    static thread_local std::unique_ptr<std::uint32_t[]> columns;
-    static thread_local std::vector<std::uint32_t> row_ptr;
-    if (capacity < total) {
-        values = std::make_unique_for_overwrite<float[]>(total);
-        columns = std::make_unique_for_overwrite<std::uint32_t[]>(total);
-        capacity = total;
-    }
-    row_ptr.assign(recipe.outHeight + 1, 0);
-    EntryWriter writer(recipe, values.get(), columns.get(), row_ptr.data());
-
+    std::size_t nnz = 0;
     bool prefiltered = false;
-    if (recipe.method == SparsifyMethod::Bernoulli) {
-        // Same draw sequence as bernoulliPlane: one Bernoulli trial per
-        // cell in row-major order, one normal's uniforms per kept cell.
-        // The trial is bernoulli(keep_p)'s integer form, and the values
-        // skip the Box-Muller transform (bernoulliValue) and need
-        // neither bf16Round nor the zero drop. The loop runs on a local
-        // copy of the Rng and on local bounds, which the writer's stores
-        // cannot alias, so the state, bounds and cursors stay in
-        // registers.
-        const std::uint64_t keep =
-            Rng::bernoulliThreshold(1.0 - recipe.sparsity);
-        const std::uint32_t height = recipe.height;
-        const std::uint32_t width = recipe.width;
+};
+
+/**
+ * One recipe's plane generator: the recipe's invariants (the embedding
+ * check, the Bernoulli threshold, the top-K keep count and cut) are
+ * computed once, and draw() then makes any number of planes in stream
+ * order, generateCsrPlane's and generateCsrStack's alike.
+ */
+class PlaneGenerator
+{
+  public:
+    /** The generator of @p recipe, pre-filtering a top-K plane with
+     *  @p cut (ignored for Bernoulli recipes). */
+    PlaneGenerator(const PlaneRecipe &recipe, std::optional<TopKCut> cut)
+        : recipe_(recipe),
+          cells_(static_cast<std::size_t>(recipe.height) * recipe.width),
+          cut_(cut)
+    {
+        ANT_ASSERT(recipe.height > 0 && recipe.width > 0,
+                   "plane recipe needs positive inner dims");
+        ANT_ASSERT(recipe.dilation >= 1, "dilation must be at least 1");
+        ANT_ASSERT(recipe.offset +
+                           recipe.dilation * (recipe.height - 1) <
+                       recipe.outHeight &&
+                   recipe.offset + recipe.dilation * (recipe.width - 1) <
+                       recipe.outWidth,
+                   "embedded plane does not fit: inner ", recipe.height,
+                   "x", recipe.width, " offset ", recipe.offset,
+                   " dilation ", recipe.dilation, " into ",
+                   recipe.outHeight, "x", recipe.outWidth);
+        if (recipe.method == SparsifyMethod::Bernoulli) {
+            bernoulliKeep_ = Rng::bernoulliThreshold(1.0 - recipe.sparsity);
+            maxEntries_ = cells_;
+        } else {
+            topKKeep_ = topKKeep(cells_, recipe.sparsity);
+            maxEntries_ = topKKeep_;
+        }
+    }
+
+    /** The most entries one plane can store. */
+    std::size_t maxEntries() const { return maxEntries_; }
+
+    /**
+     * Draw the next plane into @p slot, which has room for maxEntries()
+     * entries and zeroed outHeight + 1 row pointers: the entries in
+     * row-major order of the final (rotated) plane, and the row
+     * pointers prefix-summed.
+     */
+    DrawnPlane
+    draw(const CsrStack::PlaneSlot &slot, Rng &rng) const
+    {
+        EntryWriter writer(recipe_, slot.values, slot.columns, slot.rowPtr);
+        DrawnPlane drawn;
+        if (recipe_.method == SparsifyMethod::Bernoulli)
+            drawBernoulli(writer, rng);
+        else
+            drawn.prefiltered = drawTopK(writer, rng);
+        drawn.nnz = writer.size();
+        if (recipe_.rotate) {
+            // rotated180 in place: y' = H - 1 - y and x' = W - 1 - x
+            // reverse the row-major entry order, so reverse the arrays
+            // and the per-row counts, and mirror the columns.
+            std::ranges::reverse(std::span(slot.values, drawn.nnz));
+            const std::span<std::uint32_t> columns(slot.columns, drawn.nnz);
+            std::ranges::reverse(columns);
+            for (std::uint32_t &x : columns)
+                x = recipe_.outWidth - 1 - x;
+            std::reverse(slot.rowPtr + 1, slot.rowPtr + recipe_.outHeight + 1);
+        }
+        for (std::uint32_t y = 0; y < recipe_.outHeight; ++y)
+            slot.rowPtr[y + 1] += slot.rowPtr[y];
+        return drawn;
+    }
+
+  private:
+    /**
+     * Same draw sequence as bernoulliPlane: one Bernoulli trial per cell
+     * in row-major order, one normal's uniforms per kept cell. The trial
+     * is bernoulli(keep_p)'s integer form, and a kept cell reads only
+     * the integer angle byte of its normal (bernoulliValue), so the loop
+     * does no floating-point work and needs neither bf16Round nor the
+     * zero drop. It runs on a local copy of the Rng and on local bounds,
+     * which the writer's stores cannot alias, so the state, bounds and
+     * cursors stay in registers.
+     */
+    void
+    drawBernoulli(EntryWriter &writer, Rng &rng) const
+    {
+        const std::uint64_t keep = bernoulliKeep_;
+        const std::uint32_t height = recipe_.height;
+        const std::uint32_t width = recipe_.width;
         Rng local = rng;
         for (std::uint32_t y = 0; y < height; ++y) {
             for (std::uint32_t x = 0; x < width; ++x) {
                 if (local.bernoulliBelow(keep))
-                    writer.put(bernoulliValue(local.drawNormal().u2), x);
+                    writer.put(bernoulliValue(local.drawNormalAngleByte()),
+                               x);
             }
             writer.endRow(y);
         }
         rng = local;
-    } else {
-        // Same draw sequence as randomDensePlane: one normal per cell,
-        // then the topKSparsify selection. The kept set is the first
-        // `keep` cells under (magnitude desc, position asc) -- i.e.,
-        // every cell whose magnitude beats the keep-th largest, plus
-        // the earliest-position ties at exactly that threshold -- so a
-        // scalar magnitude nth_element plus a tie budget reproduces the
-        // legacy index-vector selection bit for bit at a fraction of
-        // the memory traffic. Scratch buffers persist per thread:
-        // benchmarks generate hundreds of thousands of planes.
-        const std::size_t keep = topKKeep(total, recipe.sparsity);
+    }
+
+    /**
+     * Same draw sequence as randomDensePlane: one normal per cell, then
+     * the topKSparsify selection. The kept set is the first `keep`
+     * cells under (magnitude desc, position asc) -- i.e., every cell
+     * whose magnitude beats the keep-th largest, plus the
+     * earliest-position ties at exactly that threshold -- so a scalar
+     * magnitude nth_element plus a tie budget reproduces the legacy
+     * index-vector selection bit for bit at a fraction of the memory
+     * traffic. Scratch buffers persist per thread: benchmarks generate
+     * hundreds of thousands of planes. Returns whether the pre-filtered
+     * result was taken.
+     */
+    bool
+    drawTopK(EntryWriter &writer, Rng &rng) const
+    {
+        const std::size_t total = cells_;
+        const std::size_t keep = topKKeep_;
         const bool selects = keep > 0 && keep < total;
         static thread_local std::vector<float> data;
         static thread_local std::vector<float> mags;
@@ -312,7 +359,8 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
             mags.resize(total);
         // Threshold 0 keeps every cell (no value is zero): keep == total.
         KeepThreshold selection{0.0f, total};
-        if (cut && selects) {
+        bool prefiltered = false;
+        if (cut_ && selects) {
             // The pre-filter (TopKCut): draw every cell's uniforms in
             // stream order but transform only the candidates. The rest
             // stay 0 in data, below any threshold the check accepts.
@@ -321,14 +369,14 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
             for (float &v : data) {
                 const Rng::NormalDraw draw = rng.drawNormal();
                 v = 0.0f;
-                if (draw.u1 <= cut->ucut) {
+                if (draw.u1 <= cut_->ucut) {
                     v = topKValue(Rng::boxMuller(draw));
                     mags[candidates++] = std::fabs(v);
                 }
             }
             if (candidates >= keep) {
                 selection = keepThreshold(mags, candidates, keep);
-                prefiltered = selection.threshold > cut->bound;
+                prefiltered = selection.threshold > cut_->bound;
             }
             if (!prefiltered)
                 rng = start; // fall back: redraw on the full path
@@ -345,8 +393,8 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
         // (after sparsification, before compression), and drop values
         // the rounding flushed to zero, as fromDense would.
         std::size_t idx = 0;
-        for (std::uint32_t y = 0; y < recipe.height && keep > 0; ++y) {
-            for (std::uint32_t x = 0; x < recipe.width; ++x, ++idx) {
+        for (std::uint32_t y = 0; y < recipe_.height && keep > 0; ++y) {
+            for (std::uint32_t x = 0; x < recipe_.width; ++x, ++idx) {
                 const float mag = std::fabs(data[idx]);
                 if (mag < selection.threshold)
                     continue;
@@ -361,26 +409,66 @@ buildPlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
             }
             writer.endRow(y);
         }
+        return prefiltered;
     }
 
-    const std::size_t nnz = writer.size();
-    const std::span<float> entry_values(values.get(), nnz);
-    const std::span<std::uint32_t> entry_columns(columns.get(), nnz);
-    if (recipe.rotate) {
-        // rotated180 in place: y' = H - 1 - y and x' = W - 1 - x reverse
-        // the row-major entry order, so reverse the arrays and the
-        // per-row counts, and mirror the columns.
-        std::ranges::reverse(entry_values);
-        std::ranges::reverse(entry_columns);
-        for (std::uint32_t &x : entry_columns)
-            x = recipe.outWidth - 1 - x;
-        std::reverse(row_ptr.begin() + 1, row_ptr.end());
+    const PlaneRecipe &recipe_;
+    std::size_t cells_;
+    std::optional<TopKCut> cut_;
+    std::uint64_t bernoulliKeep_ = 0;
+    std::size_t topKKeep_ = 0;
+    std::size_t maxEntries_ = 0;
+};
+
+/**
+ * One plane of @p recipe, pre-filtered with @p cut, in a slab of its
+ * own: drawn into thread-local scratch that holds the largest plane's
+ * entries so far, then copied into the matrix (fromRaw).
+ */
+TopKPlane
+singlePlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
+            Rng &rng)
+{
+    const PlaneGenerator generator(recipe, cut);
+    // values and columns are left uninitialized, so growing them
+    // touches no page: resident memory follows the entries written,
+    // not the cells. row_ptr counts entries per embedded row at
+    // [row + 1] until draw() prefix-sums it.
+    static thread_local std::size_t capacity = 0;
+    static thread_local std::unique_ptr<float[]> values;
+    static thread_local std::unique_ptr<std::uint32_t[]> columns;
+    static thread_local std::vector<std::uint32_t> row_ptr;
+    if (capacity < generator.maxEntries()) {
+        capacity = generator.maxEntries();
+        values = std::make_unique_for_overwrite<float[]>(capacity);
+        columns = std::make_unique_for_overwrite<std::uint32_t[]>(capacity);
     }
-    for (std::uint32_t y = 0; y < recipe.outHeight; ++y)
-        row_ptr[y + 1] += row_ptr[y];
+    row_ptr.assign(recipe.outHeight + 1, 0);
+    const DrawnPlane drawn = generator.draw(
+        {values.get(), columns.get(), row_ptr.data()}, rng);
     return {CsrMatrix::fromRaw(recipe.outHeight, recipe.outWidth,
-                               entry_values, entry_columns, row_ptr),
-            prefiltered};
+                               {values.get(), drawn.nnz},
+                               {columns.get(), drawn.nnz}, row_ptr),
+            drawn.prefiltered};
+}
+
+/**
+ * Values slots a stack of @p count Bernoulli planes of @p cells cells
+ * reserves: room for mean + 6 sd of the stack's kept cells, 15 slots
+ * of alignment padding per non-empty plane, and one whole plane (the
+ * room beginPlane asks for), but never more than an all-kept stack
+ * takes. So the slab grows only with probability ~1e-9.
+ */
+std::size_t
+bernoulliStackSlots(std::uint32_t count, std::size_t cells, double sparsity)
+{
+    const double n = static_cast<double>(count) * static_cast<double>(cells);
+    const double p = std::clamp(1.0 - sparsity, 0.0, 1.0);
+    const auto entries = static_cast<std::size_t>(
+        std::ceil(std::min(n, n * p + 6.0 * std::sqrt(n * p * (1.0 - p)))));
+    const std::size_t padding = 15 * std::min<std::size_t>(count, entries);
+    return std::min(count * CsrStack::paddedEntries(cells),
+                    entries + padding + cells);
 }
 
 } // namespace
@@ -414,7 +502,7 @@ TopKCut::forPlane(const PlaneRecipe &recipe)
 CsrMatrix
 generateCsrPlane(const PlaneRecipe &recipe, Rng &rng)
 {
-    return buildPlane(recipe, TopKCut::forPlane(recipe), rng).plane;
+    return singlePlane(recipe, TopKCut::forPlane(recipe), rng).plane;
 }
 
 TopKPlane
@@ -423,7 +511,25 @@ generateTopKPlane(const PlaneRecipe &recipe,
 {
     ANT_ASSERT(recipe.method == SparsifyMethod::TopK,
                "generateTopKPlane needs a top-K recipe");
-    return buildPlane(recipe, cut, rng);
+    return singlePlane(recipe, cut, rng);
+}
+
+CsrStack
+generateCsrStack(const PlaneRecipe &recipe, std::uint32_t count, Rng &rng)
+{
+    const PlaneGenerator generator(recipe, TopKCut::forPlane(recipe));
+    const std::size_t slots = recipe.method == SparsifyMethod::Bernoulli
+        ? bernoulliStackSlots(count, generator.maxEntries(),
+                              recipe.sparsity)
+        : count * CsrStack::paddedEntries(generator.maxEntries());
+    CsrStack stack(count, recipe.outHeight, recipe.outWidth, slots);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const CsrStack::PlaneSlot slot =
+            stack.beginPlane(generator.maxEntries());
+        stack.endPlane(generator.draw(slot, rng).nnz);
+    }
+    stack.validate();
+    return stack;
 }
 
 PlaneRecipe
@@ -532,10 +638,7 @@ makeConvPhaseTask(const ConvLayer &layer, TrainingPhase phase,
                                1 + static_cast<std::uint64_t>(stack_size));
     auto image = std::make_unique<const CsrMatrix>(
         generateCsrPlane(image_recipe, rng));
-    std::vector<CsrMatrix> kernels;
-    kernels.reserve(stack_size);
-    for (std::uint32_t i = 0; i < stack_size; ++i)
-        kernels.push_back(generateCsrPlane(kernel_recipe, rng));
+    CsrStack kernels = generateCsrStack(kernel_recipe, stack_size, rng);
 
     switch (phase) {
       case TrainingPhase::Forward:

@@ -28,19 +28,22 @@
  * Everything is keyed by a deterministic seed hierarchy so runs
  * reproduce bit-for-bit.
  *
- * Every plane comes from one fused generator, generateCsrPlane, which
- * draws the identical random stream as the legacy generatePlane ->
- * bf16Round -> embedPlane -> fromDense -> rotated180 pipeline but
- * emits CSR directly, skipping the dense intermediates. The legacy
- * pipeline is the tests' oracle (tests/oracles/legacy_planes.hh). The
- * generator's columns, rowPtr and Rng post-state equal the legacy
- * pipeline's for both methods, and so do its top-K values; its
- * Bernoulli values follow the rule above (tests/census_property_test.cc
- * proves both). Its top-K path anticipates which cells can never be
- * kept: a radius pre-filter (TopKCut) evaluates the Box-Muller
- * transform only for cells whose radius can reach the keep threshold,
- * and falls back to the full path whenever it cannot prove that
- * threshold, so the output never changes.
+ * Every plane comes from one fused generator, which draws the
+ * identical random stream as the legacy generatePlane -> bf16Round ->
+ * embedPlane -> fromDense -> rotated180 pipeline but emits CSR
+ * directly, skipping the dense intermediates. generateCsrPlane makes
+ * one plane in a slab of its own; generateCsrStack makes a unit's
+ * whole kernel stack in one CsrStack slab, drawing exactly the stream
+ * of that many generateCsrPlane calls. The legacy pipeline is the
+ * tests' oracle (tests/oracles/legacy_planes.hh). The generator's
+ * columns, rowPtr and Rng post-state equal the legacy pipeline's for
+ * both methods, and so do its top-K values; its Bernoulli values
+ * follow the rule above (tests/census_property_test.cc proves both).
+ * Its top-K path anticipates which cells can never be kept: a radius
+ * pre-filter (TopKCut) evaluates the Box-Muller transform only for
+ * cells whose radius can reach the keep threshold, and falls back to
+ * the full path whenever it cannot prove that threshold, so the output
+ * never changes.
  */
 
 #ifndef ANTSIM_WORKLOAD_TRACEGEN_HH
@@ -110,12 +113,26 @@ struct PlaneRecipe
  * too; a kept Bernoulli cell's value follows the rule in the file
  * comment, and its trial is bernoulli()'s exact integer form
  * (Rng::bernoulliThreshold). The entries are written through cursors
- * into thread-local scratch that holds the largest plane's cell count
- * so far (a rotation reverses them in place), so the plane's arena
- * slab is its one allocation. Top-K recipes are pre-filtered with
+ * into thread-local scratch that holds the largest plane's entries so
+ * far (a rotation reverses them in place), so the plane's arena slab
+ * is its one allocation. Top-K recipes are pre-filtered with
  * TopKCut::forPlane's cut.
  */
 CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
+
+/**
+ * Generate @p count planes of @p recipe into one CsrStack: the same
+ * planes, and the same Rng post-state, as @p count successive
+ * generateCsrPlane calls. The recipe's invariants (the embedding
+ * check, the Bernoulli threshold, TopKCut::forPlane) are computed once
+ * and the entries are written straight into the stack's slab, which is
+ * sized from the recipe: count x keep entries for top-K, and for
+ * Bernoulli the mean kept count plus six standard deviations (it grows
+ * geometrically in the rare case that falls short). Every plane is
+ * checked against CsrMatrix::validate's invariants in one pass.
+ */
+CsrStack generateCsrStack(const PlaneRecipe &recipe, std::uint32_t count,
+                          Rng &rng);
 
 /**
  * The radius cut of the top-K pre-filter (docs/MODEL.md Sec. 10).
@@ -240,8 +257,8 @@ struct PlanePair
 struct StackTask
 {
     ProblemSpec spec;
-    /** The kernel stack, in generation order. */
-    std::vector<CsrMatrix> kernels;
+    /** The kernel stack, in generation order, in one slab. */
+    CsrStack kernels;
     /** The stationary image plane (read as `*task.image`). */
     std::unique_ptr<const CsrMatrix> image;
 

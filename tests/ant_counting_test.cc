@@ -138,21 +138,22 @@ TEST(AntCounting, ConvCountersMatchFunctionalOverRandomRecipes)
                                       randomSparsity(rng),
                                       randomSparsity(rng),
                                       SparsifyMethod::Bernoulli};
-        StackTask task = makeConvPhaseTask(layer, phase, profile, rng);
+        const StackTask task = makeConvPhaseTask(layer, phase, profile, rng);
+        std::vector<const CsrMatrix *> kernels = task.kernelPtrs();
         // An all-zero plane somewhere in the stack.
+        const CsrMatrix empty(task.spec.kernelH(), task.spec.kernelW());
         if (rng.bernoulli(0.3)) {
-            task.kernels.insert(
-                task.kernels.begin() +
-                    rng.range(0, static_cast<std::int64_t>(
-                                     task.kernels.size())),
-                CsrMatrix(task.spec.kernelH(), task.spec.kernelW()));
+            kernels.insert(kernels.begin() +
+                               rng.range(0, static_cast<std::int64_t>(
+                                                kernels.size())),
+                           &empty);
         }
         const AntPeConfig config = randomConfig(rng);
         AntPe pe(config);
         const PeResult functional =
-            pe.runStack(task.spec, task.kernelPtrs(), *task.image, true);
+            pe.runStack(task.spec, kernels, *task.image, true);
         const PeResult counting =
-            pe.runStack(task.spec, task.kernelPtrs(), *task.image, false);
+            pe.runStack(task.spec, kernels, *task.image, false);
         expectCountersEqual(counting, functional,
                             describe(layer, phase, config, trial));
         if (HasFailure())

@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the 64-byte-aligned arena allocator (util/arena.hh) that
- * backs the SoA CSR/CSC storage, and for the alignment guarantee the
- * SIMD kernels (docs/MODEL.md Sec. 11) rely on: every values/columns/
- * row-pointer buffer of every construction path starts on a 64-byte
- * boundary, and every construction path -- a generated trace plane
- * included -- allocates exactly one slab.
+ * backs the SoA CSR/CSC storage: every values/columns/row-pointer
+ * buffer of every construction path -- each plane of a CsrStack
+ * included -- starts on a 64-byte boundary, every construction path
+ * allocates exactly one slab (a generated trace plane, and a whole
+ * generated kernel stack), and a stack's planes borrow its slab.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -118,9 +119,10 @@ TEST(AlignedVec, AppendAndFillMatchPushBack)
     EXPECT_GE(v.capacity(), 8u); // clear keeps the allocation
 }
 
-/** Every CSR/CSC construction path must hand out 64-byte-aligned SoA
- * buffers -- this is what lets the SIMD kernels use full-width loads
- * without a peeling prologue. */
+/** Every CSR/CSC construction path hands out 64-byte-aligned SoA
+ * buffers, so no buffer shares a cache line with another. (The SIMD
+ * readers use unaligned loads with a scalar tail; the AVX2 compress
+ * stores rely on the 8-entry tail slack, not on this.) */
 TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
 {
     Rng rng(11);
@@ -145,9 +147,18 @@ TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
     check_csr(CsrMatrix::fromCoo(3, 3, {{1.0f, 2, 1}, {3.0f, 0, 0}}),
               "fromCoo");
 
-    const CsrMatrix copy = from_dense; // offsets survive the deep copy
+    const CsrMatrix copy = from_dense; // a compact copy in its own slab
     check_csr(copy, "copy");
     EXPECT_TRUE(copy == from_dense);
+
+    PlaneRecipe recipe = PlaneRecipe::plain(5, 7, 0.5,
+                                            SparsifyMethod::Bernoulli);
+    const CsrStack stack = generateCsrStack(recipe, 6, rng);
+    for (const CsrMatrix &plane : stack)
+        check_csr(plane, "stack plane");
+    const CsrMatrix stack_copy = stack[3];
+    check_csr(stack_copy, "copy of a stack plane");
+    EXPECT_TRUE(stack_copy == stack[3]);
 
     const auto check_csc = [](const CscMatrix &m, const char *what) {
         EXPECT_TRUE(aligned64(m.values().data())) << what;
@@ -194,6 +205,7 @@ TEST(ArenaLayout, EveryFactoryAllocatesOneSlab)
         {"slice", slabsAllocatedBy([&] { csr.slice(1, 5); })},
         {"rotated180", slabsAllocatedBy([&] { csr.rotated180(); })},
         {"transposed", slabsAllocatedBy([&] { csr.transposed(); })},
+        {"copy", slabsAllocatedBy([&] { CsrMatrix copy(csr); })},
         {"csc fromDense", slabsAllocatedBy([&] { CscMatrix::fromDense(plane); })},
         {"csc fromCsr", slabsAllocatedBy([&] { CscMatrix::fromCsr(csr); })},
     };
@@ -212,8 +224,108 @@ TEST(ArenaLayout, EveryFactoryAllocatesOneSlab)
                   1u)
             << "generated plane, rotate " << recipe.rotate;
     }
+    // A whole kernel stack is one slab, of either method, dense or
+    // sparse; its planes borrow it.
+    const PlaneRecipe top_k_kernels =
+        PlaneRecipe::plain(7, 7, 0.9, SparsifyMethod::TopK);
+    const PlaneRecipe dense_kernels =
+        PlaneRecipe::plain(3, 3, 0.0, SparsifyMethod::Bernoulli);
+    const PlaneRecipe sparse_gradients =
+        PlaneRecipe::plain(32, 32, 0.42, SparsifyMethod::Bernoulli);
+    for (const PlaneRecipe &recipe :
+         {rotated_kernel, top_k_kernels, dense_kernels, sparse_gradients}) {
+        EXPECT_EQ(slabsAllocatedBy([&] { generateCsrStack(recipe, 64, rng); }),
+                  1u)
+            << "64-plane stack of " << recipe.height << "x" << recipe.width;
+    }
     obs::metrics::reset();
     obs::metrics::setEnabled(false);
+}
+
+TEST(ArenaLayout, CopiedStackPlaneOutlivesItsStack)
+{
+    Rng rng(13);
+    const PlaneRecipe recipe =
+        PlaneRecipe::plain(16, 16, 0.5, SparsifyMethod::Bernoulli);
+    std::vector<CsrMatrix> copies;
+    std::vector<std::vector<float>> values;
+    {
+        const CsrStack stack = generateCsrStack(recipe, 8, rng);
+        for (const CsrMatrix &plane : stack) {
+            copies.push_back(plane);
+            values.emplace_back(plane.values().begin(), plane.values().end());
+        }
+    }
+    // The stack's slab is gone; the copies own theirs.
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+        copies[i].validate();
+        EXPECT_GT(copies[i].nnz(), 0u);
+        EXPECT_TRUE(std::ranges::equal(copies[i].values(), values[i]))
+            << "plane " << i;
+    }
+}
+
+TEST(ArenaLayout, StackGrowsPastItsSizingAndKeepsItsPlanes)
+{
+    namespace m = obs::metrics;
+    m::setEnabled(true);
+    m::threadAttach();
+    m::reset();
+    // Room for no entry at all: every non-empty plane grows the slab
+    // (geometrically), and the planes before it move along.
+    CsrStack stack(4, 2, 3, 0);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        const CsrStack::PlaneSlot slot = stack.beginPlane(6);
+        for (std::uint32_t k = 0; k <= i; ++k) {
+            slot.values[k] = static_cast<float>(10 * i + k + 1);
+            slot.columns[k] = k % 3;
+        }
+        // Row 0 holds min(i + 1, 3) entries and row 1 the rest.
+        slot.rowPtr[1] = std::min(i + 1, 3u);
+        slot.rowPtr[2] = i + 1;
+        stack.endPlane(i + 1);
+    }
+    stack.validate();
+    EXPECT_GT(m::snapshot().counters[static_cast<std::size_t>(
+                  m::Counter::ArenaSlabs)],
+              1u);
+    m::reset();
+    m::setEnabled(false);
+    ASSERT_EQ(stack.size(), 4u);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        const CsrMatrix &plane = stack[i];
+        EXPECT_TRUE(aligned64(plane.values().data()));
+        EXPECT_TRUE(aligned64(plane.columns().data()));
+        EXPECT_TRUE(aligned64(plane.rowPtr().data()));
+        ASSERT_EQ(plane.nnz(), i + 1);
+        for (std::uint32_t k = 0; k <= i; ++k)
+            EXPECT_EQ(plane.values()[k], static_cast<float>(10 * i + k + 1));
+    }
+}
+
+TEST(ArenaLayoutDeathTest, StackRejectsAnUnfilledOrOverfullPlane)
+{
+    EXPECT_DEATH(
+        {
+            CsrStack stack(2, 1, 1, 32);
+            stack.endPlane(0);
+        },
+        "endPlane");
+    EXPECT_DEATH(
+        {
+            CsrStack stack(1, 1, 1, 32);
+            stack.beginPlane(1);
+            stack.endPlane(2);
+        },
+        "endPlane");
+    EXPECT_DEATH(
+        {
+            CsrStack stack(2, 1, 1, 32);
+            stack.beginPlane(1);
+            stack.endPlane(0);
+            stack.validate();
+        },
+        "planes");
 }
 
 } // namespace

@@ -170,6 +170,36 @@ TEST(Rng, NormalIsBoxMullerOfItsDraw)
     }
 }
 
+TEST(Rng, NormalAngleByteIsDrawNormalsIntegerForm)
+{
+    // A kept Bernoulli trace cell reads only floor(256 u2) of its
+    // normal's draw. With m = next() >> 11, u1 <= 0 iff m == 0 and
+    // floor(256 m 2^-53) == m >> 45 == next() >> 56; check the second
+    // identity at the edges of each byte bucket.
+    constexpr std::uint64_t kBucket = std::uint64_t{1} << 45;
+    for (const std::uint64_t m :
+         {std::uint64_t{0}, kBucket - 1, kBucket, 127 * kBucket + 1,
+          128 * kBucket - 1, 128 * kBucket, 256 * kBucket - 1}) {
+        EXPECT_EQ(static_cast<std::uint32_t>(static_cast<double>(m) *
+                                             0x1.0p-53 * 256.0),
+                  m >> 45)
+            << "m " << m;
+    }
+    // Draw for draw on streams, which both forms consume alike.
+    for (const std::uint64_t seed :
+         {std::uint64_t{7}, std::uint64_t{42}, std::uint64_t{2026}}) {
+        Rng by_double(seed);
+        Rng by_integer(seed);
+        for (int draw = 0; draw < 100000; ++draw) {
+            ASSERT_EQ(by_integer.drawNormalAngleByte(),
+                      static_cast<std::uint32_t>(
+                          by_double.drawNormal().u2 * 256.0))
+                << "seed " << seed << " draw " << draw;
+        }
+        EXPECT_EQ(by_integer.state(), by_double.state()) << "seed " << seed;
+    }
+}
+
 /** The first outputs of each draw from a fresh Rng(seed). */
 struct KnownAnswers
 {

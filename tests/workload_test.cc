@@ -5,10 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "conv/dense_conv.hh"
 #include "obs/metrics.hh"
 #include "oracles/legacy_planes.hh"
 #include "workload/layer.hh"
+#include "workload/networks.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {
@@ -203,6 +211,146 @@ TEST(Tracegen, StackTaskEqualsPlaneByPlaneGeneration)
             EXPECT_EQ(task_rng.state(), plane_rng.state())
                 << "phase " << static_cast<int>(phase);
         }
+    }
+}
+
+/**
+ * generateCsrStack(recipe, count) against @p count successive
+ * generateCsrPlane calls from the same seed: every plane equal, and
+ * the Rng post-states equal.
+ */
+void
+expectStackEqualsPlanes(const PlaneRecipe &recipe, std::uint32_t count,
+                        std::uint64_t seed)
+{
+    Rng stack_rng(seed);
+    const CsrStack stack = generateCsrStack(recipe, count, stack_rng);
+    Rng plane_rng(seed);
+    ASSERT_EQ(stack.size(), count);
+    for (std::uint32_t i = 0; i < count; ++i)
+        ASSERT_EQ(stack[i], generateCsrPlane(recipe, plane_rng)) << "plane "
+                                                                  << i;
+    EXPECT_EQ(stack_rng.state(), plane_rng.state());
+}
+
+/** A kernel recipe a bench generates, with the largest stack it takes. */
+struct BenchStack
+{
+    PlaneRecipe recipe;
+    std::uint32_t count = 0;
+    TrainingPhase phase = TrainingPhase::Forward;
+    std::string where;
+};
+
+/**
+ * Every distinct kernel recipe of fig09 (the five networks at 90%:
+ * ResNet50's top-K, the rest Bernoulli) and of fig10 (ResNet18's dense
+ * baseline and its seven ReSprop points), in all three phases.
+ */
+std::vector<BenchStack>
+benchKernelStacks()
+{
+    std::vector<std::pair<std::vector<ConvLayer>, SparsityProfile>> runs;
+    for (const NamedNetwork &network : figure9Networks()) {
+        runs.push_back({network.layers,
+                        network.syntheticTopK ? SparsityProfile::topK(0.9)
+                                              : SparsityProfile::swat(0.9)});
+    }
+    runs.push_back({resnet18Cifar(), SparsityProfile::dense()});
+    for (const auto &[grad, act] :
+         {std::pair{0.30, 0.80}, std::pair{0.42, 0.85},
+          std::pair{0.50, 0.86}, std::pair{0.70, 0.88},
+          std::pair{0.80, 0.90}, std::pair{0.90, 0.91},
+          std::pair{0.95, 0.92}})
+        runs.push_back({resnet18Cifar(), SparsityProfile::resprop(grad, act)});
+
+    using Key = std::tuple<std::uint32_t, std::uint32_t, double, bool,
+                           bool>;
+    std::map<Key, BenchStack> stacks;
+    for (const auto &[layers, profile] : runs) {
+        for (const ConvLayer &layer : layers) {
+            const PhaseSpecs specs = layer.phaseSpecs();
+            for (const TrainingPhase phase :
+                 {TrainingPhase::Forward, TrainingPhase::Backward,
+                  TrainingPhase::Update}) {
+                const PlaneRecipe recipe =
+                    convKernelRecipe(layer, phase, profile, specs);
+                // Kernel recipes are never embedded.
+                EXPECT_EQ(recipe.outHeight, recipe.height);
+                EXPECT_EQ(recipe.outWidth, recipe.width);
+                const std::uint32_t count = phase == TrainingPhase::Backward
+                    ? layer.inChannels
+                    : layer.outChannels;
+                BenchStack &stack = stacks[{
+                    recipe.height, recipe.width, recipe.sparsity,
+                    recipe.method == SparsifyMethod::TopK, recipe.rotate}];
+                if (count > stack.count)
+                    stack = {recipe, count, phase, layer.name};
+            }
+        }
+    }
+    std::vector<BenchStack> out;
+    for (const auto &[key, stack] : stacks)
+        out.push_back(stack);
+    return out;
+}
+
+TEST(TracegenStack, EqualsSuccessivePlanesOnEveryBenchKernelRecipe)
+{
+    const std::vector<BenchStack> stacks = benchKernelStacks();
+    std::map<TrainingPhase, int> top_k_phases;
+    int top_k_empty = 0;
+    int bernoulli_dense = 0;
+    std::uint64_t seed = 300;
+    for (const BenchStack &stack : stacks) {
+        SCOPED_TRACE(stack.where + " phase " +
+                     std::to_string(static_cast<int>(stack.phase)) +
+                     " count " + std::to_string(stack.count));
+        expectStackEqualsPlanes(stack.recipe, stack.count, seed++);
+        const std::size_t cells =
+            static_cast<std::size_t>(stack.recipe.height) *
+            stack.recipe.width;
+        if (stack.recipe.method == SparsifyMethod::TopK) {
+            ++top_k_phases[stack.phase];
+            // 1x1 planes at 90% keep llround(0.1) == 0 cells.
+            top_k_empty += cells == 1 ? 1 : 0;
+        } else {
+            bernoulli_dense += stack.recipe.sparsity == 0.0 ? 1 : 0;
+        }
+    }
+    EXPECT_EQ(top_k_phases.size(), 3u) << "top-K stacks in every phase";
+    EXPECT_GT(top_k_empty, 0);
+    EXPECT_GT(bernoulli_dense, 0);
+    EXPECT_TRUE(std::ranges::any_of(stacks, [](const BenchStack &s) {
+        return s.recipe.method == SparsifyMethod::TopK && s.recipe.rotate;
+    }));
+}
+
+TEST(TracegenStack, SinglePlaneAndAllEmptyStacks)
+{
+    PlaneRecipe embedded = PlaneRecipe::plain(9, 11, 0.5,
+                                              SparsifyMethod::Bernoulli);
+    embedded.outHeight = 2 * 8 + 4;
+    embedded.outWidth = 2 * 10 + 4;
+    embedded.offset = 1;
+    embedded.dilation = 2;
+    embedded.rotate = true;
+    PlaneRecipe rotated_top_k = PlaneRecipe::plain(7, 5, 0.6,
+                                                   SparsifyMethod::TopK);
+    rotated_top_k.rotate = true;
+    for (const PlaneRecipe &recipe : {embedded, rotated_top_k})
+        expectStackEqualsPlanes(recipe, 1, 41);
+
+    const PlaneRecipe no_cell_kept =
+        PlaneRecipe::plain(6, 6, 1.0, SparsifyMethod::Bernoulli);
+    const PlaneRecipe keep_zero =
+        PlaneRecipe::plain(1, 1, 0.9, SparsifyMethod::TopK);
+    for (const PlaneRecipe &recipe : {no_cell_kept, keep_zero}) {
+        expectStackEqualsPlanes(recipe, 64, 43);
+        Rng rng(43);
+        const CsrStack stack = generateCsrStack(recipe, 64, rng);
+        for (const CsrMatrix &plane : stack)
+            EXPECT_EQ(plane.nnz(), 0u);
     }
 }
 
