@@ -12,7 +12,6 @@
 #include "util/audit.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace antsim {
 namespace bench {
@@ -54,7 +53,7 @@ parseOptions(int argc, const char *const *argv)
     const Cli cli(argc, argv,
                   {"samples", "seed", "pes", "csv", "chunk", "audit",
                    "threads", "json", "networks", "trace-out", "log-level",
-                   "simd", "metrics-out", "host-trace-out"});
+                   "metrics-out", "host-trace-out"});
     if (cli.has("log-level")) {
         const std::string level = cli.get("log-level");
         if (level == "true")
@@ -131,18 +130,6 @@ parseOptions(int argc, const char *const *argv)
     }
     if (cli.getBool("audit"))
         audit::setEnabled(true);
-    // --simd wins over the ANTSIM_SIMD environment setting (resolved
-    // at startup). The mode never influences results -- AVX2 and
-    // scalar kernels are bit-identical (simd_equivalence_test) -- only
-    // wall time, so it is safe to flip per run.
-    if (cli.has("simd")) {
-        const std::string text = cli.get("simd");
-        simd::Mode mode = simd::Mode::Auto;
-        if (text == "true" || !simd::parseMode(text, mode))
-            ANT_FATAL("flag --simd expects auto, scalar, or avx2; got '",
-                      text, "'");
-        simd::setMode(mode);
-    }
 
     RunMetadata metadata;
     metadata.binary = argc > 0 ? basenameOf(argv[0]) : "unknown";

@@ -36,10 +36,6 @@
  *   --log-level L verbosity: error, warn (default), info (adds the
  *                 progress heartbeat), or debug; defaults to the
  *                 ANTSIM_LOG_LEVEL environment variable when set
- *   --simd M      vector-kernel dispatch: auto (default), scalar, or
- *                 avx2; defaults to the ANTSIM_SIMD environment
- *                 variable. Never changes results (the kernels are
- *                 bit-identical across modes), only wall time
  *
  * Besides printing, every table, key metric, and network run is
  * recorded in a process-wide RunReport; main() ends with

@@ -16,7 +16,6 @@
 #include "tensor/sparsify.hh"
 #include "util/bfloat16.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 #include "workload/tracegen.hh"
 
 namespace antsim {
@@ -108,8 +107,10 @@ BM_FusedPlaneGenerator(benchmark::State &state, SparsifyMethod method)
     recipe.outHeight = height + 2;
     recipe.outWidth = width + 2;
     recipe.offset = 1;
+    // Seeded once: each iteration draws the next plane of one stream,
+    // so no two iterations see the same kept-cell pattern.
+    Rng rng(42);
     for (auto _ : state) {
-        Rng rng(42);
         auto csr = generateCsrPlane(recipe, rng);
         benchmark::DoNotOptimize(csr);
     }
@@ -146,8 +147,9 @@ BM_KernelStackGenerator(benchmark::State &state, SparsifyMethod method)
     const auto dim = static_cast<std::uint32_t>(state.range(1));
     const double sparsity = static_cast<double>(state.range(2)) / 100.0;
     const PlaneRecipe recipe = PlaneRecipe::plain(dim, dim, sparsity, method);
+    // Seeded once, as in BM_FusedPlaneGenerator.
+    Rng rng(42);
     for (auto _ : state) {
-        Rng rng(42);
         auto stack = generateCsrStack(recipe, count, rng);
         benchmark::DoNotOptimize(stack);
     }
@@ -166,141 +168,6 @@ BENCHMARK_CAPTURE(BM_KernelStackGenerator, topk, SparsifyMethod::TopK)
     ->Args({256, 56, 90});
 
 } // namespace
-
-/**
- * Scalar-vs-AVX2 pairs for the perf gate (scripts/check_perf.py reads
- * the pair names from perf_baseline.json "micro_speedups"): the same
- * body with the dispatch mode pinned, so the ratio isolates the vector
- * kernels. The AVX2 variants are registered only on AVX2 hardware
- * (see main below); the gate skips a pair whose AVX2 half is absent.
- * Namespace-scope (not anonymous) so main can register the AVX2 halves.
- */
-void
-censusBuildWithMode(benchmark::State &state, simd::Mode mode)
-{
-    const simd::Mode saved = simd::mode();
-    simd::setMode(mode);
-    const std::uint32_t dim = 56;
-    const ProblemSpec spec = ProblemSpec::conv(3, 3, dim, dim, 2);
-    const CsrMatrix image = csrPlane(dim, dim, 0.9, 7);
-    for (auto _ : state) {
-        const CensusContext context(spec, image);
-        benchmark::DoNotOptimize(context);
-    }
-    state.SetItemsProcessed(state.iterations() * image.nnz());
-    simd::setMode(saved);
-}
-
-namespace {
-
-void
-BM_CensusBuildScalar(benchmark::State &state)
-{
-    censusBuildWithMode(state, simd::Mode::Scalar);
-}
-BENCHMARK(BM_CensusBuildScalar);
-
-} // namespace
-
-void
-censusStackWithMode(benchmark::State &state, simd::Mode mode)
-{
-    const simd::Mode saved = simd::mode();
-    simd::setMode(mode);
-    const std::uint32_t dim = 56;
-    const ProblemSpec spec = ProblemSpec::conv(3, 3, dim, dim);
-    const CsrMatrix image = csrPlane(dim, dim, 0.9, 7);
-    const auto kernels = kernelStack(3, 0.9);
-    for (auto _ : state) {
-        const CensusContext context(spec, image);
-        ProductCensus census;
-        for (const CsrMatrix &kernel : kernels)
-            census += context.countProducts(kernel);
-        benchmark::DoNotOptimize(census);
-    }
-    state.SetItemsProcessed(state.iterations() * kStackKernels);
-    simd::setMode(saved);
-}
-
-namespace {
-
-void
-BM_CensusStackScalar(benchmark::State &state)
-{
-    censusStackWithMode(state, simd::Mode::Scalar);
-}
-BENCHMARK(BM_CensusStackScalar);
-
-} // namespace
-
-/**
- * Kernel-level gate pair: the census hot loop in isolation
- * (census_kernels, conv/census.hh), where the speedup target of the
- * SIMD work is defined. The whole-build pairs above include table
- * allocation and the O(nnz) census-point scatter, which dilute the
- * kernel ratio on small conv shapes.
- */
-void
-satIntegrateWithMode(benchmark::State &state, simd::Mode mode)
-{
-    const simd::Mode saved = simd::mode();
-    simd::setMode(mode);
-    // L1-resident working set (8 x 1024 x 4B = 32 KB): the production
-    // tables are one image row per integration step, so the kernel is
-    // compute-bound in situ; a larger set here would measure DRAM.
-    constexpr std::size_t kRows = 8;
-    constexpr std::size_t kCols = 1024;
-    std::vector<std::uint32_t> table(kRows * kCols);
-    for (std::size_t i = 0; i < table.size(); ++i)
-        table[i] = static_cast<std::uint32_t>(i % 3 == 0);
-    for (auto _ : state) {
-        for (std::size_t v = 1; v < kRows; ++v)
-            census_kernels::satIntegrateRow(table.data() + v * kCols,
-                                            table.data() + (v - 1) * kCols,
-                                            kCols);
-        benchmark::DoNotOptimize(table.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() * (kRows - 1) * kCols);
-    simd::setMode(saved);
-}
-
-namespace {
-
-void
-BM_SatIntegrateScalar(benchmark::State &state)
-{
-    satIntegrateWithMode(state, simd::Mode::Scalar);
-}
-BENCHMARK(BM_SatIntegrateScalar);
-
-} // namespace
 } // namespace antsim
 
-int
-main(int argc, char **argv)
-{
-    // The AVX2 halves of the perf-gate pairs exist only where they can
-    // run; scripts/check_perf.py treats a missing AVX2 benchmark as
-    // "skip the pair", not as a regression.
-    if (antsim::simd::cpuHasAvx2()) {
-        benchmark::RegisterBenchmark(
-            "BM_CensusBuildAvx2", [](benchmark::State &state) {
-                antsim::censusBuildWithMode(state, antsim::simd::Mode::Avx2);
-            });
-        benchmark::RegisterBenchmark(
-            "BM_CensusStackAvx2", [](benchmark::State &state) {
-                antsim::censusStackWithMode(state, antsim::simd::Mode::Avx2);
-            });
-        benchmark::RegisterBenchmark(
-            "BM_SatIntegrateAvx2", [](benchmark::State &state) {
-                antsim::satIntegrateWithMode(state, antsim::simd::Mode::Avx2);
-            });
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -10,7 +10,6 @@
 #include "tensor/csr.hh"
 #include "tensor/sparsify.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 
 namespace antsim {
 namespace {
@@ -74,54 +73,6 @@ BM_ChunkByCapacity(benchmark::State &state)
 BENCHMARK(BM_ChunkByCapacity);
 
 } // namespace
-
-/**
- * Scalar-vs-AVX2 pair for the perf gate (scripts/check_perf.py reads
- * the pair names from perf_baseline.json "micro_speedups"): dense
- * compression with the dispatch mode pinned, isolating the vectorized
- * nonzero-count and row-compress kernels. Namespace-scope (not
- * anonymous) so main can register the AVX2 half conditionally.
- */
-void
-csrFromDenseWithMode(benchmark::State &state, simd::Mode mode)
-{
-    const simd::Mode saved = simd::mode();
-    simd::setMode(mode);
-    const auto dense = plane(256, 0.9);
-    for (auto _ : state) {
-        auto csr = CsrMatrix::fromDense(dense);
-        benchmark::DoNotOptimize(csr);
-    }
-    state.SetItemsProcessed(state.iterations() * dense.size());
-    simd::setMode(saved);
-}
-
-namespace {
-
-void
-BM_CsrFromDenseScalar(benchmark::State &state)
-{
-    csrFromDenseWithMode(state, simd::Mode::Scalar);
-}
-BENCHMARK(BM_CsrFromDenseScalar);
-
-} // namespace
 } // namespace antsim
 
-int
-main(int argc, char **argv)
-{
-    if (antsim::simd::cpuHasAvx2()) {
-        benchmark::RegisterBenchmark(
-            "BM_CsrFromDenseAvx2", [](benchmark::State &state) {
-                antsim::csrFromDenseWithMode(state,
-                                             antsim::simd::Mode::Avx2);
-            });
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

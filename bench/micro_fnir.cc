@@ -41,6 +41,50 @@ BENCHMARK(BM_FnirEvaluate)
     ->Args({4, 32})
     ->Args({8, 32});
 
+/** One of the FNIR comparator banks (Fnir::rangeBitsScalar, ...Avx2). */
+using RangeBitsBank = void (*)(const std::uint32_t *, std::size_t,
+                               std::int64_t, std::int64_t, std::uint64_t *);
+
+/**
+ * The comparator bank over one group's candidate stream at fig10's
+ * update shape, as the ANT PE's counting walk runs it: the columns of
+ * rows 8-10 of 256 32x32 gradient planes at 42% sparsity (14,193
+ * candidates in [0, 32)) against the range [12, 17]. The AVX2 half is
+ * registered only on AVX2 CPUs (see main below); scripts/check_perf.py
+ * gates the pair's CPU-time ratio (perf_baseline.json
+ * "micro_speedups"). Items are candidates.
+ */
+void
+rangeBitsOnFig10Stream(benchmark::State &state, RangeBitsBank bank)
+{
+    Rng rng(7);
+    const CsrStack planes = generateCsrStack(
+        PlaneRecipe::plain(32, 32, 0.42, SparsifyMethod::Bernoulli), 256,
+        rng);
+    std::vector<std::uint32_t> stream;
+    for (const CsrMatrix &plane : planes) {
+        const auto row_ptr = plane.rowPtr();
+        const auto columns = plane.columns();
+        stream.insert(stream.end(), columns.begin() + row_ptr[8],
+                      columns.begin() + row_ptr[11]);
+    }
+    std::vector<std::uint64_t> bits((stream.size() + 63) / 64);
+    for (auto _ : state) {
+        bank(stream.data(), stream.size(), 12, 17, bits.data());
+        benchmark::DoNotOptimize(bits.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(stream.size()));
+}
+
+void
+BM_FnirRangeBitsScalar(benchmark::State &state)
+{
+    rangeBitsOnFig10Stream(state, Fnir::rangeBitsScalar);
+}
+BENCHMARK(BM_FnirRangeBitsScalar);
+
 /** Products a counting run executes: the benchmark's item count. */
 std::int64_t
 executedProducts(const PeResult &result)
@@ -135,4 +179,24 @@ BENCHMARK(BM_ScnnPePairCounting)->Arg(50)->Arg(90);
 } // namespace
 } // namespace antsim
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+#if defined(__x86_64__)
+    // The AVX2 half of the gate pair exists only where it can run;
+    // scripts/check_perf.py skips a pair whose AVX2 benchmark is absent.
+    if (antsim::Fnir::hasAvx2Bank()) {
+        benchmark::RegisterBenchmark(
+            "BM_FnirRangeBitsAvx2", [](benchmark::State &state) {
+                antsim::rangeBitsOnFig10Stream(state,
+                                               antsim::Fnir::rangeBitsAvx2);
+            });
+    }
+#endif
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -17,12 +17,12 @@ enough to catch an accidental revert of the census engine or the fused
 plane generator).
 
 When one or more --micro reports are given (google-benchmark
---benchmark_format=json output from bench/micro_census and
-bench/micro_csr), the baseline's "micro_speedups" pairs are also
-checked: each pair names a scalar and an AVX2 benchmark and the
-minimum scalar/AVX2 CPU-time ratio the vectorized kernel must keep
+--benchmark_format=json output; the one pair today, fnir_range_bits,
+comes from bench/micro_fnir), the baseline's "micro_speedups" pairs
+are also checked: each pair names a scalar and an AVX2 benchmark and
+the minimum scalar/AVX2 CPU-time ratio the vectorized kernel must keep
 (docs/MODEL.md Sec. 11). A pair whose AVX2 benchmark is absent from
-every report is skipped -- the benches register AVX2 variants only on
+every report is skipped -- the bench registers the AVX2 half only on
 AVX2 hardware -- so the gate passes (vacuously) on scalar-only
 machines while still catching kernel regressions where it can measure
 them.

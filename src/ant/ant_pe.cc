@@ -629,14 +629,16 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     const std::uint32_t n = config_.n;
     // CSC traversal: a group of n consecutive entries shares one (or a
     // few adjacent) column(s), so the kernel-row window [x_0, x_{n-1}]
-    // is tight (Sec. 5, Eq. 15).
-    const CscMatrix csc = CscMatrix::fromCsr(image);
-    const auto col_ptr = csc.colPtr();
+    // is tight (Sec. 5, Eq. 15). The image's CSC is the CSR of its
+    // transpose: row x holds column x's entries in row order.
+    const CsrMatrix csc = image.transposed();
+    const auto col_ptr = csc.rowPtr();
     std::vector<SparseEntry> image_entries;
     image_entries.reserve(csc.nnz());
-    for (std::uint32_t x = 0; x < csc.width(); ++x) {
+    for (std::uint32_t x = 0; x < csc.height(); ++x) {
         for (std::uint32_t i = col_ptr[x]; i < col_ptr[x + 1]; ++i)
-            image_entries.push_back({csc.values()[i], x, csc.rows()[i]});
+            image_entries.push_back(
+                {csc.values()[i], x, csc.columns()[i]});
     }
 
     const std::uint64_t all_products =

@@ -5,10 +5,8 @@
 #include <limits>
 
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 #if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
 #include <immintrin.h>
 #endif
 
@@ -17,13 +15,28 @@ namespace antsim {
 namespace {
 
 /**
- * Comparator bank, scalar ground truth: bit i of @p bits is set when
- * s_indices[i] (zero-extended) lies in [min, max]. Writes the
- * ceil(count / 64) words the stream covers.
+ * The comparator bank: one verdict bit per candidate into the
+ * ceil(count / 64) words at @p bits. Both Fnir::evaluate (one window)
+ * and Fnir::compareStream (a whole stream) run it.
  */
 void
-rangeBitsScalar(const std::uint32_t *s_indices, std::size_t count,
-                std::int64_t min, std::int64_t max, std::uint64_t *bits)
+rangeBits(const std::uint32_t *s_indices, std::size_t count,
+          std::int64_t min, std::int64_t max, std::uint64_t *bits)
+{
+#if defined(__x86_64__)
+    if (Fnir::hasAvx2Bank()) {
+        Fnir::rangeBitsAvx2(s_indices, count, min, max, bits);
+        return;
+    }
+#endif
+    Fnir::rangeBitsScalar(s_indices, count, min, max, bits);
+}
+
+} // namespace
+
+void
+Fnir::rangeBitsScalar(const std::uint32_t *s_indices, std::size_t count,
+                      std::int64_t min, std::int64_t max, std::uint64_t *bits)
 {
     for (std::size_t base = 0; base < count; base += 64) {
         const std::size_t lanes = std::min<std::size_t>(64, count - base);
@@ -37,11 +50,11 @@ rangeBitsScalar(const std::uint32_t *s_indices, std::size_t count,
     }
 }
 
-#ifdef ANTSIM_X86_SIMD
+#if defined(__x86_64__)
 
 __attribute__((target("avx2"))) void
-rangeBitsAvx2(const std::uint32_t *s_indices, std::size_t count,
-              std::int64_t min, std::int64_t max, std::uint64_t *bits)
+Fnir::rangeBitsAvx2(const std::uint32_t *s_indices, std::size_t count,
+                    std::int64_t min, std::int64_t max, std::uint64_t *bits)
 {
     // Clamp the int64 bounds into the uint32 index domain; an empty
     // clamped interval means no lane can match.
@@ -84,27 +97,21 @@ rangeBitsAvx2(const std::uint32_t *s_indices, std::size_t count,
     }
 }
 
-#endif // ANTSIM_X86_SIMD
+#endif // __x86_64__
 
-/**
- * The comparator bank: one verdict bit per candidate into the
- * ceil(count / 64) words at @p bits. Both Fnir::evaluate (one window)
- * and Fnir::compareStream (a whole stream) run it.
- */
-void
-rangeBits(const std::uint32_t *s_indices, std::size_t count,
-          std::int64_t min, std::int64_t max, std::uint64_t *bits)
+bool
+Fnir::hasAvx2Bank()
 {
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled()) {
-        rangeBitsAvx2(s_indices, count, min, max, bits);
-        return;
-    }
+#if defined(__x86_64__)
+    static const bool avx2 = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return avx2;
+#else
+    return false;
 #endif
-    rangeBitsScalar(s_indices, count, min, max, bits);
 }
-
-} // namespace
 
 Fnir::Fnir(std::uint32_t n, std::uint32_t k) : n_(n), k_(k)
 {

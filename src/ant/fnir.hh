@@ -136,6 +136,34 @@ class Fnir
                               FnirRangeBits &bits);
 
     /**
+     * The comparator bank, scalar ground truth: bit i of the
+     * ceil(count / 64) words at @p bits is set when s_indices[i]
+     * (zero-extended) lies in [min, max]. evaluate() and
+     * compareStream() run rangeBitsAvx2 instead exactly when
+     * hasAvx2Bank(); both banks are exposed so tests and micro benches
+     * can compare them.
+     */
+    static void rangeBitsScalar(const std::uint32_t *s_indices,
+                                std::size_t count, std::int64_t min,
+                                std::int64_t max, std::uint64_t *bits);
+
+#if defined(__x86_64__)
+    /**
+     * The same bank, eight lanes per AVX2 compare, with the same bits
+     * as rangeBitsScalar. Call it only where hasAvx2Bank().
+     */
+    static void rangeBitsAvx2(const std::uint32_t *s_indices,
+                              std::size_t count, std::int64_t min,
+                              std::int64_t max, std::uint64_t *bits);
+#endif
+
+    /**
+     * Whether this CPU runs rangeBitsAvx2: an x86-64 build on a CPU
+     * that reports AVX2, checked once.
+     */
+    static bool hasAvx2Bank();
+
+    /**
      * The window of @p bits starting at @p pos < bits.size, counted
      * instead of arbitrated: with c in-range lanes among the first
      * min(k, size - pos), selected = min(c, n), and the next window

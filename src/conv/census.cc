@@ -2,12 +2,6 @@
 
 #include "obs/metrics.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
@@ -17,12 +11,11 @@ namespace {
 
 /**
  * One summed-area-table integration row: out[u] = prev[u] + prefix(u)
- * where prefix is the running sum of the row itself. Scalar ground
- * truth; the AVX2 form computes the identical uint32 (mod 2^32) sums.
+ * where prefix is the running sum of the row itself.
  */
 void
-satIntegrateRowScalar(std::uint32_t *row, const std::uint32_t *prev,
-                      std::size_t n)
+satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
+                std::size_t n)
 {
     std::uint32_t row_sum = 0;
     for (std::size_t u = 0; u < n; ++u) {
@@ -31,105 +24,7 @@ satIntegrateRowScalar(std::uint32_t *row, const std::uint32_t *prev,
     }
 }
 
-#ifdef ANTSIM_X86_SIMD
-
-/**
- * Inclusive 8-wide prefix sum: shift-add within each 128-bit lane,
- * then propagate the low lane's total into the high lane.
- */
-__attribute__((target("avx2"))) inline __m256i
-prefix8Avx2(__m256i x)
-{
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
-    const __m256i low_total = _mm256_blend_epi32(
-        _mm256_setzero_si256(),
-        _mm256_permutevar8x32_epi32(x, _mm256_set1_epi32(3)), 0xF0);
-    return _mm256_add_epi32(x, low_total);
-}
-
-__attribute__((target("avx2"))) void
-satIntegrateRowAvx2(std::uint32_t *row, const std::uint32_t *prev,
-                    std::size_t n)
-{
-    // The running sum is the loop-carried critical path, so the carry
-    // never leaves the vector domain: the only chain per iteration is
-    // one add plus one lane-7 broadcast (~4 cycles per 8 elements,
-    // vs 8 serial adds scalar). The local 8-wide prefix sum is
-    // computed off-chain. uint32 addition is associative mod 2^32, so
-    // the result is bit-identical to the scalar running sum.
-    const __m256i lane7 = _mm256_set1_epi32(7);
-    __m256i carry = _mm256_setzero_si256(); // lane-broadcast running sum
-
-    std::size_t u = 0;
-    // Two vectors per iteration: both local prefixes and the a-to-b
-    // join are off the carry chain, so the chain costs one add plus
-    // one lane-7 broadcast per 16 elements.
-    for (; u + 16 <= n; u += 16) {
-        __m256i a = prefix8Avx2(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(row + u)));
-        __m256i b = prefix8Avx2(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(row + u + 8)));
-        b = _mm256_add_epi32(b, _mm256_permutevar8x32_epi32(a, lane7));
-        a = _mm256_add_epi32(a, carry);
-        b = _mm256_add_epi32(b, carry);
-        carry = _mm256_permutevar8x32_epi32(b, lane7);
-        const __m256i pa = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(prev + u));
-        const __m256i pb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(prev + u + 8));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + u),
-                            _mm256_add_epi32(a, pa));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + u + 8),
-                            _mm256_add_epi32(b, pb));
-    }
-    for (; u + 8 <= n; u += 8) {
-        __m256i x = prefix8Avx2(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(row + u)));
-        x = _mm256_add_epi32(x, carry);
-        carry = _mm256_permutevar8x32_epi32(x, lane7);
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(prev + u));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(row + u),
-                            _mm256_add_epi32(x, p));
-    }
-    std::uint32_t tail_carry =
-        static_cast<std::uint32_t>(_mm256_extract_epi32(carry, 0));
-    for (; u < n; ++u) {
-        tail_carry += row[u];
-        row[u] = prev[u] + tail_carry;
-    }
-}
-
-#endif // ANTSIM_X86_SIMD
-
-void
-satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
-                std::size_t n)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled()) {
-        satIntegrateRowAvx2(row, prev, n);
-        return;
-    }
-#endif
-    satIntegrateRowScalar(row, prev, n);
-}
-
 } // namespace
-
-namespace census_kernels {
-
-// A qualified call so lookup finds the file-local dispatch wrapper,
-// not this same-named exported shim.
-
-void
-satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev, std::size_t n)
-{
-    antsim::satIntegrateRow(row, prev, n);
-}
-
-} // namespace census_kernels
 
 CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
     : spec_(spec), kernelW_(spec.kernelW()), imageNnz_(image.nnz())
@@ -196,7 +91,7 @@ CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
         }
     }
     // ...and integrate each class into its summed-area table, one
-    // vectorizable prefix-sum-and-add row at a time.
+    // prefix-sum-and-add row at a time.
     for (std::uint32_t q = 0; q < stride; ++q) {
         for (std::uint32_t p = 0; p < stride; ++p) {
             std::uint32_t *t =

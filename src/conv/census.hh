@@ -81,25 +81,6 @@ class CensusContext
     std::vector<std::uint64_t> entryCounts_;
 };
 
-namespace census_kernels {
-
-/**
- * The census engine's SIMD-dispatched hot loop, exposed at kernel
- * granularity for the micro-benchmark perf gate (bench/micro_census +
- * scripts/check_perf.py "micro_speedups"). Production code reaches it
- * through CensusContext; this wrapper adds nothing but a name with
- * external linkage.
- */
-
-/**
- * One summed-area-table integration step: row[u] += row-prefix plus
- * prev[u] for u in [0, n). @p row and @p prev may not alias.
- */
-void satIntegrateRow(std::uint32_t *row, const std::uint32_t *prev,
-                     std::size_t n);
-
-} // namespace census_kernels
-
 } // namespace antsim
 
 #endif // ANTSIM_CONV_CENSUS_HH

@@ -8,13 +8,7 @@
 #include "sim/accumulator.hh"
 #include "util/arena.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 #include "verify/audit_hooks.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
@@ -32,50 +26,16 @@ stackNnz(const std::vector<const CsrMatrix *> &kernels)
 
 /**
  * Expand a CSR row-pointer array into one row index per stored entry:
- * out[i] = row of entry i. Scalar ground truth for the AVX2 run-fill
- * kernel below.
+ * out[i] = row of entry i.
  */
 void
-expandRowsScalar(const std::uint32_t *row_ptr, std::uint32_t rows,
-                 std::uint32_t *out)
+expandRows(const std::uint32_t *row_ptr, std::uint32_t rows,
+           std::uint32_t *out)
 {
     for (std::uint32_t r = 0; r < rows; ++r) {
         for (std::uint32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
             out[i] = r;
     }
-}
-
-#ifdef ANTSIM_X86_SIMD
-
-__attribute__((target("avx2"))) void
-expandRowsAvx2(const std::uint32_t *row_ptr, std::uint32_t rows,
-               std::uint32_t *out)
-{
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        const std::uint32_t begin = row_ptr[r];
-        const std::uint32_t end = row_ptr[r + 1];
-        const __m256i v = _mm256_set1_epi32(static_cast<int>(r));
-        // Full-vector stores; the overshoot past `end` is overwritten
-        // by the next row or lands in the stream buffer's tail slack.
-        for (std::uint32_t i = begin; i < end; i += 8) {
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i), v);
-        }
-    }
-}
-
-#endif // ANTSIM_X86_SIMD
-
-void
-expandRows(const std::uint32_t *row_ptr, std::uint32_t rows,
-           std::uint32_t *out)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled()) {
-        expandRowsAvx2(row_ptr, rows, out);
-        return;
-    }
-#endif
-    expandRowsScalar(row_ptr, rows, out);
 }
 
 /**
@@ -94,11 +54,9 @@ struct MergedStack
     explicit MergedStack(const std::vector<const CsrMatrix *> &kernels)
     {
         const std::uint64_t total = stackNnz(kernels);
-        // +8 elements of tail slack for the row-expansion kernel's
-        // full-vector stores.
-        value.reserve(total + 8);
-        x.reserve(total + 8);
-        y.reserve(total + 8);
+        value.reserve(total);
+        x.reserve(total);
+        y.reserve(total);
         for (const CsrMatrix *k : kernels) {
             value.append(k->values().data(), k->nnz());
             x.append(k->columns().data(), k->nnz());

@@ -5,24 +5,17 @@
 #include <limits>
 
 #include "util/audit.hh"
-#include "util/simd.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
 namespace {
 
 /**
- * Count the non-zeros of one row-major float buffer. Ground-truth
- * scalar form; the AVX2 form below must agree bit for bit (a float is
- * counted iff v != 0.0f, which keeps NaNs like the scalar compare).
+ * Count the non-zeros of one row-major float buffer (a float counts
+ * iff v != 0.0f, so NaNs count).
  */
 std::size_t
-countNonzerosScalar(const float *data, std::size_t n)
+countNonzeros(const float *data, std::size_t n)
 {
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
@@ -33,11 +26,11 @@ countNonzerosScalar(const float *data, std::size_t n)
 /**
  * Compress one dense row: append the non-zero values and their column
  * indices at @p out_values / @p out_columns, returning how many were
- * written. Scalar ground truth for the AVX2 left-pack kernel.
+ * written.
  */
 std::uint32_t
-compressRowScalar(const float *row, std::uint32_t n, float *out_values,
-                  std::uint32_t *out_columns)
+compressRow(const float *row, std::uint32_t n, float *out_values,
+            std::uint32_t *out_columns)
 {
     std::uint32_t cur = 0;
     for (std::uint32_t x = 0; x < n; ++x) {
@@ -48,145 +41,6 @@ compressRowScalar(const float *row, std::uint32_t n, float *out_values,
         }
     }
     return cur;
-}
-
-#ifdef ANTSIM_X86_SIMD
-
-/**
- * Left-pack permutation LUT: perm[mask] lists the set-bit positions of
- * the 8-bit @p mask in ascending order (slack lanes repeat 0; their
- * stores land in the tail pad and are overwritten or ignored).
- */
-struct PackLut
-{
-    alignas(32) std::uint32_t perm[256][8];
-};
-
-const PackLut &
-packLut()
-{
-    static const PackLut lut = [] {
-        PackLut l{};
-        for (int mask = 0; mask < 256; ++mask) {
-            int k = 0;
-            for (int bit = 0; bit < 8; ++bit) {
-                if (mask & (1 << bit))
-                    l.perm[mask][k++] = static_cast<std::uint32_t>(bit);
-            }
-            for (; k < 8; ++k)
-                l.perm[mask][k] = 0;
-        }
-        return l;
-    }();
-    return lut;
-}
-
-__attribute__((target("avx2"))) std::size_t
-countNonzerosAvx2(const float *data, std::size_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    std::size_t count = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_loadu_ps(data + i);
-        // NEQ_UQ: true for NaN operands, exactly like scalar v != 0.
-        const int mask =
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ));
-        count += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(mask)));
-    }
-    for (; i < n; ++i)
-        count += data[i] != 0.0f ? 1 : 0;
-    return count;
-}
-
-__attribute__((target("avx2"))) std::uint32_t
-compressRowAvx2(const float *row, std::uint32_t n, float *out_values,
-                std::uint32_t *out_columns)
-{
-    const PackLut &lut = packLut();
-    const __m256 zero = _mm256_setzero_ps();
-    std::uint32_t cur = 0;
-    std::uint32_t x = 0;
-    for (; x + 8 <= n; x += 8) {
-        const __m256 v = _mm256_loadu_ps(row + x);
-        const int mask =
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ));
-        const __m256i perm = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(lut.perm[mask]));
-        // Full-vector stores; the lanes beyond popcount(mask) land in
-        // the tail pad allocateStorage reserves and are overwritten by
-        // the next iteration or ignored.
-        _mm256_storeu_ps(out_values + cur,
-                         _mm256_permutevar8x32_ps(v, perm));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(out_columns + cur),
-            _mm256_add_epi32(perm, _mm256_set1_epi32(
-                                       static_cast<int>(x))));
-        cur += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(mask)));
-    }
-    for (; x < n; ++x) {
-        if (row[x] != 0.0f) {
-            out_values[cur] = row[x];
-            out_columns[cur] = x;
-            ++cur;
-        }
-    }
-    return cur;
-}
-
-#endif // ANTSIM_X86_SIMD
-
-std::size_t
-countNonzeros(const float *data, std::size_t n)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return countNonzerosAvx2(data, n);
-#endif
-    return countNonzerosScalar(data, n);
-}
-
-std::uint32_t
-compressRow(const float *row, std::uint32_t n, float *out_values,
-            std::uint32_t *out_columns)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return compressRowAvx2(row, n, out_values, out_columns);
-#endif
-    return compressRowScalar(row, n, out_values, out_columns);
-}
-
-/**
- * Scatter @p csr into the compressed arrays of its transpose: each
- * column's entries in row order with their row index, and the
- * width()+1 column pointers (which must arrive zeroed, as fresh arena
- * blocks do). CsrMatrix::transposed and CscMatrix::fromCsr both fill
- * their own slab with it.
- */
-void
-transposeInto(const CsrMatrix &csr, float *out_values,
-              std::uint32_t *out_indices, std::uint32_t *out_ptr)
-{
-    const auto row_ptr = csr.rowPtr();
-    const auto cols = csr.columns();
-    const auto vals = csr.values();
-    // Count entries per column, prefix-sum into the pointers.
-    for (std::uint32_t c : cols)
-        ++out_ptr[c + 1];
-    for (std::uint32_t c = 0; c < csr.width(); ++c)
-        out_ptr[c + 1] += out_ptr[c];
-    std::vector<std::uint32_t> cursor(out_ptr, out_ptr + csr.width());
-    for (std::uint32_t y = 0; y < csr.height(); ++y) {
-        for (std::uint32_t i = row_ptr[y]; i < row_ptr[y + 1]; ++i) {
-            const std::uint32_t c = cols[i];
-            out_values[cursor[c]] = vals[i];
-            out_indices[cursor[c]] = y;
-            ++cursor[c];
-        }
-    }
 }
 
 } // namespace
@@ -204,17 +58,12 @@ void
 CsrMatrix::allocateStorage(std::size_t nnz)
 {
     nnz_ = narrowNnz(nnz);
-    // 8 elements of tail slack behind the values and columns blocks:
-    // the AVX2 compress kernels store full 8-lane vectors and advance
-    // the cursor by the pack count, so the final store of a row may
-    // spill up to 7 lanes past the data.
-    const std::size_t padded = nnz + 8;
     const std::size_t rows = static_cast<std::size_t>(height_) + 1;
-    arena_.reset(Arena::aligned(padded * sizeof(float)) +
-                 Arena::aligned(padded * sizeof(std::uint32_t)) +
+    arena_.reset(Arena::aligned(nnz * sizeof(float)) +
+                 Arena::aligned(nnz * sizeof(std::uint32_t)) +
                  Arena::aligned(rows * sizeof(std::uint32_t)));
-    values_ = arena_.ptr<float>(arena_.alloc<float>(padded));
-    columns_ = arena_.ptr<std::uint32_t>(arena_.alloc<std::uint32_t>(padded));
+    values_ = arena_.ptr<float>(arena_.alloc<float>(nnz));
+    columns_ = arena_.ptr<std::uint32_t>(arena_.alloc<std::uint32_t>(nnz));
     rowPtr_ = arena_.ptr<std::uint32_t>(arena_.alloc<std::uint32_t>(rows));
 }
 
@@ -359,22 +208,6 @@ CsrMatrix::sparsity() const
     return 1.0 - static_cast<double>(nnz()) / static_cast<double>(total);
 }
 
-std::uint32_t
-CsrMatrix::rowOfPosition(std::uint32_t pos) const
-{
-    ANT_ASSERT(pos < nnz(), "position ", pos, " beyond nnz ", nnz());
-    // Binary search in rowPtr for the containing row.
-    const auto row_ptr = rowPtr();
-    const auto it = std::upper_bound(row_ptr.begin(), row_ptr.end(), pos);
-    return static_cast<std::uint32_t>(it - row_ptr.begin()) - 1;
-}
-
-SparseEntry
-CsrMatrix::entry(std::uint32_t pos) const
-{
-    return {values()[pos], columns()[pos], rowOfPosition(pos)};
-}
-
 Dense2d<float>
 CsrMatrix::toDense() const
 {
@@ -460,7 +293,26 @@ CsrMatrix::transposed() const
 {
     CsrMatrix out(width_, height_, Unallocated{});
     out.allocateStorage(nnz());
-    transposeInto(*this, out.values_, out.columns_, out.rowPtr_);
+    const auto row_ptr = rowPtr();
+    const auto cols = columns();
+    const auto vals = values();
+    // Count entries per column into the (zeroed) row pointers of the
+    // transpose and prefix-sum them; then scatter each column's entries
+    // in row order, with their row index as the new column.
+    std::uint32_t *out_row_ptr = out.rowPtr_;
+    for (std::uint32_t c : cols)
+        ++out_row_ptr[c + 1];
+    for (std::uint32_t c = 0; c < width_; ++c)
+        out_row_ptr[c + 1] += out_row_ptr[c];
+    std::vector<std::uint32_t> cursor(out_row_ptr, out_row_ptr + width_);
+    for (std::uint32_t y = 0; y < height_; ++y) {
+        for (std::uint32_t i = row_ptr[y]; i < row_ptr[y + 1]; ++i) {
+            const std::uint32_t c = cols[i];
+            out.values_[cursor[c]] = vals[i];
+            out.columns_[cursor[c]] = y;
+            ++cursor[c];
+        }
+    }
     out.maybeValidate();
     return out;
 }
@@ -580,82 +432,6 @@ CsrStack::validate() const
                planes_.size(), " of its ", count_, " planes");
     for (const CsrMatrix &plane : planes_)
         plane.validate();
-}
-
-void
-CscMatrix::allocateStorage(std::size_t nnz)
-{
-    nnz_ = narrowNnz(nnz);
-    const std::size_t padded = nnz + 8;
-    const std::size_t cols = static_cast<std::size_t>(width_) + 1;
-    arena_.reset(Arena::aligned(padded * sizeof(float)) +
-                 Arena::aligned(padded * sizeof(std::uint32_t)) +
-                 Arena::aligned(cols * sizeof(std::uint32_t)));
-    valuesOff_ = arena_.alloc<float>(padded);
-    rowsOff_ = arena_.alloc<std::uint32_t>(padded);
-    colPtrOff_ = arena_.alloc<std::uint32_t>(cols);
-}
-
-CscMatrix
-CscMatrix::fromDense(const Dense2d<float> &dense)
-{
-    CscMatrix csc(dense.height(), dense.width());
-    csc.allocateStorage(countNonzerosScalar(dense.data().data(),
-                                            dense.data().size()));
-    float *values = csc.valuesData();
-    std::uint32_t *rows = csc.rowsData();
-    std::uint32_t *col_ptr = csc.colPtrData();
-    std::uint32_t cur = 0;
-    for (std::uint32_t x = 0; x < dense.width(); ++x) {
-        for (std::uint32_t y = 0; y < dense.height(); ++y) {
-            const float v = dense.at(x, y);
-            if (v != 0.0f) {
-                values[cur] = v;
-                rows[cur] = y;
-                ++cur;
-            }
-        }
-        col_ptr[x + 1] = cur;
-    }
-    return csc;
-}
-
-CscMatrix
-CscMatrix::fromCsr(const CsrMatrix &csr)
-{
-    // The CSC arrays are the CSR arrays of the transpose.
-    CscMatrix csc(csr.height(), csr.width());
-    csc.allocateStorage(csr.nnz());
-    transposeInto(csr, csc.valuesData(), csc.rowsData(), csc.colPtrData());
-    return csc;
-}
-
-std::uint32_t
-CscMatrix::colOfPosition(std::uint32_t pos) const
-{
-    ANT_ASSERT(pos < nnz(), "position ", pos, " beyond nnz ", nnz());
-    const auto col_ptr = colPtr();
-    const auto it = std::upper_bound(col_ptr.begin(), col_ptr.end(), pos);
-    return static_cast<std::uint32_t>(it - col_ptr.begin()) - 1;
-}
-
-SparseEntry
-CscMatrix::entry(std::uint32_t pos) const
-{
-    return {values()[pos], colOfPosition(pos), rows()[pos]};
-}
-
-Dense2d<float>
-CscMatrix::toDense() const
-{
-    Dense2d<float> dense(height_, width_);
-    const auto col_ptr = colPtr();
-    const auto row_idx = rows();
-    const auto vals = values();
-    for (std::uint32_t x = 0; x < width_; ++x)
-        for (std::uint32_t i = col_ptr[x]; i < col_ptr[x + 1]; ++i)
-            dense.at(x, row_idx[i]) = vals[i];
-    return dense;
 }
 
 } // namespace antsim

@@ -1,12 +1,12 @@
 /**
  * @file
- * Compressed sparse matrix formats (CSR and CSC) per Sec. 4.1.
+ * Compressed sparse row matrices per Sec. 4.1.
  *
  * CSR represents a matrix with three arrays: Values (the non-zero
  * elements in row-major order), Columns (the column index of each
  * stored value), and Row-pointers (the offset of each row's first
- * stored value). CSC is the dual, obtained as the CSR of the
- * transposed matrix; the accelerator's matmul mode (Sec. 5) holds the
+ * stored value). CSC is the dual, the CSR of the transposed matrix
+ * (transposed()); the accelerator's matmul mode (Sec. 5) holds the
  * image plane in CSC so that a group of n consecutive entries shares
  * one column.
  *
@@ -20,10 +20,9 @@
  * one slab, and so does a copy. A CsrStack holds a whole stack of
  * planes in one slab, and its planes borrow their arrays from it. The
  * exact pre-sizing removes the push_back reallocation churn of the old
- * vector-backed layout. Accessors hand out read-only spans; the SIMD
- * readers (docs/MODEL.md Sec. 11) use unaligned loads with a scalar
- * tail, and the AVX2 compress kernels of fromDense rely on the 8-entry
- * tail slack allocateStorage reserves, not on the alignment.
+ * vector-backed layout. Accessors hand out read-only spans. Blocks
+ * are sized exactly, with no tail slack: no writer may store past an
+ * array's last entry.
  */
 
 #ifndef ANTSIM_TENSOR_CSR_HH
@@ -136,12 +135,6 @@ class CsrMatrix
         return {rowPtr_, static_cast<std::size_t>(height_) + 1};
     }
 
-    /** Row index of the stored element at flat position @p pos. */
-    std::uint32_t rowOfPosition(std::uint32_t pos) const;
-
-    /** The stored entry at flat position @p pos as (value, x, y). */
-    SparseEntry entry(std::uint32_t pos) const;
-
     /** Decompress back to a dense plane. */
     Dense2d<float> toDense() const;
 
@@ -162,7 +155,10 @@ class CsrMatrix
      */
     CsrMatrix rotated180() const;
 
-    /** Transpose (used to derive the CSC view). */
+    /**
+     * Transpose: its row pointers and columns are this matrix's CSC
+     * column pointers and rows.
+     */
     CsrMatrix transposed() const;
 
     /** Panics if the structural invariants are violated. */
@@ -224,8 +220,7 @@ class CsrMatrix
  * slab geometrically when the caller's sizing fell short; the
  * generator writes the entries and prefix-summed row pointers, and
  * endPlane closes the plane. validate() then checks every plane in one
- * pass. Nothing writes a plane with vector stores, so its blocks carry
- * no tail slack.
+ * pass.
  */
 class CsrStack
 {
@@ -317,85 +312,6 @@ class CsrStack
     std::uint32_t *columns_ = nullptr;
     Arena slab_;
     std::vector<CsrMatrix> planes_;
-};
-
-/**
- * Compressed Sparse Column view: the CSR of the transposed matrix,
- * re-labelled. rows() plays the role of the Columns array (it stores
- * row indices) and colPtr() the role of Row-pointers. Same SoA arena
- * layout as CsrMatrix.
- */
-class CscMatrix
-{
-  public:
-    /** Compress a dense plane column-major. */
-    static CscMatrix fromDense(const Dense2d<float> &dense);
-
-    /** Convert from CSR. */
-    static CscMatrix fromCsr(const CsrMatrix &csr);
-
-    /** Number of rows of the logical matrix. */
-    std::uint32_t height() const { return height_; }
-
-    /** Number of columns of the logical matrix. */
-    std::uint32_t width() const { return width_; }
-
-    /** Number of stored non-zeros. */
-    std::uint32_t nnz() const { return nnz_; }
-
-    /** Values in column-major order. */
-    std::span<const float>
-    values() const
-    {
-        return {arena_.ptr<float>(valuesOff_), nnz_};
-    }
-
-    /** Row index of each stored value. */
-    std::span<const std::uint32_t>
-    rows() const
-    {
-        return {arena_.ptr<std::uint32_t>(rowsOff_), nnz_};
-    }
-
-    /** Column-pointer array (width()+1 entries). */
-    std::span<const std::uint32_t>
-    colPtr() const
-    {
-        return {arena_.ptr<std::uint32_t>(colPtrOff_),
-                static_cast<std::size_t>(width_) + 1};
-    }
-
-    /** Column index of the stored element at flat position @p pos. */
-    std::uint32_t colOfPosition(std::uint32_t pos) const;
-
-    /** The stored entry at flat position @p pos as (value, x, y). */
-    SparseEntry entry(std::uint32_t pos) const;
-
-    /** Decompress to dense. */
-    Dense2d<float> toDense() const;
-
-  private:
-    CscMatrix(std::uint32_t height, std::uint32_t width)
-        : height_(height), width_(width)
-    {}
-
-    /** Arena sizing, as CsrMatrix::allocateStorage. */
-    void allocateStorage(std::size_t nnz);
-
-    float *valuesData() { return arena_.ptr<float>(valuesOff_); }
-    std::uint32_t *rowsData() { return arena_.ptr<std::uint32_t>(rowsOff_); }
-    std::uint32_t *colPtrData()
-    {
-        return arena_.ptr<std::uint32_t>(colPtrOff_);
-    }
-
-    std::uint32_t height_;
-    std::uint32_t width_;
-    std::uint32_t nnz_ = 0;
-    std::size_t valuesOff_ = 0;
-    std::size_t rowsOff_ = 0;
-    std::size_t colPtrOff_ = 0;
-    Arena arena_;
 };
 
 } // namespace antsim

@@ -2,13 +2,12 @@
  * @file
  * 64-byte-aligned arena (bump) allocator for SoA tensor storage.
  *
- * The CSR/CSC matrices keep their values/columns/row-pointer arrays as
+ * A CSR matrix keeps its values/columns/row-pointer arrays as
  * separate structure-of-arrays buffers carved out of one Arena slab,
  * and a CsrStack keeps a whole kernel stack in one. Every buffer
  * starts on a 64-byte boundary (one cache line), so no two buffers
- * share a line. The SIMD kernels (util/simd.hh) do not rely on it:
- * they read with unaligned loads and a scalar tail, and what the AVX2
- * compress stores need is the 8-entry tail slack CsrMatrix reserves.
+ * share a line. A matrix sizes its blocks from its exact entry count,
+ * with no tail slack: no writer may store past an array's last entry.
  *
  * The arena is sized once, up front, from the known element counts --
  * construction paths count first and fill second, which is also what
@@ -16,8 +15,8 @@
  * CsrStack sized from an estimate moves to a larger slab on overflow).
  * Blocks are never freed individually; the whole slab goes at once.
  * Copying an Arena deep-copies the slab, so objects that store byte
- * offsets (never raw pointers) into their arena, as CscMatrix does,
- * can use defaulted copy/move semantics.
+ * offsets (never raw pointers) into their arena can use defaulted
+ * copy/move semantics.
  */
 
 #ifndef ANTSIM_UTIL_ARENA_HH
@@ -104,7 +103,7 @@ class Arena
             slab_ = static_cast<std::byte *>(::operator new(
                 capacity_, std::align_val_t{kAlignment}));
             // Metered per slab, not per block: a slab is the one
-            // allocation a CSR/CSC matrix, or a whole CsrStack, makes.
+            // allocation a CSR matrix, or a whole CsrStack, makes.
             if (obs::metrics::shard() != nullptr) {
                 obs::metrics::count(obs::metrics::Counter::ArenaSlabs);
                 obs::metrics::count(obs::metrics::Counter::ArenaSlabBytes,
@@ -206,10 +205,10 @@ class Arena
 
 /**
  * Minimal growable array with 64-byte-aligned storage, for the PE
- * scratch buffers (candidate streams, merged kernel stacks) that the
- * SIMD kernels read. Holds trivially copyable types only; growth
- * copies with memcpy and never shrinks, matching how the PEs reuse one
- * scratch vector across thousands of groups.
+ * scratch buffers (candidate streams, merged kernel stacks). Holds
+ * trivially copyable types only; growth copies with memcpy and never
+ * shrinks, matching how the PEs reuse one scratch vector across
+ * thousands of groups.
  */
 template <typename T>
 class AlignedVec

@@ -11,12 +11,6 @@
 #include "obs/metrics.hh"
 #include "util/bfloat16.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
-
-#if defined(__x86_64__)
-#define ANTSIM_X86_SIMD 1
-#include <immintrin.h>
-#endif
 
 namespace antsim {
 
@@ -24,9 +18,9 @@ using obs::metrics::ProfileCount;
 
 namespace {
 
-/** dst[i] = |src[i]| (sign-bit clear, bit-identical to std::fabs). */
+/** dst[i] = |src[i]|. */
 void
-absArrayScalar(const float *src, float *dst, std::size_t n)
+absArray(const float *src, float *dst, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = std::fabs(src[i]);
@@ -34,71 +28,12 @@ absArrayScalar(const float *src, float *dst, std::size_t n)
 
 /** Count of data[i] strictly greater than @p threshold. */
 std::size_t
-countGreaterScalar(const float *data, std::size_t n, float threshold)
+countGreater(const float *data, std::size_t n, float threshold)
 {
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
         count += data[i] > threshold ? 1 : 0;
     return count;
-}
-
-#ifdef ANTSIM_X86_SIMD
-
-__attribute__((target("avx2"))) void
-absArrayAvx2(const float *src, float *dst, std::size_t n)
-{
-    const __m256 mask =
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        _mm256_storeu_ps(dst + i,
-                         _mm256_and_ps(_mm256_loadu_ps(src + i), mask));
-    }
-    for (; i < n; ++i)
-        dst[i] = std::fabs(src[i]);
-}
-
-__attribute__((target("avx2"))) std::size_t
-countGreaterAvx2(const float *data, std::size_t n, float threshold)
-{
-    const __m256 t = _mm256_set1_ps(threshold);
-    std::size_t count = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        // GT_OQ matches the scalar ordered > (the generated magnitudes
-        // are never NaN either way).
-        const int mask = _mm256_movemask_ps(
-            _mm256_cmp_ps(_mm256_loadu_ps(data + i), t, _CMP_GT_OQ));
-        count += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(mask)));
-    }
-    for (; i < n; ++i)
-        count += data[i] > threshold ? 1 : 0;
-    return count;
-}
-
-#endif // ANTSIM_X86_SIMD
-
-void
-absArray(const float *src, float *dst, std::size_t n)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled()) {
-        absArrayAvx2(src, dst, n);
-        return;
-    }
-#endif
-    absArrayScalar(src, dst, n);
-}
-
-std::size_t
-countGreater(const float *data, std::size_t n, float threshold)
-{
-#ifdef ANTSIM_X86_SIMD
-    if (simd::avx2Enabled())
-        return countGreaterAvx2(data, n, threshold);
-#endif
-    return countGreaterScalar(data, n, threshold);
 }
 
 /**

@@ -250,10 +250,10 @@ TEST(AntPeMatmul, ValidCountMatchesReferenceCensus)
     // Valid products of the matmul = sum over columns x of
     // nnz(image col x) * nnz(kernel row x).
     std::uint64_t want_valid = 0;
-    const CscMatrix csc = CscMatrix::fromCsr(image);
+    const CsrMatrix csc = image.transposed();
     for (std::uint32_t x = 0; x < image.width(); ++x) {
-        want_valid += static_cast<std::uint64_t>(csc.colPtr()[x + 1] -
-                                                 csc.colPtr()[x]) *
+        want_valid += static_cast<std::uint64_t>(csc.rowPtr()[x + 1] -
+                                                 csc.rowPtr()[x]) *
             (kernel.rowPtr()[x + 1] - kernel.rowPtr()[x]);
     }
     EXPECT_EQ(r.counters.get(Counter::MultsValid), want_valid);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the 64-byte-aligned arena allocator (util/arena.hh) that
- * backs the SoA CSR/CSC storage: every values/columns/row-pointer
+ * backs the SoA CSR storage: every values/columns/row-pointer
  * buffer of every construction path -- each plane of a CsrStack
  * included -- starts on a 64-byte boundary, every construction path
  * allocates exactly one slab (a generated trace plane, and a whole
@@ -119,10 +119,8 @@ TEST(AlignedVec, AppendAndFillMatchPushBack)
     EXPECT_GE(v.capacity(), 8u); // clear keeps the allocation
 }
 
-/** Every CSR/CSC construction path hands out 64-byte-aligned SoA
- * buffers, so no buffer shares a cache line with another. (The SIMD
- * readers use unaligned loads with a scalar tail; the AVX2 compress
- * stores rely on the 8-entry tail slack, not on this.) */
+/** Every CSR construction path hands out 64-byte-aligned SoA buffers,
+ * so no buffer shares a cache line with another. */
 TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
 {
     Rng rng(11);
@@ -159,14 +157,6 @@ TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
     const CsrMatrix stack_copy = stack[3];
     check_csr(stack_copy, "copy of a stack plane");
     EXPECT_TRUE(stack_copy == stack[3]);
-
-    const auto check_csc = [](const CscMatrix &m, const char *what) {
-        EXPECT_TRUE(aligned64(m.values().data())) << what;
-        EXPECT_TRUE(aligned64(m.rows().data())) << what;
-        EXPECT_TRUE(aligned64(m.colPtr().data())) << what;
-    };
-    check_csc(CscMatrix::fromDense(plane), "csc fromDense");
-    check_csc(CscMatrix::fromCsr(from_dense), "csc fromCsr");
 }
 
 /** Arena slabs the calling thread allocates while running @p build. */
@@ -181,7 +171,7 @@ slabsAllocatedBy(const Build &build)
         m::Counter::ArenaSlabs)];
 }
 
-/** Each CSR/CSC factory, and so each generated trace plane, allocates
+/** Each CSR factory, and so each generated trace plane, allocates
  * exactly one slab (metered per slab by Arena::reset). */
 TEST(ArenaLayout, EveryFactoryAllocatesOneSlab)
 {
@@ -206,8 +196,6 @@ TEST(ArenaLayout, EveryFactoryAllocatesOneSlab)
         {"rotated180", slabsAllocatedBy([&] { csr.rotated180(); })},
         {"transposed", slabsAllocatedBy([&] { csr.transposed(); })},
         {"copy", slabsAllocatedBy([&] { CsrMatrix copy(csr); })},
-        {"csc fromDense", slabsAllocatedBy([&] { CscMatrix::fromDense(plane); })},
-        {"csc fromCsr", slabsAllocatedBy([&] { CscMatrix::fromCsr(csr); })},
     };
     for (const auto &[what, count] : slabs)
         EXPECT_EQ(count, 1u) << what;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parameterized property tests for the compressed-format substrate:
- * round trips, involutions, and cross-format consistency over a grid
+ * round trips, involutions, and COO reconstruction over a grid
  * of shapes (including degenerate single-row/column planes) and
  * sparsities.
  */
@@ -41,21 +41,6 @@ TEST_P(CsrShapeSweep, DenseRoundTrip)
     EXPECT_EQ(csr.nnz(), d.nnz());
 }
 
-TEST_P(CsrShapeSweep, CscRoundTrip)
-{
-    const auto d = plane();
-    EXPECT_EQ(CscMatrix::fromDense(d).toDense(), d);
-}
-
-TEST_P(CsrShapeSweep, CsrCscAgree)
-{
-    const auto d = plane();
-    const CsrMatrix csr = CsrMatrix::fromDense(d);
-    const CscMatrix csc = CscMatrix::fromCsr(csr);
-    EXPECT_EQ(csc.toDense(), d);
-    EXPECT_EQ(csc.nnz(), csr.nnz());
-}
-
 TEST_P(CsrShapeSweep, RotationInvolution)
 {
     const CsrMatrix csr = CsrMatrix::fromDense(plane());
@@ -77,19 +62,6 @@ TEST_P(CsrShapeSweep, RotationEqualsDoubleTransposeFlip)
         for (std::uint32_t x = 0; x < d.width(); ++x)
             EXPECT_EQ(rotated.at(x, y),
                       d.at(d.width() - 1 - x, d.height() - 1 - y));
-}
-
-TEST_P(CsrShapeSweep, EntriesMatchFormat)
-{
-    const CsrMatrix csr = CsrMatrix::fromDense(plane());
-    const auto entries = csr.entries();
-    ASSERT_EQ(entries.size(), csr.nnz());
-    for (std::uint32_t i = 0; i < csr.nnz(); ++i) {
-        const SparseEntry via_pos = csr.entry(i);
-        EXPECT_EQ(entries[i].x, via_pos.x);
-        EXPECT_EQ(entries[i].y, via_pos.y);
-        EXPECT_EQ(entries[i].value, via_pos.value);
-    }
 }
 
 TEST_P(CsrShapeSweep, CooReconstruction)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for CSR/CSC compression, rotation (Algorithm 3), and the
- * structural invariants of Sec. 4.1.
+ * Tests for CSR compression, rotation (Algorithm 3), transposition,
+ * and the structural invariants of Sec. 4.1.
  */
 
 #include <gtest/gtest.h>
@@ -74,18 +74,6 @@ TEST(Csr, FullyDenseMatrix)
     const CsrMatrix csr = CsrMatrix::fromDense(d);
     EXPECT_EQ(csr.nnz(), 4u);
     EXPECT_DOUBLE_EQ(csr.sparsity(), 0.0);
-}
-
-TEST(Csr, EntryLookup)
-{
-    const CsrMatrix csr = CsrMatrix::fromDense(samplePlane());
-    const SparseEntry e = csr.entry(3);
-    EXPECT_EQ(e.value, 7.0f);
-    EXPECT_EQ(e.x, 2u);
-    EXPECT_EQ(e.y, 2u);
-    EXPECT_EQ(csr.rowOfPosition(0), 0u);
-    EXPECT_EQ(csr.rowOfPosition(2), 1u);
-    EXPECT_EQ(csr.rowOfPosition(4), 2u);
 }
 
 TEST(Csr, EntriesEnumerateInStorageOrder)
@@ -214,47 +202,6 @@ TEST(Csr, TransposeMatchesDense)
     for (std::uint32_t y = 0; y < d.height(); ++y)
         for (std::uint32_t x = 0; x < d.width(); ++x)
             EXPECT_EQ(td.at(y, x), d.at(x, y));
-}
-
-TEST(Csc, FromDenseMatchesCsrView)
-{
-    const Dense2d<float> d = samplePlane();
-    const CscMatrix csc = CscMatrix::fromDense(d);
-    EXPECT_EQ(csc.nnz(), 5u);
-    EXPECT_EQ(csc.toDense(), d);
-}
-
-TEST(Csc, FromCsrEquivalent)
-{
-    Rng rng(5);
-    const Dense2d<float> d = bernoulliPlane(8, 9, 0.7, rng);
-    const CscMatrix a = CscMatrix::fromDense(d);
-    const CscMatrix b = CscMatrix::fromCsr(CsrMatrix::fromDense(d));
-    EXPECT_EQ(vec(a.values()), vec(b.values()));
-    EXPECT_EQ(vec(a.rows()), vec(b.rows()));
-    EXPECT_EQ(vec(a.colPtr()), vec(b.colPtr()));
-}
-
-TEST(Csc, EntriesAreColumnMajor)
-{
-    const CscMatrix csc = CscMatrix::fromDense(samplePlane());
-    std::uint32_t prev_col = 0;
-    for (std::uint32_t i = 0; i < csc.nnz(); ++i) {
-        const SparseEntry e = csc.entry(i);
-        EXPECT_GE(e.x, prev_col);
-        prev_col = e.x;
-    }
-}
-
-TEST(Csc, ColOfPosition)
-{
-    const CscMatrix csc = CscMatrix::fromDense(samplePlane());
-    // Dense columns: col0 {5}, col1 {2}, col2 {7}, col3 {-1, 4}.
-    EXPECT_EQ(csc.colOfPosition(0), 0u);
-    EXPECT_EQ(csc.colOfPosition(1), 1u);
-    EXPECT_EQ(csc.colOfPosition(2), 2u);
-    EXPECT_EQ(csc.colOfPosition(3), 3u);
-    EXPECT_EQ(csc.colOfPosition(4), 3u);
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 
 #include "ant/fnir.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 
 namespace antsim {
 namespace {
@@ -232,21 +231,6 @@ randomBounds(Rng &rng)
     }
 }
 
-/** Restores the SIMD dispatch mode however a test exits. */
-class SimdScope
-{
-  public:
-    explicit SimdScope(simd::Mode mode) : saved_(simd::mode())
-    {
-        simd::setMode(mode);
-    }
-
-    ~SimdScope() { simd::setMode(saved_); }
-
-  private:
-    simd::Mode saved_;
-};
-
 TEST(FnirStream, WindowWalkMatchesRepeatedEvaluate)
 {
     // Streams of 0-300 candidates cross several 64-bit words, so the
@@ -305,29 +289,61 @@ TEST(FnirStream, WindowWalkMatchesRepeatedEvaluate)
     }
 }
 
+/**
+ * The two comparator banks set the same bits. Every stream length from
+ * 0 to 200 covers each tail of an 8-lane vector and of a 64-lane word;
+ * the fixed bounds sit at the edges of the int64-to-uint32 clamp, and
+ * one is empty (min > max). Both banks write into words pre-filled
+ * with different garbage, so a word either bank leaves unwritten shows.
+ */
 TEST(FnirStream, ComparatorBankScalarMatchesAvx2)
 {
-    if (!simd::cpuHasAvx2())
+#if defined(__x86_64__)
+    if (!Fnir::hasAvx2Bank())
         GTEST_SKIP() << "CPU lacks AVX2; the scalar bank is the only one";
+    constexpr std::int64_t u32_max =
+        std::numeric_limits<std::uint32_t>::max();
+    const std::pair<std::int64_t, std::int64_t> edges[] = {
+        {-1, -1},
+        {-1, 0},
+        {0, 0},
+        {0, 5},
+        {-1, u32_max},
+        {u32_max, u32_max},
+        {u32_max - 2, u32_max},
+        {u32_max, u32_max + 1},
+        {u32_max + 1, u32_max + 1},
+        {0, u32_max + 1},
+        {7, 3}};
     Rng rng(1701);
+    const auto check = [](const std::vector<std::uint32_t> &stream,
+                          std::int64_t lo, std::int64_t hi) {
+        const std::size_t words = (stream.size() + 63) / 64;
+        std::vector<std::uint64_t> scalar(words, 0x5555555555555555ull);
+        std::vector<std::uint64_t> avx2(words, 0xaaaaaaaaaaaaaaaaull);
+        Fnir::rangeBitsScalar(stream.data(), stream.size(), lo, hi,
+                              scalar.data());
+        Fnir::rangeBitsAvx2(stream.data(), stream.size(), lo, hi,
+                            avx2.data());
+        ASSERT_EQ(scalar, avx2) << "size " << stream.size() << " bounds ["
+                                << lo << ", " << hi << "]";
+    };
+    for (std::size_t size = 0; size <= 200; ++size) {
+        const auto stream = randomStream(rng, size);
+        const auto [lo, hi] = randomBounds(rng);
+        check(stream, lo, hi);
+        for (const auto &[edge_lo, edge_hi] : edges)
+            check(stream, edge_lo, edge_hi);
+    }
     for (int trial = 0; trial < 300; ++trial) {
         const auto stream =
             randomStream(rng, static_cast<std::size_t>(rng.range(0, 300)));
         const auto [lo, hi] = randomBounds(rng);
-        FnirRangeBits scalar;
-        FnirRangeBits avx2;
-        {
-            SimdScope mode(simd::Mode::Scalar);
-            Fnir::compareStream(stream, lo, hi, scalar);
-        }
-        {
-            SimdScope mode(simd::Mode::Avx2);
-            Fnir::compareStream(stream, lo, hi, avx2);
-        }
-        ASSERT_EQ(scalar.words, avx2.words)
-            << "size " << stream.size() << " bounds [" << lo << ", " << hi
-            << "]";
+        check(stream, lo, hi);
     }
+#else
+    GTEST_SKIP() << "not an x86-64 build; the scalar bank is the only one";
+#endif
 }
 
 } // namespace
