@@ -40,8 +40,8 @@ phaseCensus(const std::vector<ConvLayer> &layers, TrainingPhase phase,
                             static_cast<std::uint64_t>(phase), pair_index));
             const PlanePair pair =
                 makeConvPhasePair(layer, phase, profile, rng);
-            const CensusContext context(pair.spec, pair.image);
-            layer_census += context.countProducts(pair.kernel);
+            layer_census += CensusContext(pair.spec, pair.image)
+                                .countProducts({&pair.kernel});
         }
         // Scale the sampled census to the full layer.
         const double scale = static_cast<double>(pairs_total) /

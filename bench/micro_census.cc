@@ -67,11 +67,12 @@ BM_CensusContextStack(benchmark::State &state)
     const ProblemSpec spec = ProblemSpec::conv(3, 3, dim, dim);
     const CsrMatrix image = csrPlane(dim, dim, 0.9, 7);
     const auto kernels = kernelStack(3, 0.9);
+    std::vector<const CsrMatrix *> stack;
+    for (const CsrMatrix &kernel : kernels)
+        stack.push_back(&kernel);
     for (auto _ : state) {
-        const CensusContext context(spec, image);
-        ProductCensus census;
-        for (const CsrMatrix &kernel : kernels)
-            census += context.countProducts(kernel);
+        const ProductCensus census =
+            CensusContext(spec, image).countProducts(stack);
         benchmark::DoNotOptimize(census);
     }
     state.SetItemsProcessed(state.iterations() * kStackKernels);

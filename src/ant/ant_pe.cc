@@ -41,6 +41,15 @@ struct CandidateStream
     }
 };
 
+/** The index buffers: the value buffer's geometry, 8-bit indices. */
+SramConfig
+indexConfig(const SramConfig &buffer)
+{
+    SramConfig index_cfg = buffer;
+    index_cfg.elementBits = 8;
+    return index_cfg;
+}
+
 /**
  * Row-pointer accesses the buffer controller needs to delimit the row
  * windows of a stack of streamed planes: rows+1 boundary pointers per
@@ -102,11 +111,7 @@ censusValidProducts(const ProblemSpec &spec,
                     const std::vector<const CsrMatrix *> &kernels,
                     const CsrMatrix &image)
 {
-    const CensusContext census(spec, image);
-    std::uint64_t valid = 0;
-    for (const CsrMatrix *k : kernels)
-        valid += census.countProducts(*k).validProducts;
-    return valid;
+    return CensusContext(spec, image).countProducts(kernels).validProducts;
 }
 
 /**
@@ -144,28 +149,28 @@ struct ScanTotals
  * rules of Fnir::evaluate. Each window costs what the functional loop
  * charges: ceil(width / 8) index reads, 2k compares, one Active or
  * IdleScan cycle, ceil(selected / 4) value reads and selected x group
- * products. The read costs come from tables of accesses(w), w = 0..64,
- * built once, so a window divides nothing; a scan tallies in locals and
+ * products. The read costs come from the PE's tables of accesses(w),
+ * w = 0..64, so a window divides nothing; a scan tallies in locals and
  * adds them to the members once, and the CounterSet sees one charge()
  * per call. A window that selects nothing starts a run of full idle
  * windows, which Fnir::idleWindows measures (the walk's one division)
  * and which is charged in one step; with a recorder attached it adds
  * one zero FnirValidPartners sample per window and one IdleScan span,
  * which the recorder's span merging makes identical to the functional
- * path's per-window trace.
+ * path's per-window trace. A stream whose candidates all lie in range
+ * is neither compared nor walked: scanInRange charges its windows from
+ * its length (Fnir::inRangeScan), looping only over the at most
+ * ceil(k / n) windows narrower than k.
  */
 class CountingScan
 {
   public:
-    CountingScan(const Fnir &fnir, const SramConfig &index_cfg,
-                 const SramConfig &value_cfg)
-        : fnir_(fnir), rec_(obs::recorder())
-    {
-        for (std::uint32_t w = 0; w < indexCost_.size(); ++w) {
-            indexCost_[w] = index_cfg.accesses(w);
-            valueCost_[w] = value_cfg.accesses(w);
-        }
-    }
+    CountingScan(const Fnir &fnir,
+                 const std::array<std::uint64_t, 65> &index_cost,
+                 const std::array<std::uint64_t, 65> &value_cost)
+        : fnir_(fnir), rec_(obs::recorder()), indexCost_(index_cost),
+          valueCost_(value_cost)
+    {}
 
     /**
      * Scan one group's non-empty candidate @p stream against @p range,
@@ -226,6 +231,35 @@ class CountingScan
         return windows;
     }
 
+    /**
+     * Scan one group's stream of @p length >= 1 candidates that all lie
+     * in range, as scan() would, from the length alone: every candidate
+     * is fetched, and every window but the last selects n.
+     */
+    std::uint64_t
+    scanInRange(std::size_t length, std::uint32_t group)
+    {
+        const FnirInRangeScan s = fnir_.inRangeScan(length);
+        std::uint64_t streamed =
+            static_cast<std::uint64_t>(s.fullWindows) * s.k;
+        std::uint64_t index_accesses = s.fullWindows * indexCost_[s.k];
+        for (std::size_t t = s.fullWindows; t < s.windows; ++t) {
+            const std::uint32_t width = s.width(t);
+            streamed += width;
+            index_accesses += indexCost_[width];
+        }
+        windows_ += s.windows;
+        totals_.streamed += streamed;
+        totals_.fetched += length;
+        totals_.executed += static_cast<std::uint64_t>(length) * group;
+        indexAccesses_ += index_accesses;
+        valueAccesses_ += (s.windows - 1) * valueCost_[s.n] +
+            valueCost_[s.selected(s.windows - 1)];
+        if (rec_ != nullptr)
+            s.record(*rec_);
+        return s.windows;
+    }
+
     /** Charge the scan costs tallied so far to @p c. */
     void
     charge(CounterSet &c) const
@@ -242,9 +276,8 @@ class CountingScan
   private:
     const Fnir &fnir_;
     obs::UnitRecorder *rec_;
-    /** SRAM accesses of a w-lane index read and a w-value read. */
-    std::array<std::uint64_t, 65> indexCost_{};
-    std::array<std::uint64_t, 65> valueCost_{};
+    const std::array<std::uint64_t, 65> &indexCost_;
+    const std::array<std::uint64_t, 65> &valueCost_;
     FnirRangeBits bits_;
     ScanTotals totals_;
     std::uint64_t windows_ = 0;
@@ -263,6 +296,11 @@ AntPe::AntPe(const AntPeConfig &config)
                "FNIR window k (", config_.k,
                ") should be at least the multiplier width n (", config_.n,
                ")");
+    const SramConfig index_cfg = indexConfig(config_.buffer);
+    for (std::uint32_t w = 0; w < indexCost_.size(); ++w) {
+        indexCost_[w] = index_cfg.accesses(w);
+        valueCost_[w] = config_.buffer.accesses(w);
+    }
 }
 
 PeResult
@@ -303,8 +341,7 @@ AntPe::runConvStack(const ProblemSpec &spec,
     PeResult result;
     CounterSet &c = result.counters;
 
-    SramConfig index_cfg = config_.buffer;
-    index_cfg.elementBits = 8; // 8-bit indices (Table 4)
+    const SramConfig index_cfg = indexConfig(config_.buffer);
     SramBuffer image_values("image values", config_.buffer,
                             Counter::SramValueReads);
     SramBuffer image_indices("image indices", index_cfg,
@@ -369,7 +406,7 @@ AntPe::runConvStack(const ProblemSpec &spec,
     if (collect_output)
         accumulator = std::make_unique<Accumulator>(spec,
                                                     config_.accumulatorBank);
-    CountingScan counting(fnir_, index_cfg, config_.buffer);
+    CountingScan counting(fnir_, indexCost_, valueCost_);
     ScanTotals functional;
 
     const std::uint32_t n = config_.n;
@@ -394,6 +431,17 @@ AntPe::runConvStack(const ProblemSpec &spec,
     std::int64_t cached_lo = 0;
     std::int64_t cached_hi = 0;
     bool cache_filled = false;
+    // A CSR column lies below its plane's width, so a counting group
+    // whose screen spans [0, width - 1] passes every candidate, and its
+    // scan follows from its stream length alone: the entries of the
+    // streamed planes in rows [lo, hi], which rows_before (entries in
+    // rows below r, summed over the stack; built on first use) gives
+    // without copying the stream.
+    std::int64_t streamed_width = 0;
+    for (const CsrMatrix *plane : streamed)
+        streamed_width =
+            std::max<std::int64_t>(streamed_width, plane->width());
+    std::vector<std::uint64_t> rows_before;
 
     for (std::size_t gb = 0; gb < stationary.size(); gb += n) {
         const std::size_t ge = std::min(gb + n, stationary.size());
@@ -440,18 +488,8 @@ AntPe::runConvStack(const ProblemSpec &spec,
         // The buffer controller streams only the rows inside the row
         // window (Sec. 4.3), across the streamed planes back to back,
         // at one row-pointer SRAM access per cycle; for long stacks of
-        // small kernels this walk, not the FNIR, bounds the group.
-        if (!cache_filled || cached_lo != rows.lo || cached_hi != rows.hi) {
-            candidates.clear();
-            for (const CsrMatrix *plane : streamed) {
-                appendWindowedCandidatesSoA(*plane, rows.lo, rows.hi,
-                                            collect_output, candidates);
-            }
-            cached_lo = rows.lo;
-            cached_hi = rows.hi;
-            cache_filled = true;
-        }
-        // A *proper* row window (fewer rows than a streamed plane)
+        // small kernels this walk, not the FNIR, bounds the group. A
+        // *proper* row window (fewer rows than a streamed plane)
         // requires the pointer walk; a full window degenerates to
         // sequential streaming where the row structure arrives inline
         // with the index stream (as in the SCNN baseline), costing
@@ -464,7 +502,40 @@ AntPe::runConvStack(const ProblemSpec &spec,
             : 0;
         c.add(Counter::SramRowPtrReads, controller_cycles);
 
-        if (candidates.empty()) {
+        // A counting group whose screen passes every streamed column
+        // needs only its stream's length; any other group reads the
+        // memoized candidate stream.
+        const bool in_range = !accumulator && screen.lo <= 0 &&
+            screen.hi >= streamed_width - 1;
+        std::size_t stream_length = 0;
+        if (in_range) {
+            if (rows_before.empty()) {
+                rows_before.assign(streamed_rows + 1, 0);
+                for (const CsrMatrix *plane : streamed) {
+                    const auto row_ptr = plane->rowPtr();
+                    for (std::uint32_t r = 0; r <= streamed_rows; ++r)
+                        rows_before[r] += row_ptr[r];
+                }
+            }
+            stream_length =
+                rows_before[static_cast<std::size_t>(rows.hi) + 1] -
+                rows_before[static_cast<std::size_t>(rows.lo)];
+        } else {
+            if (!cache_filled || cached_lo != rows.lo ||
+                cached_hi != rows.hi) {
+                candidates.clear();
+                for (const CsrMatrix *plane : streamed) {
+                    appendWindowedCandidatesSoA(*plane, rows.lo, rows.hi,
+                                                collect_output, candidates);
+                }
+                cached_lo = rows.lo;
+                cached_hi = rows.hi;
+                cache_filled = true;
+            }
+            stream_length = candidates.size();
+        }
+
+        if (stream_length == 0) {
             // The windowed rows hold no non-zeros: the group costs the
             // controller walk, with the FNIR idle throughout.
             const std::uint64_t walk =
@@ -478,7 +549,9 @@ AntPe::runConvStack(const ProblemSpec &spec,
 
         // Stages 4-5: FNIR scan with the n+1-st-index feedback.
         std::uint64_t scan_cycles = 0;
-        if (!accumulator) {
+        if (in_range) {
+            scan_cycles = counting.scanInRange(stream_length, group);
+        } else if (!accumulator) {
             scan_cycles = counting.scan(
                 std::span<const std::uint32_t>(candidates.column.data(),
                                                candidates.size()),
@@ -602,8 +675,7 @@ AntPe::runMatmulPair(const ProblemSpec &spec, const CsrMatrix &kernel,
     PeResult result;
     CounterSet &c = result.counters;
 
-    SramConfig index_cfg = config_.buffer;
-    index_cfg.elementBits = 8; // 8-bit indices (Table 4)
+    const SramConfig index_cfg = indexConfig(config_.buffer);
     SramBuffer image_values("image values", config_.buffer,
                             Counter::SramValueReads);
     SramBuffer image_indices("image indices", index_cfg,

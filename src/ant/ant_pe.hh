@@ -48,13 +48,16 @@
  * Functional runs (collect_output) take every product through the
  * bit-level FNIR and the accumulator. Counting runs charge the same
  * counters without enumerating products: a bitset walk of each group's
- * FNIR windows (a closed form per group in matmul mode) and the
- * census's valid count, since ANT never skips a valid product
- * (docs/MODEL.md Sec. 4).
+ * FNIR windows, or a closed form where the group's screen covers every
+ * streamed column (and per group in matmul mode), and the census's
+ * valid count, since ANT never skips a valid product (docs/MODEL.md
+ * Sec. 4).
  */
 
 #ifndef ANTSIM_ANT_ANT_PE_HH
 #define ANTSIM_ANT_ANT_PE_HH
+
+#include <array>
 
 #include "ant/fnir.hh"
 #include "sim/pe_model.hh"
@@ -143,6 +146,12 @@ class AntPe : public PeModel
 
     AntPeConfig config_;
     Fnir fnir_;
+    /**
+     * SRAM accesses of a w-lane index read and a w-value read,
+     * w = 0..64: the counting walk's per-window costs, tabled once.
+     */
+    std::array<std::uint64_t, 65> indexCost_{};
+    std::array<std::uint64_t, 65> valueCost_{};
 };
 
 } // namespace antsim

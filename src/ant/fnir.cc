@@ -178,6 +178,17 @@ Fnir::compareStream(std::span<const std::uint32_t> s_indices,
               bits.words.data());
 }
 
+FnirInRangeScan
+Fnir::inRangeScan(std::size_t length) const
+{
+    ANT_ASSERT(length > 0 && k_ >= n_, "an in-range scan needs a "
+               "candidate and k >= n, got ", length, " candidates at n ",
+               n_, " k ", k_);
+    // Window t is k wide while the L - t n lanes left reach k.
+    const std::size_t full = length >= k_ ? (length - k_) / n_ + 1 : 0;
+    return {length, n_, k_, (length + n_ - 1) / n_, full};
+}
+
 std::size_t
 Fnir::idleWindows(const FnirRangeBits &bits, std::size_t pos) const
 {

@@ -27,8 +27,11 @@
  * stream form: one comparator pass over a group's whole candidate
  * stream into a bitset (compareStream), then a walk over its set bits
  * (window, inline and division-free, and idleWindows for runs of
- * empty windows). tests/fnir_test.cc checks the walk against
- * evaluate() window by window.
+ * empty windows). A stream whose candidates all lie in range needs
+ * neither: its walk follows from its length alone (inRangeScan), so
+ * such a stream is never compared or walked. tests/fnir_test.cc checks
+ * the walk against evaluate() window by window, and the closed form
+ * against the walk.
  */
 
 #ifndef ANTSIM_ANT_FNIR_HH
@@ -40,6 +43,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/trace.hh"
 #include "util/counters.hh"
 
 namespace antsim {
@@ -95,6 +99,60 @@ struct FnirWindow
     std::uint32_t selected = 0;
     /** Stream position of the next window. */
     std::size_t next = 0;
+};
+
+/**
+ * The walk over a stream of length L >= 1 whose candidates all lie in
+ * range, in closed form (Fnir::inRangeScan). Window t starts at t n: it
+ * is min(k, L - t n) lanes wide and selects min(n, L - t n). Every
+ * window but the last selects n and hands over n lanes on (to the
+ * n+1-st lane when k > n, right after the window when k == n); the
+ * last holds the r = L - (windows - 1) n <= n lanes left and selects
+ * them all. No window idles.
+ */
+struct FnirInRangeScan
+{
+    /** Candidates in the stream. */
+    std::size_t length = 0;
+    std::uint32_t n = 0;
+    std::uint32_t k = 0;
+    /** Windows: ceil(length / n). */
+    std::size_t windows = 0;
+    /**
+     * The leading windows that are k lanes wide; at most ceil(k / n)
+     * narrower ones follow.
+     */
+    std::size_t fullWindows = 0;
+
+    /** Lanes window @p t < windows is fed. */
+    std::uint32_t
+    width(std::size_t t) const
+    {
+        return t < fullWindows ? k
+                               : static_cast<std::uint32_t>(length - t * n);
+    }
+
+    /** Ports window @p t < windows fills. */
+    std::uint32_t
+    selected(std::size_t t) const
+    {
+        return static_cast<std::uint32_t>(
+            std::min<std::size_t>(n, length - t * n));
+    }
+
+    /**
+     * Record what the walk records over these windows: one
+     * FnirValidPartners sample per window (n, ..., n, r) and one
+     * active cycle each.
+     */
+    void
+    record(obs::UnitRecorder &rec) const
+    {
+        for (std::size_t t = 0; t + 1 < windows; ++t)
+            rec.hist(obs::HistId::FnirValidPartners, n);
+        rec.hist(obs::HistId::FnirValidPartners, selected(windows - 1));
+        rec.advance(obs::SpanKind::Active, windows);
+    }
 };
 
 /** Combinational FNIR block with parameters n and k. */
@@ -183,6 +241,14 @@ class Fnir
      */
     std::size_t idleWindows(const FnirRangeBits &bits,
                             std::size_t pos) const;
+
+    /**
+     * The windows of a stream of @p length >= 1 candidates that all lie
+     * in range: window() over an all-ones bitset, in closed form. Its
+     * two divisions replace a walk of ceil(length / n) windows, so the
+     * counting walk calls it for a whole group's stream.
+     */
+    FnirInRangeScan inRangeScan(std::size_t length) const;
 
     /**
      * The arbiter-select primitive: grant the lowest set bit of

@@ -40,6 +40,8 @@ CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
         entryCounts_.assign(spec.kernelH(), 0);
         for (std::uint32_t c : image.columns())
             ++entryCounts_[c];
+        // A full kernel's row r holds all S columns.
+        fullPlaneValid_ = imageNnz_ * spec.kernelW();
         obs::metrics::profileCount(ProfileCount::CensusTablesBuilt, 1);
         return;
     }
@@ -143,6 +145,7 @@ CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
                 t[static_cast<std::size_t>(v1 + 1) * cols + u0] +
                 t[static_cast<std::size_t>(v0) * cols + u0];
             entryCounts_[static_cast<std::size_t>(r) * kernel_w + s] = count;
+            fullPlaneValid_ += count;
         }
     }
     obs::metrics::profileCount(ProfileCount::CensusRectQueries,
@@ -151,37 +154,46 @@ CensusContext::CensusContext(const ProblemSpec &spec, const CsrMatrix &image)
 }
 
 ProductCensus
-CensusContext::countProducts(const CsrMatrix &kernel) const
+CensusContext::countProducts(
+    const std::vector<const CsrMatrix *> &kernels) const
 {
-    ProductCensus census;
-    census.denseProducts = spec_.denseCartesianProducts();
-    census.nonzeroProducts =
-        static_cast<std::uint64_t>(kernel.nnz()) * imageNnz_;
-
-    const auto row_ptr = kernel.rowPtr();
-    if (spec_.kind() == ProblemSpec::Kind::Matmul) {
-        // Row r contributes rowNnz(r) * colNnz(r) valid products; s is
-        // unconstrained (Sec. 5).
-        for (std::uint32_t r = 0; r < kernel.height(); ++r) {
-            census.validProducts +=
-                static_cast<std::uint64_t>(row_ptr[r + 1] - row_ptr[r]) *
-                entryCounts_[r];
+    const std::uint64_t full_nnz =
+        static_cast<std::uint64_t>(spec_.kernelH()) * kernelW_;
+    const bool matmul = spec_.kind() == ProblemSpec::Kind::Matmul;
+    std::uint64_t nnz = 0;
+    std::uint64_t valid = 0;
+    for (const CsrMatrix *kernel : kernels) {
+        nnz += kernel->nnz();
+        if (kernel->nnz() == full_nnz) {
+            valid += fullPlaneValid_;
+            continue;
         }
-    } else {
-        const auto columns = kernel.columns();
-        for (std::uint32_t r = 0; r < kernel.height(); ++r) {
+        const auto row_ptr = kernel->rowPtr();
+        if (matmul) {
+            // Row r contributes rowNnz(r) * colNnz(r) valid products; s
+            // is unconstrained (Sec. 5).
+            for (std::uint32_t r = 0; r < kernel->height(); ++r) {
+                valid +=
+                    static_cast<std::uint64_t>(row_ptr[r + 1] - row_ptr[r]) *
+                    entryCounts_[r];
+            }
+            continue;
+        }
+        const auto columns = kernel->columns();
+        for (std::uint32_t r = 0; r < kernel->height(); ++r) {
             const std::uint64_t *row_counts =
-                entryCounts_.data() +
-                static_cast<std::size_t>(r) * kernelW_;
-            std::uint64_t row_valid = 0;
+                entryCounts_.data() + static_cast<std::size_t>(r) * kernelW_;
             for (std::uint32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
-                row_valid += row_counts[columns[i]];
-            census.validProducts += row_valid;
+                valid += row_counts[columns[i]];
         }
     }
-    census.rcpProducts = census.nonzeroProducts - census.validProducts;
-    obs::metrics::profileCount(ProfileCount::CensusRectQueries,
-                               kernel.nnz());
+
+    ProductCensus census;
+    census.denseProducts = kernels.size() * spec_.denseCartesianProducts();
+    census.nonzeroProducts = nnz * imageNnz_;
+    census.validProducts = valid;
+    census.rcpProducts = census.nonzeroProducts - valid;
+    obs::metrics::profileCount(ProfileCount::CensusRectQueries, nnz);
     return census;
 }
 

@@ -20,18 +20,21 @@
  *    turns each kernel entry's valid-partner count into a single O(1)
  *    rectangle query on the class (dil*s mod stride, dil*r mod stride).
  *    The R*S per-entry counts are materialized up front, so counting a
- *    kernel is one table lookup per stored entry: O(nnz_k).
+ *    kernel is one table lookup per stored entry: O(nnz_k), and a full
+ *    kernel plane (nnz = R*S) adds their precomputed sum instead.
  *
  *  - Matmul: valid partners of kernel entry (s, r) are the image
  *    entries of column r (Eq. 14); a per-column nnz histogram built
  *    once answers every kernel of the stack.
  *
- * countProducts(kernel) is bit-identical to the brute-force census
- * (tests/census_property_test.cc cross-checks randomized geometries).
- * The SCNN+ and ANT counting paths both take their valid-product
- * counts from it. Tables built and queries answered are tallied in the
- * host metrics registry (obs/metrics.hh ProfileCount) and surface in
- * the run report's profile section.
+ * countProducts(kernels) counts a whole kernel stack (one plane is a
+ * stack of one) in one loop, and equals the sum of the brute-force
+ * census over its planes (tests/census_property_test.cc cross-checks
+ * randomized geometries and stacks). The SCNN+ and ANT counting paths
+ * both take their valid-product counts from it. Tables built and
+ * queries answered are tallied in the host metrics registry
+ * (obs/metrics.hh ProfileCount) and surface in the run report's
+ * profile section.
  */
 
 #ifndef ANTSIM_CONV_CENSUS_HH
@@ -65,10 +68,12 @@ class CensusContext
     }
 
     /**
-     * Census of kernel * image, counter-for-counter identical to the
-     * brute-force countProducts(spec, kernel, image) but O(nnz_k).
+     * Census of a kernel stack against the image: counter for counter
+     * the sum of the brute-force countProducts(spec, kernel, image)
+     * over @p kernels, in O(nnz) of the stack.
      */
-    ProductCensus countProducts(const CsrMatrix &kernel) const;
+    ProductCensus
+    countProducts(const std::vector<const CsrMatrix *> &kernels) const;
 
     /** The spec the tables were built for. */
     const ProblemSpec &spec() const { return spec_; }
@@ -79,6 +84,8 @@ class CensusContext
     std::uint64_t imageNnz_ = 0;
     /** Valid-partner count per kernel coordinate, R*S row-major. */
     std::vector<std::uint64_t> entryCounts_;
+    /** Valid products of a full kernel plane: every entry's count. */
+    std::uint64_t fullPlaneValid_ = 0;
 };
 
 } // namespace antsim

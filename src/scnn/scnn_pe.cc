@@ -209,11 +209,9 @@ ScnnPe::runStackCounting(const ProblemSpec &spec,
     index_cfg.elementBits = 8; // 8-bit indices (Table 4)
 
     // Image-side census tables are built once for the whole stack;
-    // counting each kernel is then O(nnz_k) (see conv/census.hh).
-    const CensusContext context(spec, image);
-    ProductCensus census;
-    for (const CsrMatrix *k : kernels)
-        census += context.countProducts(*k);
+    // counting it is then O(nnz_k) (see conv/census.hh).
+    const ProductCensus census =
+        CensusContext(spec, image).countProducts(kernels);
 
     c.add(Counter::MultsExecuted, census.nonzeroProducts);
     c.add(Counter::MultsValid, census.validProducts);

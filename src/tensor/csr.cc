@@ -43,6 +43,44 @@ compressRow(const float *row, std::uint32_t n, float *out_values,
     return cur;
 }
 
+/**
+ * Whether @p plane satisfies CsrMatrix::validate's invariants, tested
+ * in flat loops with no per-row inner loop: the row pointers run from
+ * 0 to nnz without decreasing; every column is below the width; and a
+ * column descent (cols[i - 1] >= cols[i]) falls only on the first
+ * entry of a non-empty row. Non-empty rows start at distinct
+ * positions, so the last holds iff the descents at row starts number
+ * all the descents.
+ */
+bool
+meetsCsrInvariants(const CsrMatrix &plane)
+{
+    const auto row_ptr = plane.rowPtr();
+    const auto cols = plane.columns();
+    const std::uint32_t nnz = plane.nnz();
+    const std::uint32_t width = plane.width();
+    bool rows_ok = row_ptr.front() == 0 && row_ptr.back() == nnz;
+    for (std::size_t y = 1; y < row_ptr.size(); ++y)
+        rows_ok &= row_ptr[y - 1] <= row_ptr[y];
+    if (!rows_ok)
+        return false;
+
+    std::uint32_t wide = 0;
+    for (std::uint32_t i = 0; i < nnz; ++i)
+        wide += cols[i] >= width ? 1 : 0;
+    std::uint32_t descents = 0;
+    for (std::uint32_t i = 1; i < nnz; ++i)
+        descents += cols[i - 1] >= cols[i] ? 1 : 0;
+    std::uint32_t row_start_descents = 0;
+    for (std::size_t y = 0; y + 1 < row_ptr.size(); ++y) {
+        const std::uint32_t start = row_ptr[y];
+        if (start > 0 && start < row_ptr[y + 1] &&
+            cols[start - 1] >= cols[start])
+            ++row_start_descents;
+    }
+    return wide == 0 && descents == row_start_descents;
+}
+
 } // namespace
 
 std::uint32_t
@@ -430,8 +468,14 @@ CsrStack::validate() const
 {
     ANT_ASSERT(!planeOpen_ && planes_.size() == count_, "stack holds ",
                planes_.size(), " of its ", count_, " planes");
-    for (const CsrMatrix &plane : planes_)
-        plane.validate();
+    for (std::size_t i = 0; i < planes_.size(); ++i) {
+        if (meetsCsrInvariants(planes_[i]))
+            continue;
+        // The detailed check names the broken invariant.
+        planes_[i].validate();
+        ANT_PANIC("stack plane ", i, " fails the flat CSR check but "
+                  "passes validate()");
+    }
 }
 
 } // namespace antsim

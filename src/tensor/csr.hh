@@ -219,8 +219,8 @@ class CsrMatrix
  * plane's arrays with room for a stated number of entries, growing the
  * slab geometrically when the caller's sizing fell short; the
  * generator writes the entries and prefix-summed row pointers, and
- * endPlane closes the plane. validate() then checks every plane in one
- * pass.
+ * endPlane closes the plane. validate() then checks every plane, each
+ * in flat loops.
  */
 class CsrStack
 {
@@ -266,7 +266,9 @@ class CsrStack
 
     /**
      * Panics unless every plane is filled and satisfies
-     * CsrMatrix::validate's invariants (one pass over the stack).
+     * CsrMatrix::validate's invariants. Each plane is tested in flat
+     * loops, without per-row inner loops; only a plane that fails runs
+     * validate(), whose panic names the broken invariant.
      */
     void validate() const;
 

@@ -128,8 +128,9 @@ CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
  * and the entries are written straight into the stack's slab, which is
  * sized from the recipe: count x keep entries for top-K, and for
  * Bernoulli the mean kept count plus six standard deviations (it grows
- * geometrically in the rare case that falls short). Every plane is
- * checked against CsrMatrix::validate's invariants in one pass.
+ * geometrically in the rare case that falls short). CsrStack::validate
+ * then checks every plane against CsrMatrix::validate's invariants,
+ * each in flat loops.
  */
 CsrStack generateCsrStack(const PlaneRecipe &recipe, std::uint32_t count,
                           Rng &rng);

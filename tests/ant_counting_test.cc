@@ -12,8 +12,9 @@
  *    planes, empty planes included; forward, rotated zero-dilated
  *    backward and dilated cropped update shapes; stride 1-2; sparsity
  *    0-0.99), five (n, k) geometries, the r/s ablation switches and
- *    both dataflows, and over random matmul pairs and their capacity
- *    slices;
+ *    both dataflows, over the recipes whose groups take the in-range
+ *    closed form (dense weights, the s-condition-off ablation), and
+ *    over random matmul pairs and their capacity slices;
  *  - a counting run with a recorder attached traces what the per-window
  *    loop traced: equal spans and FnirValidPartners histogram to the
  *    functional run, and pinned trace digests for one conv unit in
@@ -161,6 +162,51 @@ TEST(AntCounting, ConvCountersMatchFunctionalOverRandomRecipes)
     }
 }
 
+/**
+ * The recipes whose groups have a screen covering every streamed
+ * column, so that counting runs take the closed form of the FNIR
+ * scan: dense weights (the ReSprop profile, as fig10 runs it), whose
+ * forward and backward groups mostly qualify, and the s-condition-off
+ * ablation, whose groups all do. Both dataflows, every phase and
+ * geometry, with the r condition on and off.
+ */
+TEST(AntCounting, InRangeRecipesMatchFunctional)
+{
+    constexpr TrainingPhase phases[] = {TrainingPhase::Forward,
+                                        TrainingPhase::Backward,
+                                        TrainingPhase::Update};
+    Rng rng(2028);
+    for (int trial = 0; trial < 120; ++trial) {
+        const ConvLayer layer = randomLayer(rng);
+        const TrainingPhase phase = phases[rng.range(0, 2)];
+        const SparsityProfile profile = SparsityProfile::resprop(
+            randomSparsity(rng), randomSparsity(rng));
+        const StackTask task = makeConvPhaseTask(layer, phase, profile, rng);
+        const auto &geometry = kGeometries[rng.range(0, 4)];
+        const bool r_condition = rng.bernoulli(0.8);
+        for (const AntDataflow dataflow : {AntDataflow::ImageStationary,
+                                           AntDataflow::KernelStationary}) {
+            for (const bool s_condition : {true, false}) {
+                AntPeConfig config;
+                config.n = geometry[0];
+                config.k = geometry[1];
+                config.useRCondition = r_condition;
+                config.useSCondition = s_condition;
+                config.dataflow = dataflow;
+                AntPe pe(config);
+                const PeResult functional = pe.runStack(
+                    task.spec, task.kernelPtrs(), *task.image, true);
+                const PeResult counting = pe.runStack(
+                    task.spec, task.kernelPtrs(), *task.image, false);
+                expectCountersEqual(counting, functional,
+                                    describe(layer, phase, config, trial));
+                if (HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
 TEST(AntCounting, MatmulCountersMatchFunctionalOverChunkPairs)
 {
     Rng rng(2027);
@@ -281,6 +327,20 @@ convUnit()
                              SparsityProfile::resprop(0.9, 0.0), rng);
 }
 
+/**
+ * A forward unit: 8 dense 3x3 weight planes stream against a sparse
+ * activation plane, so most image groups' screens cover every weight
+ * column and their scans take the closed form.
+ */
+StackTask
+denseWeightUnit()
+{
+    const ConvLayer layer{"conv", 4, 8, 14, 14, 3, 1, 1};
+    Rng rng(13);
+    return makeConvPhaseTask(layer, TrainingPhase::Forward,
+                             SparsityProfile::resprop(0.9, 0.5), rng);
+}
+
 /** The traced PE: small enough windows to idle, with feedback. */
 AntPeConfig
 tracedConfig()
@@ -302,26 +362,32 @@ matmulUnit()
 
 TEST(AntCounting, TracedConvCountingMatchesFunctionalTimeline)
 {
-    const StackTask task = convUnit();
-    for (const AntDataflow dataflow :
-         {AntDataflow::ImageStationary, AntDataflow::KernelStationary}) {
-        AntPeConfig config = tracedConfig();
-        config.dataflow = dataflow;
-        AntPe pe(config);
-        const TracedUnit counting = traceUnit([&] {
-            pe.runStack(task.spec, task.kernelPtrs(), *task.image, false);
-        });
-        const TracedUnit functional = traceUnit([&] {
-            pe.runStack(task.spec, task.kernelPtrs(), *task.image, true);
-        });
-        // The functional run also marks bank conflicts, which a
-        // counting run never routes; spans and samples are the same.
-        EXPECT_EQ(withoutBankConflicts(counting.chromeJson),
-                  withoutBankConflicts(functional.chromeJson));
-        EXPECT_EQ(counting.histograms, functional.histograms);
-        EXPECT_GT(counting.histograms.get(obs::HistId::FnirValidPartners)
-                      .count(),
-                  0u);
+    // The update unit walks its scans; most of the forward unit's take
+    // the closed form.
+    for (StackTask (*unit)() : {convUnit, denseWeightUnit}) {
+        const StackTask task = unit();
+        for (const AntDataflow dataflow : {AntDataflow::ImageStationary,
+                                           AntDataflow::KernelStationary}) {
+            AntPeConfig config = tracedConfig();
+            config.dataflow = dataflow;
+            AntPe pe(config);
+            const TracedUnit counting = traceUnit([&] {
+                pe.runStack(task.spec, task.kernelPtrs(), *task.image,
+                            false);
+            });
+            const TracedUnit functional = traceUnit([&] {
+                pe.runStack(task.spec, task.kernelPtrs(), *task.image, true);
+            });
+            // The functional run also marks bank conflicts, which a
+            // counting run never routes; spans and samples are the same.
+            EXPECT_EQ(withoutBankConflicts(counting.chromeJson),
+                      withoutBankConflicts(functional.chromeJson));
+            EXPECT_EQ(counting.histograms, functional.histograms);
+            EXPECT_GT(
+                counting.histograms.get(obs::HistId::FnirValidPartners)
+                    .count(),
+                0u);
+        }
     }
 }
 

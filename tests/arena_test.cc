@@ -5,7 +5,8 @@
  * buffer of every construction path -- each plane of a CsrStack
  * included -- starts on a 64-byte boundary, every construction path
  * allocates exactly one slab (a generated trace plane, and a whole
- * generated kernel stack), and a stack's planes borrow its slab.
+ * generated kernel stack), a stack's planes borrow its slab, and a
+ * stack's check rejects a plane that breaks a CSR invariant.
  */
 
 #include <gtest/gtest.h>
@@ -289,6 +290,54 @@ TEST(ArenaLayout, StackGrowsPastItsSizingAndKeepsItsPlanes)
         for (std::uint32_t k = 0; k <= i; ++k)
             EXPECT_EQ(plane.values()[k], static_cast<float>(10 * i + k + 1));
     }
+}
+
+/**
+ * Check a stack of two 3x4 planes: plane 0 holds one entry per row,
+ * and plane 1 holds @p columns under @p row_ptr and closes with
+ * @p nnz entries.
+ */
+void
+validateStackWith(const std::vector<std::uint32_t> &row_ptr,
+                  const std::vector<std::uint32_t> &columns, std::size_t nnz)
+{
+    CsrStack stack(2, 3, 4, 16);
+    CsrStack::PlaneSlot slot = stack.beginPlane(3);
+    for (std::uint32_t y = 0; y < 3; ++y) {
+        slot.values[y] = 1.0f;
+        slot.columns[y] = y;
+        slot.rowPtr[y + 1] = y + 1;
+    }
+    stack.endPlane(3);
+    slot = stack.beginPlane(columns.size());
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        slot.values[i] = 1.0f;
+        slot.columns[i] = columns[i];
+    }
+    std::copy(row_ptr.begin(), row_ptr.end(), slot.rowPtr);
+    stack.endPlane(nnz);
+    stack.validate();
+}
+
+TEST(ArenaLayout, StackAcceptsADescentAtARowStartAfterAnEmptyRow)
+{
+    // Row 0 holds columns 1 and 3, row 1 is empty, row 2 holds column
+    // 0: the one descent (3, 0) is row 2's first entry.
+    validateStackWith({0, 2, 2, 3}, {1, 3, 0}, 3);
+}
+
+TEST(ArenaLayoutDeathTest, StackRejectsBadPlaneContents)
+{
+    EXPECT_DEATH(validateStackWith({0, 3, 3, 3}, {0, 2, 1}, 3),
+                 "strictly increasing in row 0");
+    EXPECT_DEATH(validateStackWith({0, 0, 3, 3}, {0, 2, 2}, 3),
+                 "strictly increasing in row 1");
+    EXPECT_DEATH(validateStackWith({0, 1, 2, 2}, {1, 4}, 2),
+                 "column 4 out of width 4");
+    EXPECT_DEATH(validateStackWith({0, 2, 1, 3}, {0, 1, 2}, 3),
+                 "non-decreasing at row 1");
+    EXPECT_DEATH(validateStackWith({0, 1, 2, 2}, {0, 1, 2}, 3),
+                 "rowPtr back 2 != values size 3");
 }
 
 TEST(ArenaLayoutDeathTest, StackRejectsAnUnfilledOrOverfullPlane)

@@ -5,7 +5,9 @@
  *
  *  - CensusContext::countProducts must be counter-for-counter
  *    identical to the brute-force countProducts over randomized
- *    strides, dilations, paddings, cropped output dims, and matmul;
+ *    strides, dilations, paddings, cropped output dims, and matmul,
+ *    for one plane and, summed, for stacks that mix full, empty and
+ *    sparse planes;
  *  - generateCsrPlane must consume the identical random stream and
  *    emit the same positions (dims, columns, rowPtr) as the legacy
  *    dense pipeline generatePlane -> embedPlane -> fromDense ->
@@ -73,7 +75,7 @@ checkSpec(const ProblemSpec &spec, Rng &rng, const std::string &context)
         const CsrMatrix kernel =
             randomCsr(spec.kernelH(), spec.kernelW(), 0.4, rng);
         expectCensusEqual(countProducts(spec, kernel, image),
-                          census.countProducts(kernel), context);
+                          census.countProducts({&kernel}), context);
     }
 }
 
@@ -129,6 +131,72 @@ TEST(CensusProperty, MatchesBruteForceOnMatmul)
     }
 }
 
+/**
+ * A random stack of 0-12 planes against one image: each plane full
+ * (the census's precomputed sum), empty, or Bernoulli-sparse. Its
+ * census must equal the brute-force census summed over the planes.
+ */
+void
+checkStack(const ProblemSpec &spec, Rng &rng, const std::string &context)
+{
+    const CsrMatrix image =
+        randomCsr(spec.imageH(), spec.imageW(), rng.uniform(), rng);
+    std::vector<CsrMatrix> planes;
+    const auto count = static_cast<std::size_t>(rng.range(0, 12));
+    for (std::size_t i = 0; i < count; ++i) {
+        switch (rng.range(0, 2)) {
+          case 0: // full
+            planes.push_back(
+                randomCsr(spec.kernelH(), spec.kernelW(), 0.0, rng));
+            break;
+          case 1:
+            planes.emplace_back(spec.kernelH(), spec.kernelW());
+            break;
+          default:
+            planes.push_back(randomCsr(spec.kernelH(), spec.kernelW(),
+                                       rng.uniform(), rng));
+        }
+    }
+    std::vector<const CsrMatrix *> stack;
+    ProductCensus want;
+    for (const CsrMatrix &plane : planes) {
+        stack.push_back(&plane);
+        want += countProducts(spec, plane, image);
+    }
+    expectCensusEqual(want, CensusContext(spec, image).countProducts(stack),
+                      context + " stack of " + std::to_string(count));
+}
+
+TEST(CensusProperty, StackMatchesSummedBruteForce)
+{
+    Rng rng(2026);
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto stride = static_cast<std::uint32_t>(rng.range(1, 3));
+        const auto dilation = static_cast<std::uint32_t>(rng.range(1, 3));
+        const auto kernel = static_cast<std::uint32_t>(rng.range(1, 5));
+        const std::uint32_t image = dilation * (kernel - 1) + 1 +
+            static_cast<std::uint32_t>(rng.range(0, 9));
+        const ProblemSpec spec = ProblemSpec::conv(
+            kernel, kernel, image, image, stride, dilation);
+        checkStack(spec, rng, "conv " + spec.toString());
+    }
+    for (int trial = 0; trial < 30; ++trial) {
+        const auto h = static_cast<std::uint32_t>(rng.range(1, 12));
+        const auto w = static_cast<std::uint32_t>(rng.range(1, 12));
+        const auto s = static_cast<std::uint32_t>(rng.range(1, 12));
+        const ProblemSpec spec = ProblemSpec::matmul(h, w, w, s);
+        checkStack(spec, rng, "matmul " + spec.toString());
+    }
+    // A stack of one full plane takes only the precomputed sum.
+    const ProblemSpec spec = ProblemSpec::conv(3, 3, 9, 9, 2, 2);
+    const CsrMatrix image = randomCsr(9, 9, 0.5, rng);
+    const CsrMatrix full = randomCsr(3, 3, 0.0, rng);
+    ASSERT_EQ(full.nnz(), 9u);
+    expectCensusEqual(countProducts(spec, full, image),
+                      CensusContext(spec, image).countProducts({&full}),
+                      "one full plane");
+}
+
 TEST(CensusProperty, EmptyPlanesCountZero)
 {
     const ProblemSpec spec = ProblemSpec::conv(3, 3, 8, 8, 2);
@@ -137,7 +205,7 @@ TEST(CensusProperty, EmptyPlanesCountZero)
     const CensusContext census(spec, empty);
     Rng rng(5);
     const CsrMatrix kernel = randomCsr(3, 3, 0.3, rng);
-    const ProductCensus got = census.countProducts(kernel);
+    const ProductCensus got = census.countProducts({&kernel});
     EXPECT_EQ(got.nonzeroProducts, 0u);
     EXPECT_EQ(got.validProducts, 0u);
     EXPECT_EQ(got.rcpProducts, 0u);

@@ -4,7 +4,8 @@
  * bank + first-n+1 arbiter-select priority encoder, and the stream
  * form the ANT PE's counting runs use (comparator pass into a bitset,
  * popcount window walk), which must decide every window as
- * Fnir::evaluate does.
+ * Fnir::evaluate does, and the closed form of a stream whose
+ * candidates all lie in range, which must equal that walk.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <initializer_list>
 #include <limits>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -287,6 +289,69 @@ TEST(FnirStream, WindowWalkMatchesRepeatedEvaluate)
             }
         }
     }
+}
+
+/**
+ * A stream whose candidates all lie in range: the closed form
+ * (Fnir::inRangeScan) equals the walk over its all-ones bitset, window
+ * by window, for every length 1-300 (so across several words), at
+ * geometries where k > n, k == n and k spans many windows. With a
+ * recorder attached, the closed form records the walk's histogram and
+ * spans.
+ */
+TEST(FnirStream, InRangeScanMatchesTheWalk)
+{
+    constexpr std::uint32_t geometries[][2] = {{4, 16}, {8, 16}, {4, 4},
+                                               {1, 2},  {3, 64}, {16, 64}};
+    for (const auto &geometry : geometries) {
+        const Fnir fnir(geometry[0], geometry[1]);
+        const std::uint32_t n = fnir.n();
+        const std::uint32_t k = fnir.k();
+        for (std::size_t length = 1; length <= 300; ++length) {
+            const std::vector<std::uint32_t> stream(length, 0);
+            FnirRangeBits bits;
+            Fnir::compareStream(stream, 0, 0, bits);
+            const FnirInRangeScan scan = fnir.inRangeScan(length);
+            const std::string where = "n " + std::to_string(n) + " k " +
+                std::to_string(k) + " length " + std::to_string(length);
+
+            obs::UnitRecorder walked;
+            std::size_t windows = 0;
+            for (std::size_t pos = 0; pos < length; ++windows) {
+                const FnirWindow w = fnir.window(bits, pos);
+                ASSERT_LT(windows, scan.windows) << where;
+                ASSERT_EQ(w.width, scan.width(windows))
+                    << where << " window " << windows;
+                ASSERT_EQ(w.selected, scan.selected(windows))
+                    << where << " window " << windows;
+                walked.hist(obs::HistId::FnirValidPartners, w.selected);
+                walked.advance(w.selected == 0 ? obs::SpanKind::IdleScan
+                                               : obs::SpanKind::Active,
+                               1);
+                pos = w.next;
+            }
+            ASSERT_EQ(windows, scan.windows) << where;
+            ASSERT_LE(scan.windows - scan.fullWindows, (k + n - 1) / n)
+                << where;
+
+            obs::UnitRecorder closed;
+            scan.record(closed);
+            ASSERT_EQ(closed.histograms(), walked.histograms()) << where;
+            ASSERT_EQ(closed.spans().size(), walked.spans().size())
+                << where;
+            for (std::size_t i = 0; i < walked.spans().size(); ++i) {
+                ASSERT_EQ(closed.spans()[i].begin, walked.spans()[i].begin);
+                ASSERT_EQ(closed.spans()[i].end, walked.spans()[i].end);
+                ASSERT_EQ(closed.spans()[i].kind, walked.spans()[i].kind);
+            }
+        }
+    }
+}
+
+TEST(FnirDeathTest, InRangeScanNeedsACandidateAndKAtLeastN)
+{
+    EXPECT_DEATH(Fnir(4, 16).inRangeScan(0), "in-range scan");
+    EXPECT_DEATH(Fnir(8, 4).inRangeScan(10), "in-range scan");
 }
 
 /**
