@@ -47,9 +47,6 @@ getCount(const Cli &cli, const std::string &name, std::uint32_t fallback)
 BenchOptions
 parseOptions(int argc, const char *const *argv)
 {
-    // Environment first, flags after: --log-level wins over
-    // ANTSIM_LOG_LEVEL, --trace-out wins over ANTSIM_TRACE.
-    initLogLevelFromEnv();
     const Cli cli(argc, argv,
                   {"samples", "seed", "pes", "csv", "chunk", "audit",
                    "threads", "json", "networks", "trace-out", "log-level",
@@ -94,31 +91,20 @@ parseOptions(int argc, const char *const *argv)
         options.traceOutPath = cli.get("trace-out");
         if (options.traceOutPath == "true")
             ANT_FATAL("flag --trace-out expects an output path");
-    } else if (const char *env = std::getenv("ANTSIM_TRACE");
-               env != nullptr && env[0] != '\0') {
-        options.traceOutPath = env;
     }
     if (!options.traceOutPath.empty())
         obs::setEnabled(true);
-    // --metrics-out wins over ANTSIM_METRICS, --host-trace-out over
-    // ANTSIM_HOST_TRACE (same precedence as --trace-out/ANTSIM_TRACE).
     // A non-empty path switches the collector on for the whole run and
     // attaches the main thread; pool workers attach themselves.
     if (cli.has("metrics-out")) {
         options.metricsOutPath = cli.get("metrics-out");
         if (options.metricsOutPath == "true")
             ANT_FATAL("flag --metrics-out expects an output path");
-    } else if (const char *env = std::getenv("ANTSIM_METRICS");
-               env != nullptr && env[0] != '\0') {
-        options.metricsOutPath = env;
     }
     if (cli.has("host-trace-out")) {
         options.hostTraceOutPath = cli.get("host-trace-out");
         if (options.hostTraceOutPath == "true")
             ANT_FATAL("flag --host-trace-out expects an output path");
-    } else if (const char *env = std::getenv("ANTSIM_HOST_TRACE");
-               env != nullptr && env[0] != '\0') {
-        options.hostTraceOutPath = env;
     }
     if (!options.metricsOutPath.empty()) {
         obs::metrics::setEnabled(true);

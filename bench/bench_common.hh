@@ -21,21 +21,17 @@
  *   --audit       run the invariant audits (src/verify) on every
  *                 model execution; violations abort the bench
  *   --trace-out path  write the simulated-time Chrome trace (src/obs,
- *                 docs/OBSERVABILITY.md) to @p path; defaults to the
- *                 ANTSIM_TRACE environment variable when set
+ *                 docs/OBSERVABILITY.md) to @p path
  *   --metrics-out path  write the host-side metrics registry
  *                 (src/obs/metrics.hh) as Prometheus text exposition
  *                 to @p path and embed a host_metrics section in the
- *                 --json report; defaults to the ANTSIM_METRICS
- *                 environment variable when set. Never changes
- *                 results, only host-side accounting
+ *                 --json report. Never changes results, only
+ *                 host-side accounting
  *   --host-trace-out path  write the host-execution Chrome trace
  *                 (src/obs/host_trace.hh: per-stage / per-unit /
- *                 per-worker wall-clock spans) to @p path; defaults to
- *                 the ANTSIM_HOST_TRACE environment variable when set
+ *                 per-worker wall-clock spans) to @p path
  *   --log-level L verbosity: error, warn (default), info (adds the
- *                 progress heartbeat), or debug; defaults to the
- *                 ANTSIM_LOG_LEVEL environment variable when set
+ *                 progress heartbeat), or debug (same as info)
  *
  * Besides printing, every table, key metric, and network run is
  * recorded in a process-wide RunReport; main() ends with
@@ -71,22 +67,21 @@ struct BenchOptions
     std::string networksFilter;
     /**
      * Write the simulated-time Chrome trace here when non-empty
-     * (--trace-out path, or the ANTSIM_TRACE environment variable).
-     * A non-empty path enables tracing for the whole run.
+     * (--trace-out path). A non-empty path enables tracing for the
+     * whole run.
      */
     std::string traceOutPath;
     /**
      * Write the Prometheus text exposition of the host metrics
-     * registry here when non-empty (--metrics-out path, or the
-     * ANTSIM_METRICS environment variable). A non-empty path enables
-     * metrics collection for the whole run and adds a host_metrics
-     * section to the JSON report.
+     * registry here when non-empty (--metrics-out path). A non-empty
+     * path enables metrics collection for the whole run and adds a
+     * host_metrics section to the JSON report.
      */
     std::string metricsOutPath;
     /**
      * Write the host-execution Chrome trace here when non-empty
-     * (--host-trace-out path, or the ANTSIM_HOST_TRACE environment
-     * variable). A non-empty path enables host span collection.
+     * (--host-trace-out path). A non-empty path enables host span
+     * collection.
      */
     std::string hostTraceOutPath;
 };

@@ -4,12 +4,12 @@
 Usage: trace_summary.py TRACE.json [--check] [--top N] [--host]
 
 TRACE.json is the Chrome trace-event document written by
---trace-out / ANTSIM_TRACE (src/obs/trace.cc, docs/OBSERVABILITY.md).
+--trace-out (src/obs/trace.cc, docs/OBSERVABILITY.md).
 Timestamps are simulated cycles, not wall-clock: the summary is
 deterministic for a fixed configuration at every thread count.
 
 --host switches to the host-execution trace written by
---host-trace-out / ANTSIM_HOST_TRACE (src/obs/host_trace.cc):
+--host-trace-out (src/obs/host_trace.cc):
 wall-clock run/stage/unit spans per host thread. The summary prints
 the --top spans by *self* time (duration minus the durations of spans
 nested inside it on the same thread -- the time the span itself was on

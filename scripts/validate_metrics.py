@@ -5,7 +5,7 @@ Usage: validate_metrics.py METRICS.prom [--require SUBSTR ...]
        validate_metrics.py --self-test
 
 METRICS.prom is the host-metrics exposition written by any bench
-binary's --metrics-out / ANTSIM_METRICS (src/obs/metrics.cc,
+binary's --metrics-out (src/obs/metrics.cc,
 docs/OBSERVABILITY.md). The checks are the subset of the Prometheus
 text-format contract the simulator relies on, so a scrape-breaking
 regression in toPrometheus fails CI before it reaches a dashboard:

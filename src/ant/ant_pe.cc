@@ -5,11 +5,11 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "conv/census.hh"
 #include "obs/trace.hh"
 #include "sim/accumulator.hh"
-#include "util/arena.hh"
 #include "util/logging.hh"
 #include "verify/audit_hooks.hh"
 
@@ -20,14 +20,15 @@ namespace {
 /**
  * The windowed candidate stream in structure-of-arrays form: the FNIR
  * comparator bank reads column[] directly as one contiguous lane vector
- * (64-byte-aligned via AlignedVec). Only runs that feed the accumulator
- * fill value[] and row[].
+ * (with unaligned loads, so no alignment beyond the element's). Only
+ * runs that feed the accumulator fill value[] and row[]. clear() keeps
+ * the capacity, so one stream serves every group of a run.
  */
 struct CandidateStream
 {
-    AlignedVec<float> value;
-    AlignedVec<std::uint32_t> column;
-    AlignedVec<std::uint32_t> row;
+    std::vector<float> value;
+    std::vector<std::uint32_t> column;
+    std::vector<std::uint32_t> row;
 
     std::size_t size() const { return column.size(); }
     bool empty() const { return column.empty(); }
@@ -81,13 +82,15 @@ appendWindowedCandidatesSoA(const CsrMatrix &plane, std::int64_t row_lo,
 
     const auto row_ptr = plane.rowPtr();
     const std::uint32_t begin = row_ptr[lo];
-    const std::uint32_t end = row_ptr[hi + 1];
-    out.column.append(plane.columns().data() + begin, end - begin);
+    const std::uint32_t count = row_ptr[hi + 1] - begin;
+    const auto columns = plane.columns().subspan(begin, count);
+    out.column.insert(out.column.end(), columns.begin(), columns.end());
     if (!payload)
         return;
-    out.value.append(plane.values().data() + begin, end - begin);
+    const auto values = plane.values().subspan(begin, count);
+    out.value.insert(out.value.end(), values.begin(), values.end());
     for (std::uint32_t r = lo; r <= hi; ++r)
-        out.row.appendFill(r, row_ptr[r + 1] - row_ptr[r]);
+        out.row.insert(out.row.end(), row_ptr[r + 1] - row_ptr[r], r);
 }
 
 /** Total non-zeros across a stack of planes. */
@@ -304,28 +307,21 @@ AntPe::AntPe(const AntPeConfig &config)
 }
 
 PeResult
-AntPe::runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
-               const CsrMatrix &image, bool collect_output)
-{
-    if (spec.kind() == ProblemSpec::Kind::Matmul) {
-        const PeResult result =
-            runMatmulPair(spec, kernel, image, collect_output);
-        verify::auditPeRunOrPanic("ANT PE (matmul)", spec, {&kernel},
-                                  image, result, ProductSpace::Cartesian);
-        return result;
-    }
-    return runStack(spec, {&kernel}, image, collect_output);
-}
-
-PeResult
 AntPe::runStack(const ProblemSpec &spec,
                 const std::vector<const CsrMatrix *> &kernels,
                 const CsrMatrix &image, bool collect_output)
 {
     ANT_ASSERT(!kernels.empty(), "kernel stack must not be empty");
-    ANT_ASSERT(spec.kind() == ProblemSpec::Kind::Conv,
-               "kernel stacks are a convolution dataflow; use runPair "
-               "for matmuls");
+    if (spec.kind() == ProblemSpec::Kind::Matmul) {
+        ANT_ASSERT(kernels.size() == 1,
+                   "kernel stacks are a convolution dataflow; a matmul "
+                   "takes one kernel plane, not ", kernels.size());
+        const PeResult result =
+            runMatmulPair(spec, *kernels.front(), image, collect_output);
+        verify::auditPeRunOrPanic("ANT PE (matmul)", spec, kernels, image,
+                                  result, ProductSpace::Cartesian);
+        return result;
+    }
     const PeResult result =
         runConvStack(spec, kernels, image, collect_output);
     verify::auditPeRunOrPanic("ANT PE", spec, kernels, image, result,

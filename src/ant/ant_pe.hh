@@ -121,9 +121,10 @@ class AntPe : public PeModel
 
     const AntPeConfig &config() const { return config_; }
 
-    PeResult runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
-                     const CsrMatrix &image, bool collect_output) override;
-
+    /**
+     * A conv spec runs the stack through runConvStack; a matmul spec
+     * takes exactly one kernel plane and runs runMatmulPair.
+     */
     PeResult runStack(const ProblemSpec &spec,
                       const std::vector<const CsrMatrix *> &kernels,
                       const CsrMatrix &image, bool collect_output) override;

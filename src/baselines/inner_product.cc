@@ -89,14 +89,6 @@ DenseInnerProductPe::DenseInnerProductPe(const InnerProductConfig &config)
 }
 
 PeResult
-DenseInnerProductPe::runPair(const ProblemSpec &spec,
-                             const CsrMatrix &kernel, const CsrMatrix &image,
-                             bool collect_output)
-{
-    return runStack(spec, {&kernel}, image, collect_output);
-}
-
-PeResult
 DenseInnerProductPe::runStack(const ProblemSpec &spec,
                               const std::vector<const CsrMatrix *> &kernels,
                               const CsrMatrix &image, bool collect_output)
@@ -150,13 +142,6 @@ TensorDashPe::TensorDashPe(const InnerProductConfig &config)
     ANT_ASSERT(config_.packEfficiency > 0.0 &&
                config_.packEfficiency <= 1.0,
                "pack efficiency must be in (0, 1]");
-}
-
-PeResult
-TensorDashPe::runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
-                      const CsrMatrix &image, bool collect_output)
-{
-    return runStack(spec, {&kernel}, image, collect_output);
 }
 
 PeResult

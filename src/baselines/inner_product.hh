@@ -66,9 +66,6 @@ class DenseInnerProductPe : public PeModel
 
     bool usesCompressedOperands() const override { return false; }
 
-    PeResult runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
-                     const CsrMatrix &image, bool collect_output) override;
-
     PeResult runStack(const ProblemSpec &spec,
                       const std::vector<const CsrMatrix *> &kernels,
                       const CsrMatrix &image, bool collect_output) override;
@@ -103,9 +100,6 @@ class TensorDashPe : public PeModel
     }
 
     bool usesCompressedOperands() const override { return false; }
-
-    PeResult runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
-                     const CsrMatrix &image, bool collect_output) override;
 
     PeResult runStack(const ProblemSpec &spec,
                       const std::vector<const CsrMatrix *> &kernels,

@@ -1,9 +1,9 @@
 #include "host_trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
+#include "util/json_string.hh"
 #include "util/logging.hh"
 
 namespace antsim {
@@ -11,40 +11,6 @@ namespace obs {
 namespace host {
 
 namespace {
-
-/** Same JSON string escaping as the simulated-time exporter. */
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 appendU64(std::string &out, std::uint64_t v)

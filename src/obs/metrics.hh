@@ -12,8 +12,8 @@
  *    profile section. Each thread attaches its own ProfileCells block
  *    on its first record.
  *  - Everything else (Counter, WorkerCounter, Gauge, Hist) is opt-in
- *    (--metrics-out / ANTSIM_METRICS) and lives in a per-thread
- *    MetricShard that threadAttach installs only while enabled.
+ *    (--metrics-out) and lives in a per-thread MetricShard that
+ *    threadAttach installs only while enabled.
  *
  * Layering: the producer API below is entirely header-inline (C++17
  * inline variables hold the registry state), so ant_util and ant_conv
@@ -65,14 +65,10 @@ enum class Counter : unsigned {
     PoolParallelFors = 0,
     /** Work items scheduled across all parallelFor jobs. */
     PoolItems,
-    /** Arena slabs (re)allocated by Arena::reset. */
+    /** Arena slabs allocated (one per Arena with room). */
     ArenaSlabs,
-    /** Slab bytes allocated by Arena::reset. */
+    /** Slab bytes allocated by those Arenas. */
     ArenaSlabBytes,
-    /** AlignedVec growth reallocations. */
-    AlignedVecGrows,
-    /** Bytes allocated by AlignedVec growths. */
-    AlignedVecGrowBytes,
     /** Model runs: one per PE model of each runner call. */
     RunnerRuns,
     /**
@@ -114,8 +110,6 @@ enum class Gauge : unsigned {
     PoolWorkers,
     /** Largest arena slab capacity seen. */
     ArenaHighWaterBytes,
-    /** Largest AlignedVec capacity in bytes seen across all vectors. */
-    AlignedVecHighWaterBytes,
     NumGauges
 };
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 
+#include "util/json_string.hh"
 #include "util/logging.hh"
 
 namespace antsim {
@@ -23,40 +23,6 @@ constexpr const char *kSpanNames[kNumSpanKinds] = {
 };
 
 std::atomic<bool> g_enabled{false};
-
-/** Append a JSON-escaped string literal (with quotes) to @p out. */
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 appendU64(std::string &out, std::uint64_t v)

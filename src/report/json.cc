@@ -2,9 +2,9 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
+#include "util/json_string.hh"
 #include "util/logging.hh"
 
 namespace antsim {
@@ -20,32 +20,6 @@ formatDouble(double v)
     const auto res = std::to_chars(buf, buf + sizeof(buf), v);
     ANT_ASSERT(res.ec == std::errc(), "double formatting failed");
     return std::string(buf, res.ptr);
-}
-
-void
-appendQuoted(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char ch : s) {
-        switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    out += '"';
 }
 
 } // namespace
@@ -187,7 +161,7 @@ Json::dumpTo(std::string &out, int indent) const
     case Type::Int: out += std::to_string(int_); break;
     case Type::Uint: out += std::to_string(uint_); break;
     case Type::Double: out += formatDouble(double_); break;
-    case Type::String: appendQuoted(out, string_); break;
+    case Type::String: appendJsonString(out, string_); break;
     case Type::Array:
         if (array_.empty()) {
             out += "[]";
@@ -212,7 +186,7 @@ Json::dumpTo(std::string &out, int indent) const
         out += "{\n";
         for (std::size_t i = 0; i < object_.size(); ++i) {
             out += inner_pad;
-            appendQuoted(out, object_[i].first);
+            appendJsonString(out, object_[i].first);
             out += ": ";
             object_[i].second.dumpTo(out, indent + 1);
             if (i + 1 < object_.size())

@@ -1,12 +1,12 @@
 #include "scnn_pe.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "conv/census.hh"
 #include "conv/outer_product.hh"
 #include "obs/trace.hh"
 #include "sim/accumulator.hh"
-#include "util/arena.hh"
 #include "util/logging.hh"
 #include "verify/audit_hooks.hh"
 
@@ -25,31 +25,17 @@ stackNnz(const std::vector<const CsrMatrix *> &kernels)
 }
 
 /**
- * Expand a CSR row-pointer array into one row index per stored entry:
- * out[i] = row of entry i.
- */
-void
-expandRows(const std::uint32_t *row_ptr, std::uint32_t rows,
-           std::uint32_t *out)
-{
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        for (std::uint32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
-            out[i] = r;
-    }
-}
-
-/**
  * The merged kernel stream of a stack in structure-of-arrays form:
  * entry order identical to concatenating each plane's entries(), but
- * built with two bulk copies plus one row expansion per plane instead
+ * built with two bulk copies plus one row fill per plane row instead
  * of a per-entry cursor walk -- the image-stationary dataflow re-reads
  * this stream once per image group, so it is built exactly once.
  */
 struct MergedStack
 {
-    AlignedVec<float> value;
-    AlignedVec<std::uint32_t> x;
-    AlignedVec<std::uint32_t> y;
+    std::vector<float> value;
+    std::vector<std::uint32_t> x;
+    std::vector<std::uint32_t> y;
 
     explicit MergedStack(const std::vector<const CsrMatrix *> &kernels)
     {
@@ -58,11 +44,11 @@ struct MergedStack
         x.reserve(total);
         y.reserve(total);
         for (const CsrMatrix *k : kernels) {
-            value.append(k->values().data(), k->nnz());
-            x.append(k->columns().data(), k->nnz());
-            const std::size_t base = y.size();
-            y.resize(base + k->nnz());
-            expandRows(k->rowPtr().data(), k->height(), y.data() + base);
+            value.insert(value.end(), k->values().begin(), k->values().end());
+            x.insert(x.end(), k->columns().begin(), k->columns().end());
+            const auto row_ptr = k->rowPtr();
+            for (std::uint32_t r = 0; r < k->height(); ++r)
+                y.insert(y.end(), row_ptr[r + 1] - row_ptr[r], r);
         }
     }
 
@@ -74,13 +60,6 @@ struct MergedStack
 ScnnPe::ScnnPe(const ScnnPeConfig &config) : config_(config)
 {
     ANT_ASSERT(config_.n > 0, "multiplier array dimension must be positive");
-}
-
-PeResult
-ScnnPe::runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
-                const CsrMatrix &image, bool collect_output)
-{
-    return runStack(spec, {&kernel}, image, collect_output);
 }
 
 PeResult

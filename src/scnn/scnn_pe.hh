@@ -62,9 +62,6 @@ class ScnnPe : public PeModel
         return std::make_unique<ScnnPe>(config_);
     }
 
-    PeResult runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
-                     const CsrMatrix &image, bool collect_output) override;
-
     PeResult runStack(const ProblemSpec &spec,
                       const std::vector<const CsrMatrix *> &kernels,
                       const CsrMatrix &image, bool collect_output) override;

@@ -76,7 +76,8 @@ class PeModel
     virtual bool usesCompressedOperands() const { return true; }
 
     /**
-     * Execute one (kernel chunk, image chunk) pair.
+     * Execute one (kernel chunk, image chunk) pair: runStack of a
+     * one-plane stack, which is also how a matmul runs.
      *
      * Chunks carry global matrix dims with a subset of the non-zeros;
      * chunk results are additive because the outer product is linear in
@@ -86,9 +87,12 @@ class PeModel
      *        (costs memory proportional to the output; benchmarks that
      *        only need counters pass false).
      */
-    virtual PeResult runPair(const ProblemSpec &spec,
-                             const CsrMatrix &kernel, const CsrMatrix &image,
-                             bool collect_output) = 0;
+    PeResult
+    runPair(const ProblemSpec &spec, const CsrMatrix &kernel,
+            const CsrMatrix &image, bool collect_output)
+    {
+        return runStack(spec, {&kernel}, image, collect_output);
+    }
 
     /**
      * Execute a *kernel stack* against one stationary image: the
@@ -103,7 +107,8 @@ class PeModel
      * With collect_output, the returned plane is the SUM of the
      * per-kernel outputs (the outer product is linear, so this is a
      * meaningful functional check even though real hardware routes
-     * each kernel's products to its own output plane).
+     * each kernel's products to its own output plane). A matmul spec
+     * takes a one-plane stack: its kernel is the whole left operand.
      */
     virtual PeResult runStack(const ProblemSpec &spec,
                               const std::vector<const CsrMatrix *> &kernels,

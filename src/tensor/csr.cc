@@ -97,12 +97,14 @@ CsrMatrix::allocateStorage(std::size_t nnz)
 {
     nnz_ = narrowNnz(nnz);
     const std::size_t rows = static_cast<std::size_t>(height_) + 1;
-    arena_.reset(Arena::aligned(nnz * sizeof(float)) +
-                 Arena::aligned(nnz * sizeof(std::uint32_t)) +
-                 Arena::aligned(rows * sizeof(std::uint32_t)));
-    values_ = arena_.ptr<float>(arena_.alloc<float>(nnz));
-    columns_ = arena_.ptr<std::uint32_t>(arena_.alloc<std::uint32_t>(nnz));
-    rowPtr_ = arena_.ptr<std::uint32_t>(arena_.alloc<std::uint32_t>(rows));
+    arena_ = Arena(rows * sizeof(std::uint32_t) +
+                   nnz * (sizeof(float) + sizeof(std::uint32_t)));
+    // Every factory writes all nnz values and columns, but relies on
+    // zeroed row pointers: rowPtr[0], and the per-row counts fromCoo
+    // and transposed accumulate.
+    rowPtr_ = arena_.alloc<std::uint32_t>(rows);
+    values_ = arena_.allocUninitialized<float>(nnz);
+    columns_ = arena_.allocUninitialized<std::uint32_t>(nnz);
 }
 
 void
@@ -397,8 +399,7 @@ CsrMatrix::operator==(const CsrMatrix &o) const
 
 CsrStack::CsrStack(std::uint32_t count, std::uint32_t height,
                    std::uint32_t width, std::size_t entry_slots)
-    : count_(count), height_(height), width_(width),
-      rowSlots_(paddedEntries(static_cast<std::size_t>(height) + 1))
+    : count_(count), height_(height), width_(width)
 {
     planes_.reserve(count);
     carve(entry_slots);
@@ -407,16 +408,16 @@ CsrStack::CsrStack(std::uint32_t count, std::uint32_t height,
 void
 CsrStack::carve(std::size_t entry_slots)
 {
-    entrySlots_ = paddedEntries(entry_slots);
-    const std::size_t row_slots = count_ * rowSlots_;
-    slab_.reset((row_slots + 2 * entrySlots_) * sizeof(std::uint32_t));
+    entrySlots_ = entry_slots;
+    const std::size_t row_ptrs =
+        count_ * (static_cast<std::size_t>(height_) + 1);
+    slab_ = Arena(row_ptrs * sizeof(std::uint32_t) +
+                  entry_slots * (sizeof(float) + sizeof(std::uint32_t)));
     // Only the row pointers need zeros: the generator writes every
     // entry it counts but only the rows that hold entries.
-    rowPtrs_ = slab_.ptr<std::uint32_t>(
-        slab_.alloc<std::uint32_t>(row_slots));
-    values_ = slab_.ptr<float>(slab_.allocUninitialized<float>(entrySlots_));
-    columns_ = slab_.ptr<std::uint32_t>(
-        slab_.allocUninitialized<std::uint32_t>(entrySlots_));
+    rowPtrs_ = slab_.alloc<std::uint32_t>(row_ptrs);
+    values_ = slab_.allocUninitialized<float>(entry_slots);
+    columns_ = slab_.allocUninitialized<std::uint32_t>(entry_slots);
 }
 
 void
@@ -428,7 +429,8 @@ CsrStack::grow(std::size_t entry_slots)
     const std::uint32_t *old_columns = columns_;
     carve(entry_slots);
     std::memcpy(rowPtrs_, old_row_ptrs,
-                count_ * rowSlots_ * sizeof(std::uint32_t));
+                planes_.size() * (static_cast<std::size_t>(height_) + 1) *
+                    sizeof(std::uint32_t));
     std::memcpy(values_, old_values, used_ * sizeof(float));
     std::memcpy(columns_, old_columns, used_ * sizeof(std::uint32_t));
     for (CsrMatrix &plane : planes_) {
@@ -447,8 +449,7 @@ CsrStack::beginPlane(std::size_t max_nnz)
         grow(std::max(2 * entrySlots_, used_ + max_nnz));
     planeOpen_ = true;
     open_ = max_nnz;
-    return {values_ + used_, columns_ + used_,
-            rowPtrs_ + planes_.size() * rowSlots_};
+    return {values_ + used_, columns_ + used_, rowPtrOf(planes_.size())};
 }
 
 void
@@ -459,8 +460,8 @@ CsrStack::endPlane(std::size_t nnz)
     planeOpen_ = false;
     planes_.push_back(CsrMatrix(height_, width_, narrowNnz(nnz),
                                 values_ + used_, columns_ + used_,
-                                rowPtrs_ + planes_.size() * rowSlots_));
-    used_ += paddedEntries(nnz);
+                                rowPtrOf(planes_.size())));
+    used_ += nnz;
 }
 
 void

@@ -14,15 +14,16 @@
  * Image/Kernel Values and Indices Buffers would, so iteration order
  * here *is* the hardware's element order.
  *
- * Storage layout: the three arrays are a structure-of-arrays carved
- * out of one 64-byte-aligned Arena slab (util/arena.hh), sized exactly
- * from the nnz counted before filling. Every factory allocates exactly
- * one slab, and so does a copy. A CsrStack holds a whole stack of
- * planes in one slab, and its planes borrow their arrays from it. The
- * exact pre-sizing removes the push_back reallocation churn of the old
- * vector-backed layout. Accessors hand out read-only spans. Blocks
- * are sized exactly, with no tail slack: no writer may store past an
- * array's last entry.
+ * Storage layout: the three arrays are a structure-of-arrays packed
+ * back to back in one Arena slab (util/arena.hh) at their natural
+ * 4-byte alignment, sized exactly from the nnz counted before filling:
+ * a matrix's slab is its height()+1 row pointers plus nnz values and
+ * nnz columns, nothing more. Every factory allocates exactly one slab,
+ * and so does a copy. A CsrStack holds a whole stack of planes in one
+ * slab, and its planes borrow their arrays from it. The exact
+ * pre-sizing removes the push_back reallocation churn of the old
+ * vector-backed layout. Accessors hand out read-only spans. No writer
+ * may store past an array's last entry.
  */
 
 #ifndef ANTSIM_TENSOR_CSR_HH
@@ -186,8 +187,8 @@ class CsrMatrix
     friend class CsrStack;
 
     /**
-     * Size the arena for exactly @p nnz stored entries (guarding the
-     * uint32 narrowing) plus the row-pointer array, and carve the
+     * Size the arena for exactly the row-pointer array plus @p nnz
+     * stored entries (guarding the uint32 narrowing), and carve the
      * three SoA blocks. Row pointers start zeroed.
      */
     void allocateStorage(std::size_t nnz);
@@ -206,11 +207,12 @@ class CsrMatrix
 };
 
 /**
- * A stack of same-shape CSR planes in one 64-byte-aligned slab: the
- * kernel stack a PE streams back to back from one buffer (Sec. 4.3).
- * The slab holds every plane's row pointers, then every plane's values,
- * then every plane's columns, and each plane's three blocks start on a
- * 64-byte boundary. A plane is reachable only as a const CsrMatrix &
+ * A stack of same-shape CSR planes in one slab: the kernel stack a PE
+ * streams back to back from one buffer (Sec. 4.3). The slab holds
+ * every plane's row pointers, then every plane's values, then every
+ * plane's columns, each region packed: plane i's row pointers start at
+ * i x (height + 1), and its values and columns start where plane
+ * i - 1's end. A plane is reachable only as a const CsrMatrix &
  * that borrows the slab: a copy of it is a compact matrix that owns
  * its memory, and no plane can be moved out of the stack or outlive
  * it. Moving the stack moves neither the slab nor its planes.
@@ -234,17 +236,10 @@ class CsrStack
         std::uint32_t *rowPtr;
     };
 
-    /** Values (and columns) slots a plane of @p nnz entries takes. */
-    static constexpr std::size_t
-    paddedEntries(std::size_t nnz)
-    {
-        return Arena::aligned(nnz * sizeof(float)) / sizeof(float);
-    }
-
     /**
      * A stack of @p count planes of @p height x @p width, none filled
      * yet, in one slab with @p entry_slots values and columns slots
-     * (each plane takes paddedEntries of its nnz).
+     * (each plane takes one slot per entry).
      */
     CsrStack(std::uint32_t count, std::uint32_t height, std::uint32_t width,
              std::size_t entry_slots);
@@ -297,11 +292,16 @@ class CsrStack
     /** Carve the row-pointer, values and columns regions of slab_. */
     void carve(std::size_t entry_slots);
 
+    /** Plane @p i's row pointers in the row-pointer region. */
+    std::uint32_t *
+    rowPtrOf(std::size_t i) const
+    {
+        return rowPtrs_ + i * (static_cast<std::size_t>(height_) + 1);
+    }
+
     std::uint32_t count_;
     std::uint32_t height_;
     std::uint32_t width_;
-    /** Slots of one plane's row-pointer block. */
-    std::size_t rowSlots_;
     /** Values (and columns) slots in the slab. */
     std::size_t entrySlots_ = 0;
     /** Values slots the closed planes take. */

@@ -39,14 +39,6 @@ parseLogLevel(const std::string &name)
                           "' (expected error, warn, info, or debug)");
 }
 
-void
-initLogLevelFromEnv()
-{
-    const char *env = std::getenv("ANTSIM_LOG_LEVEL");
-    if (env != nullptr && env[0] != '\0')
-        setLogLevel(parseLogLevel(env));
-}
-
 namespace detail {
 
 void
@@ -66,24 +58,10 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-warnImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Warn)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
 informImpl(const std::string &msg)
 {
     if (logLevel() >= LogLevel::Info)
         std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Debug)
-        std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: panic() is for internal simulator bugs
  * (aborts), fatal() is for user-caused conditions such as invalid
- * configurations (exits with an error code), warn()/inform() report
- * conditions without stopping the simulation.
+ * configurations (exits with an error code), inform() reports status
+ * without stopping the simulation.
  */
 
 #ifndef ANTSIM_UTIL_LOGGING_HH
@@ -18,7 +18,10 @@
 
 namespace antsim {
 
-/** Verbosity levels for status messages. */
+/**
+ * Verbosity levels for status messages. Only ANT_INFORM is gated:
+ * Info and Debug print it, Silent and Warn (the default) do not.
+ */
 enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
 
 /** Get the process-wide log level (default Warn). */
@@ -32,13 +35,6 @@ void setLogLevel(LogLevel level);
  * "info", or "debug". Fatal (user error) on anything else.
  */
 LogLevel parseLogLevel(const std::string &name);
-
-/**
- * Apply the ANTSIM_LOG_LEVEL environment variable when set (same
- * names as parseLogLevel). Called by bench_common before flag
- * parsing, so --log-level still wins over the environment.
- */
-void initLogLevelFromEnv();
 
 namespace detail {
 
@@ -54,9 +50,7 @@ concat(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
-void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -77,17 +71,9 @@ void debugImpl(const std::string &msg);
     ::antsim::detail::fatalImpl(__FILE__, __LINE__,                          \
                                 ::antsim::detail::concat(__VA_ARGS__))
 
-/** Warn about suspicious but survivable conditions. */
-#define ANT_WARN(...)                                                         \
-    ::antsim::detail::warnImpl(::antsim::detail::concat(__VA_ARGS__))
-
 /** Normal operating status messages. */
 #define ANT_INFORM(...)                                                       \
     ::antsim::detail::informImpl(::antsim::detail::concat(__VA_ARGS__))
-
-/** Verbose debugging messages. */
-#define ANT_DEBUG(...)                                                        \
-    ::antsim::detail::debugImpl(::antsim::detail::concat(__VA_ARGS__))
 
 /** Assertion that is kept in release builds; panics on failure. */
 #define ANT_ASSERT(cond, ...)                                                 \

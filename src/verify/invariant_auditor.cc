@@ -14,24 +14,6 @@ absDiff(std::uint64_t a, std::uint64_t b)
     return a > b ? a - b : b - a;
 }
 
-/** Escape a string for embedding in a JSON literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += ch;
-        }
-    }
-    return out;
-}
-
 /** Record a violation of @p law with a streamed detail message. */
 template <typename... Args>
 void
@@ -74,22 +56,6 @@ AuditReport::toString() const
         << (violations.size() == 1 ? "" : "s") << ":\n";
     for (const InvariantViolation &v : violations)
         oss << "  [" << v.law << "] " << v.detail << '\n';
-    return oss.str();
-}
-
-std::string
-AuditReport::toJson() const
-{
-    std::ostringstream oss;
-    oss << '[';
-    for (std::size_t i = 0; i < violations.size(); ++i) {
-        if (i > 0)
-            oss << ',';
-        oss << "{\"law\":\"" << jsonEscape(violations[i].law)
-            << "\",\"detail\":\"" << jsonEscape(violations[i].detail)
-            << "\"}";
-    }
-    oss << ']';
     return oss.str();
 }
 

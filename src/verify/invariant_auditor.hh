@@ -74,9 +74,6 @@ struct AuditReport
     /** Multi-line human-readable rendering ("all invariants hold"
      *  when ok()). */
     std::string toString() const;
-
-    /** Machine-readable JSON array of {law, detail} objects. */
-    std::string toJson() const;
 };
 
 /** How a model's executed-product space relates to its operands. */

@@ -389,10 +389,9 @@ singlePlane(const PlaneRecipe &recipe, const std::optional<TopKCut> &cut,
 
 /**
  * Values slots a stack of @p count Bernoulli planes of @p cells cells
- * reserves: room for mean + 6 sd of the stack's kept cells, 15 slots
- * of alignment padding per non-empty plane, and one whole plane (the
- * room beginPlane asks for), but never more than an all-kept stack
- * takes. So the slab grows only with probability ~1e-9.
+ * reserves: room for mean + 6 sd of the stack's kept cells and one
+ * whole plane (the room beginPlane asks for), but never more than an
+ * all-kept stack takes. So the slab grows only with probability ~1e-9.
  */
 std::size_t
 bernoulliStackSlots(std::uint32_t count, std::size_t cells, double sparsity)
@@ -401,9 +400,7 @@ bernoulliStackSlots(std::uint32_t count, std::size_t cells, double sparsity)
     const double p = std::clamp(1.0 - sparsity, 0.0, 1.0);
     const auto entries = static_cast<std::size_t>(
         std::ceil(std::min(n, n * p + 6.0 * std::sqrt(n * p * (1.0 - p)))));
-    const std::size_t padding = 15 * std::min<std::size_t>(count, entries);
-    return std::min(count * CsrStack::paddedEntries(cells),
-                    entries + padding + cells);
+    return std::min(count * cells, entries + cells);
 }
 
 } // namespace
@@ -456,7 +453,7 @@ generateCsrStack(const PlaneRecipe &recipe, std::uint32_t count, Rng &rng)
     const std::size_t slots = recipe.method == SparsifyMethod::Bernoulli
         ? bernoulliStackSlots(count, generator.maxEntries(),
                               recipe.sparsity)
-        : count * CsrStack::paddedEntries(generator.maxEntries());
+        : count * generator.maxEntries();
     CsrStack stack(count, recipe.outHeight, recipe.outWidth, slots);
     for (std::uint32_t i = 0; i < count; ++i) {
         const CsrStack::PlaneSlot slot =

@@ -125,12 +125,13 @@ CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
  * planes, and the same Rng post-state, as @p count successive
  * generateCsrPlane calls. The recipe's invariants (the embedding
  * check, the Bernoulli threshold, TopKCut::forPlane) are computed once
- * and the entries are written straight into the stack's slab, which is
- * sized from the recipe: count x keep entries for top-K, and for
- * Bernoulli the mean kept count plus six standard deviations (it grows
- * geometrically in the rare case that falls short). CsrStack::validate
- * then checks every plane against CsrMatrix::validate's invariants,
- * each in flat loops.
+ * and the entries are written straight into the stack's slab, each
+ * plane's right after the previous one's. The slab is sized from the
+ * recipe: count x keep entries for top-K, and for Bernoulli the mean
+ * kept count plus six standard deviations plus one whole plane (it
+ * grows geometrically in the rare case that falls short).
+ * CsrStack::validate then checks every plane against
+ * CsrMatrix::validate's invariants, each in flat loops.
  */
 CsrStack generateCsrStack(const PlaneRecipe &recipe, std::uint32_t count,
                           Rng &rng);

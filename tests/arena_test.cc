@@ -1,18 +1,19 @@
 /**
  * @file
- * Tests for the 64-byte-aligned arena allocator (util/arena.hh) that
- * backs the SoA CSR storage: every values/columns/row-pointer
- * buffer of every construction path -- each plane of a CsrStack
- * included -- starts on a 64-byte boundary, every construction path
- * allocates exactly one slab (a generated trace plane, and a whole
- * generated kernel stack), a stack's planes borrow its slab, and a
- * stack's check rejects a plane that breaks a CSR invariant.
+ * Tests for the arena allocator (util/arena.hh) that backs the SoA CSR
+ * storage: every construction path allocates exactly one slab (a
+ * generated trace plane, and a whole generated kernel stack), holding
+ * exactly its arrays at natural alignment; a stack's planes borrow its
+ * slab and sit back to back in it; and a stack's check rejects a plane
+ * that breaks a CSR invariant.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,63 +27,22 @@
 namespace antsim {
 namespace {
 
-bool
-aligned64(const void *p)
-{
-    return reinterpret_cast<std::uintptr_t>(p) % Arena::kAlignment == 0;
-}
-
-TEST(Arena, AlignedRoundsUpToBlockAlignment)
-{
-    EXPECT_EQ(Arena::aligned(0), 0u);
-    EXPECT_EQ(Arena::aligned(1), 64u);
-    EXPECT_EQ(Arena::aligned(64), 64u);
-    EXPECT_EQ(Arena::aligned(65), 128u);
-}
-
-TEST(Arena, EveryBlockIs64ByteAligned)
-{
-    Arena arena(1024);
-    // Odd-sized blocks so misalignment would show immediately.
-    const std::size_t a = arena.alloc<float>(3);
-    const std::size_t b = arena.alloc<std::uint32_t>(7);
-    const std::size_t c = arena.alloc<std::uint8_t>(1);
-    EXPECT_TRUE(aligned64(arena.ptr<float>(a)));
-    EXPECT_TRUE(aligned64(arena.ptr<std::uint32_t>(b)));
-    EXPECT_TRUE(aligned64(arena.ptr<std::uint8_t>(c)));
-    EXPECT_EQ(arena.used() % Arena::kAlignment, 0u);
-}
-
 TEST(Arena, BlocksAreZeroInitialized)
 {
     Arena arena(256);
-    const std::size_t off = arena.alloc<std::uint32_t>(16);
-    const std::uint32_t *p = arena.ptr<std::uint32_t>(off);
+    const std::uint32_t *p = arena.alloc<std::uint32_t>(16);
     for (std::size_t i = 0; i < 16; ++i)
         EXPECT_EQ(p[i], 0u);
-}
-
-TEST(Arena, CopyIsDeepAndOffsetsStayValid)
-{
-    Arena a(256);
-    const std::size_t off = a.alloc<std::uint32_t>(4);
-    a.ptr<std::uint32_t>(off)[0] = 7;
-
-    Arena b(a);
-    EXPECT_EQ(b.ptr<std::uint32_t>(off)[0], 7u);
-    // Mutating the original must not show through the copy.
-    a.ptr<std::uint32_t>(off)[0] = 99;
-    EXPECT_EQ(b.ptr<std::uint32_t>(off)[0], 7u);
-    EXPECT_TRUE(aligned64(b.ptr<std::uint32_t>(off)));
 }
 
 TEST(Arena, MoveTransfersTheSlab)
 {
     Arena a(256);
-    const std::size_t off = a.alloc<float>(2);
-    a.ptr<float>(off)[1] = 2.5f;
+    float *block = a.alloc<float>(2);
+    block[1] = 2.5f;
     const Arena b(std::move(a));
-    EXPECT_EQ(b.ptr<float>(off)[1], 2.5f);
+    EXPECT_EQ(block[1], 2.5f); // the slab moved, its blocks did not
+    EXPECT_EQ(b.capacity(), 256u);
     EXPECT_EQ(a.capacity(), 0u); // NOLINT: moved-from state is defined
 }
 
@@ -93,87 +53,94 @@ TEST(ArenaDeathTest, OverflowPanicsInsteadOfCorrupting)
     EXPECT_DEATH(arena.alloc<std::uint32_t>(1), "arena overflow");
 }
 
-TEST(AlignedVec, StorageStays64ByteAlignedAcrossGrowth)
-{
-    AlignedVec<std::uint32_t> v;
-    for (std::uint32_t i = 0; i < 1000; ++i) {
-        v.push_back(i);
-        ASSERT_TRUE(aligned64(v.data()));
-    }
-    for (std::uint32_t i = 0; i < 1000; ++i)
-        ASSERT_EQ(v[i], i);
-}
-
-TEST(AlignedVec, AppendAndFillMatchPushBack)
-{
-    const std::vector<std::uint32_t> src = {5, 4, 3, 2, 1};
-    AlignedVec<std::uint32_t> v;
-    v.append(src.data(), src.size());
-    v.appendFill(9u, 3);
-    ASSERT_EQ(v.size(), 8u);
-    for (std::size_t i = 0; i < src.size(); ++i)
-        EXPECT_EQ(v[i], src[i]);
-    for (std::size_t i = src.size(); i < 8; ++i)
-        EXPECT_EQ(v[i], 9u);
-    v.clear();
-    EXPECT_TRUE(v.empty());
-    EXPECT_GE(v.capacity(), 8u); // clear keeps the allocation
-}
-
-/** Every CSR construction path hands out 64-byte-aligned SoA buffers,
- * so no buffer shares a cache line with another. */
-TEST(ArenaLayout, AllCsrConstructionPathsAre64ByteAligned)
-{
-    Rng rng(11);
-    const Dense2d<float> plane = bernoulliPlane(13, 9, 0.5, rng);
-
-    const auto check_csr = [](const CsrMatrix &m, const char *what) {
-        EXPECT_TRUE(aligned64(m.values().data())) << what;
-        EXPECT_TRUE(aligned64(m.columns().data())) << what;
-        EXPECT_TRUE(aligned64(m.rowPtr().data())) << what;
-    };
-
-    const CsrMatrix from_dense = CsrMatrix::fromDense(plane);
-    check_csr(from_dense, "fromDense");
-    check_csr(from_dense.rotated180(), "rotated180");
-    check_csr(from_dense.transposed(), "transposed");
-    check_csr(CsrMatrix(4, 4), "empty");
-    const std::vector<float> raw_values{1.0f, 2.0f};
-    const std::vector<std::uint32_t> raw_columns{0, 2};
-    const std::vector<std::uint32_t> raw_row_ptr{0, 1, 2};
-    check_csr(CsrMatrix::fromRaw(2, 3, raw_values, raw_columns, raw_row_ptr),
-              "fromRaw");
-    check_csr(CsrMatrix::fromCoo(3, 3, {{1.0f, 2, 1}, {3.0f, 0, 0}}),
-              "fromCoo");
-
-    const CsrMatrix copy = from_dense; // a compact copy in its own slab
-    check_csr(copy, "copy");
-    EXPECT_TRUE(copy == from_dense);
-
-    PlaneRecipe recipe = PlaneRecipe::plain(5, 7, 0.5,
-                                            SparsifyMethod::Bernoulli);
-    const CsrStack stack = generateCsrStack(recipe, 6, rng);
-    for (const CsrMatrix &plane : stack)
-        check_csr(plane, "stack plane");
-    const CsrMatrix stack_copy = stack[3];
-    check_csr(stack_copy, "copy of a stack plane");
-    EXPECT_TRUE(stack_copy == stack[3]);
-}
-
-/** Arena slabs the calling thread allocates while running @p build. */
+/**
+ * Arena slabs the calling thread allocates while running @p build, or
+ * their bytes with @p counter ArenaSlabBytes.
+ */
 template <typename Build>
 std::uint64_t
-slabsAllocatedBy(const Build &build)
+slabsAllocatedBy(const Build &build, obs::metrics::Counter counter =
+                                         obs::metrics::Counter::ArenaSlabs)
 {
     namespace m = obs::metrics;
     m::reset();
     build();
-    return m::snapshot().counters[static_cast<std::size_t>(
-        m::Counter::ArenaSlabs)];
+    return m::snapshot().counters[static_cast<std::size_t>(counter)];
+}
+
+/** Bytes of a matrix's arrays: height + 1 row pointers, nnz values and
+ * nnz columns, four bytes each. */
+std::uint64_t
+arrayBytes(const CsrMatrix &m)
+{
+    return (static_cast<std::uint64_t>(m.height()) + 1 + 2ull * m.nnz()) * 4;
+}
+
+/** Each CSR factory's one slab holds exactly the matrix's three arrays,
+ * with no padding between or after them. */
+TEST(ArenaLayout, EveryFactorySlabHoldsExactlyItsArrays)
+{
+    obs::metrics::setEnabled(true);
+    obs::metrics::threadAttach();
+    Rng rng(11);
+    const Dense2d<float> plane = bernoulliPlane(13, 9, 0.5, rng);
+    const CsrMatrix from_dense = CsrMatrix::fromDense(plane);
+    ASSERT_GT(from_dense.nnz(), 5u);
+    const std::vector<float> raw_values{1.0f, 2.0f};
+    const std::vector<std::uint32_t> raw_columns{0, 2};
+    const std::vector<std::uint32_t> raw_row_ptr{0, 1, 2};
+    const CsrStack stack = generateCsrStack(
+        PlaneRecipe::plain(5, 7, 0.5, SparsifyMethod::Bernoulli), 6, rng);
+    PlaneRecipe padded_image =
+        PlaneRecipe::plain(30, 30, 0.9, SparsifyMethod::TopK);
+    padded_image.outHeight = padded_image.outWidth = 32;
+    padded_image.offset = 1;
+
+    // Each case builds its matrix inside the metered window and hands
+    // it out, so its size is checked against the bytes it allocated.
+    std::vector<std::pair<const char *, std::function<CsrMatrix()>>> cases;
+    cases.emplace_back("empty", [] { return CsrMatrix(4, 4); });
+    cases.emplace_back("fromDense",
+                       [&] { return CsrMatrix::fromDense(plane); });
+    cases.emplace_back("fromRaw", [&] {
+        return CsrMatrix::fromRaw(2, 3, raw_values, raw_columns,
+                                  raw_row_ptr);
+    });
+    cases.emplace_back("fromCoo", [] {
+        return CsrMatrix::fromCoo(3, 3, {{1.0f, 2, 1}, {3.0f, 0, 0}});
+    });
+    cases.emplace_back("rotated180",
+                       [&] { return from_dense.rotated180(); });
+    cases.emplace_back("transposed",
+                       [&] { return from_dense.transposed(); });
+    cases.emplace_back("slice", [&] { return from_dense.slice(1, 5); });
+    cases.emplace_back("copy", [&] { return CsrMatrix(from_dense); });
+    cases.emplace_back("copy of a stack plane",
+                       [&] { return CsrMatrix(stack[3]); });
+    cases.emplace_back("generateCsrPlane", [&] {
+        return generateCsrPlane(padded_image, rng);
+    });
+    for (const auto &[what, build] : cases) {
+        std::optional<CsrMatrix> built;
+        const std::uint64_t bytes =
+            slabsAllocatedBy([&] { built.emplace(build()); },
+                             obs::metrics::Counter::ArenaSlabBytes);
+        ASSERT_TRUE(built.has_value()) << what;
+        EXPECT_EQ(bytes, arrayBytes(*built))
+            << what << ": " << built->height() << " rows, " << built->nnz()
+            << " entries";
+    }
+
+    const CsrMatrix copy = from_dense;
+    EXPECT_TRUE(copy == from_dense);
+    const CsrMatrix stack_copy = stack[3];
+    EXPECT_TRUE(stack_copy == stack[3]);
+    obs::metrics::reset();
+    obs::metrics::setEnabled(false);
 }
 
 /** Each CSR factory, and so each generated trace plane, allocates
- * exactly one slab (metered per slab by Arena::reset). */
+ * exactly one slab (metered per slab by the Arena constructor). */
 TEST(ArenaLayout, EveryFactoryAllocatesOneSlab)
 {
     obs::metrics::setEnabled(true);
@@ -283,13 +250,74 @@ TEST(ArenaLayout, StackGrowsPastItsSizingAndKeepsItsPlanes)
     ASSERT_EQ(stack.size(), 4u);
     for (std::uint32_t i = 0; i < 4; ++i) {
         const CsrMatrix &plane = stack[i];
-        EXPECT_TRUE(aligned64(plane.values().data()));
-        EXPECT_TRUE(aligned64(plane.columns().data()));
-        EXPECT_TRUE(aligned64(plane.rowPtr().data()));
         ASSERT_EQ(plane.nnz(), i + 1);
         for (std::uint32_t k = 0; k <= i; ++k)
             EXPECT_EQ(plane.values()[k], static_cast<float>(10 * i + k + 1));
     }
+}
+
+/**
+ * Expect @p stack's planes packed back to back: plane i's row pointers
+ * at i x (height + 1) in the row-pointer region, and plane i + 1's
+ * values and columns right after plane i's.
+ */
+void
+expectPlanesAbut(const CsrStack &stack, const char *what)
+{
+    ASSERT_GT(stack.size(), 1u) << what;
+    const CsrMatrix &first = stack[0];
+    const std::size_t rows = static_cast<std::size_t>(first.height()) + 1;
+    for (std::size_t i = 0; i < stack.size(); ++i) {
+        EXPECT_EQ(stack[i].rowPtr().data(), first.rowPtr().data() + i * rows)
+            << what << " plane " << i;
+    }
+    for (std::size_t i = 0; i + 1 < stack.size(); ++i) {
+        const CsrMatrix &plane = stack[i];
+        EXPECT_EQ(stack[i + 1].values().data(),
+                  plane.values().data() + plane.nnz())
+            << what << " plane " << i + 1;
+        EXPECT_EQ(stack[i + 1].columns().data(),
+                  plane.columns().data() + plane.nnz())
+            << what << " plane " << i + 1;
+    }
+}
+
+TEST(ArenaLayout, StackPlanesAbut)
+{
+    Rng rng(14);
+    // Small planes at 90% leave many planes empty.
+    for (const std::uint32_t side : {1u, 2u, 3u}) {
+        const CsrStack stack = generateCsrStack(
+            PlaneRecipe::plain(side, side, 0.9, SparsifyMethod::Bernoulli),
+            48, rng);
+        const bool has_empty = std::ranges::any_of(
+            stack, [](const CsrMatrix &p) { return p.nnz() == 0; });
+        const bool has_entries = std::ranges::any_of(
+            stack, [](const CsrMatrix &p) { return p.nnz() > 0; });
+        EXPECT_TRUE(has_empty && has_entries) << side << "x" << side;
+        expectPlanesAbut(stack, "Bernoulli");
+    }
+    expectPlanesAbut(
+        generateCsrStack(
+            PlaneRecipe::plain(7, 7, 0.9, SparsifyMethod::TopK), 16, rng),
+        "top-K");
+
+    // Room for no entry at all: beginPlane grows the slab twice, and
+    // the planes closed before each growth move along.
+    CsrStack grown(5, 2, 3, 0);
+    for (std::uint32_t i = 0; i < 5; ++i) {
+        const std::uint32_t nnz = i % 3;
+        const CsrStack::PlaneSlot slot = grown.beginPlane(3);
+        for (std::uint32_t k = 0; k < nnz; ++k) {
+            slot.values[k] = 1.0f;
+            slot.columns[k] = k;
+        }
+        slot.rowPtr[1] = nnz;
+        slot.rowPtr[2] = nnz;
+        grown.endPlane(nnz);
+    }
+    grown.validate();
+    expectPlanesAbut(grown, "grown");
 }
 
 /**

@@ -73,7 +73,6 @@ TEST(InvariantAuditor, ConsistentCountersPass)
         auditor.auditCounters(consistentCounters(), cartesianScope());
     EXPECT_TRUE(report.ok()) << report.toString();
     EXPECT_EQ(report.toString(), "all invariants hold");
-    EXPECT_EQ(report.toJson(), "[]");
 }
 
 TEST(InvariantAuditor, CatchesCorruptedMultSplit)
@@ -204,18 +203,6 @@ TEST(InvariantAuditor, WrongOutputShapeCaught)
     const Dense2d<double> out(2, 2);
     const InvariantAuditor auditor;
     EXPECT_TRUE(flags(auditor.auditOutput(spec, out), "output-shape"));
-}
-
-TEST(InvariantAuditor, JsonReportIsMachineReadable)
-{
-    CounterSet c = consistentCounters();
-    c.set(Counter::Cycles, 1000);
-    const InvariantAuditor auditor;
-    const std::string json =
-        auditor.auditCounters(c, cartesianScope()).toJson();
-    EXPECT_NE(json.find("{\"law\":\"cycle-split\",\"detail\":\""),
-              std::string::npos)
-        << json;
 }
 
 TEST(AuditHooks, PanicsOnCorruptedAggregate)

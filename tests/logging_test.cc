@@ -2,7 +2,7 @@
  * @file
  * Tests for the logging layer: panic/fatal/assert termination
  * semantics (message content, file:line prefix, exit status) and
- * log-level gating of warn/inform/debug.
+ * log-level gating of inform.
  */
 
 #include <gtest/gtest.h>
@@ -62,40 +62,32 @@ class LogLevelTest : public ::testing::Test
 TEST_F(LogLevelTest, SilentSuppressesEverything)
 {
     setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(stderrOf([] { ANT_WARN("w"); }), "");
     EXPECT_EQ(stderrOf([] { ANT_INFORM("i"); }), "");
-    EXPECT_EQ(stderrOf([] { ANT_DEBUG("d"); }), "");
 }
 
-TEST_F(LogLevelTest, WarnLevelPassesWarnOnly)
+TEST_F(LogLevelTest, WarnLevelSuppressesInform)
 {
     setLogLevel(LogLevel::Warn);
-    EXPECT_EQ(stderrOf([] { ANT_WARN("careful"); }), "warn: careful\n");
     EXPECT_EQ(stderrOf([] { ANT_INFORM("i"); }), "");
-    EXPECT_EQ(stderrOf([] { ANT_DEBUG("d"); }), "");
 }
 
 TEST_F(LogLevelTest, InfoLevelAddsInform)
 {
     setLogLevel(LogLevel::Info);
-    EXPECT_EQ(stderrOf([] { ANT_WARN("careful"); }), "warn: careful\n");
     EXPECT_EQ(stderrOf([] { ANT_INFORM("status"); }), "info: status\n");
-    EXPECT_EQ(stderrOf([] { ANT_DEBUG("d"); }), "");
 }
 
 TEST_F(LogLevelTest, DebugLevelPassesEverything)
 {
     setLogLevel(LogLevel::Debug);
-    EXPECT_EQ(stderrOf([] { ANT_WARN("careful"); }), "warn: careful\n");
     EXPECT_EQ(stderrOf([] { ANT_INFORM("status"); }), "info: status\n");
-    EXPECT_EQ(stderrOf([] { ANT_DEBUG("trace"); }), "debug: trace\n");
 }
 
 TEST_F(LogLevelTest, MessagesConcatenateMixedTypes)
 {
-    setLogLevel(LogLevel::Warn);
-    EXPECT_EQ(stderrOf([] { ANT_WARN("x = ", 3, ", y = ", 1.5); }),
-              "warn: x = 3, y = 1.5\n");
+    setLogLevel(LogLevel::Info);
+    EXPECT_EQ(stderrOf([] { ANT_INFORM("x = ", 3, ", y = ", 1.5); }),
+              "info: x = 3, y = 1.5\n");
 }
 
 } // namespace

@@ -226,7 +226,9 @@ TEST(AntStackDeathTest, RejectsMatmulStacks)
     const CsrMatrix kernel(4, 4);
     const CsrMatrix image(4, 4);
     AntPe pe;
-    EXPECT_DEATH(pe.runStack(spec, {&kernel}, image, false),
+    // One plane is a matmul pair (runPair's path); two are a stack.
+    pe.runStack(spec, {&kernel}, image, false);
+    EXPECT_DEATH(pe.runStack(spec, {&kernel, &kernel}, image, false),
                  "convolution dataflow");
 }
 
