@@ -12,6 +12,7 @@
 #include "util/audit.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
+#include "workload/tracegen.hh"
 
 namespace antsim {
 namespace bench {
@@ -131,6 +132,7 @@ parseOptions(int argc, const char *const *argv)
     metadata.chunk = options.run.chunkCapacity;
     metadata.audit = audit::enabled();
     metadata.energyTableVersion = kEnergyTableVersion;
+    metadata.traceGeneratorVersion = kTraceGeneratorVersion;
     g_report.setMetadata(std::move(metadata));
     return options;
 }

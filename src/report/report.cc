@@ -337,6 +337,8 @@ RunReport::toJson(bool include_profile) const
     metadata.set("chunk", static_cast<std::uint64_t>(metadata_.chunk));
     metadata.set("audit", metadata_.audit);
     metadata.set("energy_table_version", metadata_.energyTableVersion);
+    metadata.set("trace_generator_version",
+                 metadata_.traceGeneratorVersion);
     // Every report comes from the cycle-level engine. The key stays
     // because report consumers (perfbench/run.py) require it.
     metadata.set("mode", "simulated");

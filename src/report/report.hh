@@ -62,6 +62,8 @@ struct RunMetadata
     bool audit = false;
     /** Version tag of the per-op energy table (kEnergyTableVersion). */
     std::string energyTableVersion;
+    /** Version tag of the trace stream (kTraceGeneratorVersion). */
+    std::string traceGeneratorVersion;
 };
 
 /** Serialize a counter set: every counter by name, exact uint64. */

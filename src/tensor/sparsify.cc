@@ -10,14 +10,12 @@ bernoulliPlane(std::uint32_t height, std::uint32_t width, double sparsity,
 {
     ANT_ASSERT(sparsity >= 0.0 && sparsity <= 1.0, "sparsity must be in ",
                "[0,1], got ", sparsity);
+    const std::uint64_t keep = Rng::bernoulliThreshold(1.0 - sparsity);
     Dense2d<float> plane(height, width);
     for (auto &v : plane.data()) {
-        if (rng.bernoulli(1.0 - sparsity)) {
-            float f = static_cast<float>(rng.normal());
-            if (f == 0.0f)
-                f = 1e-6f;
-            v = f;
-        }
+        const std::uint64_t r = rng.next();
+        if ((r >> 11) < keep)
+            v = bernoulliValue(static_cast<std::uint32_t>(r & 0xffu));
     }
     return plane;
 }

@@ -22,10 +22,9 @@ namespace antsim {
  * xoshiro256** generator (public-domain algorithm by Blackman & Vigna).
  *
  * Seeded through SplitMix64 so that any 64-bit seed produces a
- * well-mixed state. next, uniform, the Bernoulli trials and drawNormal
- * are defined inline: the trace generator calls them once or more per
- * plane cell, and on a local copy of the generator the state then
- * stays in registers.
+ * well-mixed state. next, uniform, bernoulli and drawNormal are defined
+ * inline: the trace generator draws once or more per plane cell, and
+ * on a local copy of the generator the state then stays in registers.
  */
 class Rng
 {
@@ -72,12 +71,15 @@ class Rng
     }
 
     /**
-     * The integer form of bernoulli(@p p): bernoulliBelow of this
-     * threshold returns what bernoulli(p) would, draw for draw. The
-     * draw m = next() >> 11 is a 53-bit integer and uniform() is
-     * m * 2^-53, so uniform() < p iff m < p * 2^53 (scaling by a power
-     * of two is exact in double) iff m < ceil(p * 2^53). The threshold
-     * is 0 for p <= 0 (or NaN) and 2^53 for p >= 1.
+     * The integer form of bernoulli(@p p): for every draw r = next(),
+     * (r >> 11) < bernoulliThreshold(p) iff bernoulli(p) would return
+     * true on it. The draw m = r >> 11 is a 53-bit integer and
+     * uniform() is m * 2^-53, so uniform() < p iff m < p * 2^53
+     * (scaling by a power of two is exact in double) iff
+     * m < ceil(p * 2^53). The threshold is 0 for p <= 0 (or NaN) and
+     * 2^53 for p >= 1. The Bernoulli trace planes test it on one draw
+     * per cell and take a kept cell's value from the draw's low byte,
+     * which the trial does not read (tensor/sparsify.hh).
      */
     static std::uint64_t
     bernoulliThreshold(double p)
@@ -87,16 +89,6 @@ class Rng
         if (p >= 1.0)
             return 1ull << 53;
         return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
-    }
-
-    /**
-     * Bernoulli trial against a bernoulliThreshold: one draw, an
-     * integer compare and no conversion to double.
-     */
-    bool
-    bernoulliBelow(std::uint64_t threshold)
-    {
-        return (next() >> 11) < threshold;
     }
 
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
@@ -123,21 +115,6 @@ class Rng
         while (u1 <= 0.0)
             u1 = uniform();
         return {u1, uniform()};
-    }
-
-    /**
-     * floor(256 u2) of drawNormal()'s angle uniform, consuming exactly
-     * its stream, in integer form: the zero test u1 <= 0.0 is
-     * (next() >> 11) == 0, and floor(256 (next() >> 11) 2^-53) is
-     * next() >> 56, both exact. The Bernoulli trace planes need only
-     * this byte of a kept cell's normal (workload/tracegen.hh).
-     */
-    std::uint32_t
-    drawNormalAngleByte()
-    {
-        while ((next() >> 11) == 0) {
-        }
-        return static_cast<std::uint32_t>(next() >> 56);
     }
 
     /**

@@ -1,7 +1,6 @@
 #include "tracegen.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -9,6 +8,7 @@
 #include <span>
 
 #include "obs/metrics.hh"
+#include "tensor/sparsify.hh"
 #include "util/bfloat16.hh"
 #include "util/logging.hh"
 
@@ -60,6 +60,21 @@ class EntryWriter
         *column_++ = offset_ + dilation_ * x;
     }
 
+    /**
+     * Write an entry of inner column @p x at the cursors, and keep it
+     * iff @p kept: the cursors advance by the kept bit, so a dropped
+     * cell costs two stores the next cell overwrites and no branch.
+     * Needs room for one entry past the entries kept so far.
+     */
+    void
+    putIf(bool kept, float value, std::uint32_t x)
+    {
+        *value_ = value;
+        *column_ = offset_ + dilation_ * x;
+        value_ += kept;
+        column_ += kept;
+    }
+
     /** Close inner row @p y: count its entries in its embedded row. */
     void
     endRow(std::uint32_t y)
@@ -85,21 +100,6 @@ class EntryWriter
     const std::uint32_t *rowStart_;
     std::uint32_t *rowPtr_;
 };
-
-/**
- * A kept Bernoulli cell's value, from @p m = floor(256 u2) of the angle
- * uniform u2 of the normal the stream draws for it
- * (Rng::drawNormalAngleByte): (-1)^[m >= 128] (1 + (m mod 128) / 128).
- * No counter reads a value, so the Box-Muller transform is skipped;
- * the value is non-zero and bf16-exact (seven mantissa bits), built
- * from its float bits without a branch.
- */
-inline float
-bernoulliValue(std::uint32_t m)
-{
-    return std::bit_cast<float>((m & 0x80u) << 24 | 0x3f800000u |
-                                (m & 0x7fu) << 16);
-}
 
 /**
  * Cells a top-K plane of @p cells cells keeps at @p sparsity:
@@ -198,6 +198,7 @@ class PlaneGenerator
                    recipe.outHeight, "x", recipe.outWidth);
         if (recipe.method == SparsifyMethod::Bernoulli) {
             bernoulliKeep_ = Rng::bernoulliThreshold(1.0 - recipe.sparsity);
+            // A whole plane: drawBernoulli writes every cell.
             maxEntries_ = cells_;
         } else {
             topKKeep_ = topKKeep(cells_, recipe.sparsity);
@@ -242,14 +243,16 @@ class PlaneGenerator
 
   private:
     /**
-     * Same draw sequence as bernoulliPlane: one Bernoulli trial per cell
-     * in row-major order, one normal's uniforms per kept cell. The trial
-     * is bernoulli(keep_p)'s integer form, and a kept cell reads only
-     * the integer angle byte of its normal (bernoulliValue), so the loop
-     * does no floating-point work and needs neither bf16Round nor the
-     * zero drop. It runs on a local copy of the Rng and on local bounds,
-     * which the writer's stores cannot alias, so the state, bounds and
-     * cursors stay in registers.
+     * Same draw sequence and rule as bernoulliPlane: one next() draw r
+     * per cell in row-major order, kept iff (r >> 11) < keep (the exact
+     * integer form of bernoulli(keep_p)), with value
+     * bernoulliValue(r & 0xff). Every cell is written at the cursors,
+     * which advance by its kept bit (EntryWriter::putIf; the slot holds
+     * a whole plane), so the loop has no data-dependent branch and
+     * does no floating-point work, and needs neither bf16Round nor the
+     * zero drop. It runs on a local copy of the Rng and on local
+     * bounds, which the writer's stores cannot alias, so the state,
+     * bounds and cursors stay in registers.
      */
     void
     drawBernoulli(EntryWriter &writer, Rng &rng) const
@@ -260,9 +263,11 @@ class PlaneGenerator
         Rng local = rng;
         for (std::uint32_t y = 0; y < height; ++y) {
             for (std::uint32_t x = 0; x < width; ++x) {
-                if (local.bernoulliBelow(keep))
-                    writer.put(bernoulliValue(local.drawNormalAngleByte()),
-                               x);
+                const std::uint64_t r = local.next();
+                writer.putIf((r >> 11) < keep,
+                             bernoulliValue(
+                                 static_cast<std::uint32_t>(r & 0xffu)),
+                             x);
             }
             writer.endRow(y);
         }

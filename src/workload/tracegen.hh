@@ -16,17 +16,19 @@
  *  - update   G_A * A: kernel = sparsified G_A[k] (used with kernel
  *                      dilation = stride); image = padded A[c].
  *
- * Sparsity is imposed on a stream of i.i.d. standard normals by
- * Bernoulli masking (ReSprop/SWAT-style targets) or magnitude top-K
- * (the paper's synthetic ResNet50/transformer/RNN path). Top-K planes
- * keep the normals as values, since they decide the kept set. The
- * accelerators' counters read only positions, so a kept Bernoulli cell
- * skips the Box-Muller transform: its value is (-1)^[m >= 128] (1 +
- * (m mod 128) / 128) with m = floor(256 u2), from the angle uniform u2
- * of the normal the stream draws for it, which is non-zero and
- * bf16-exact. Only functional runs (collect_output) read values.
- * Everything is keyed by a deterministic seed hierarchy so runs
- * reproduce bit-for-bit.
+ * Sparsity is imposed by Bernoulli masking (ReSprop/SWAT-style
+ * targets) or by magnitude top-K over a stream of i.i.d. standard
+ * normals (the paper's synthetic ResNet50/transformer/RNN path). Top-K
+ * planes keep the normals as values, since they decide the kept set.
+ * The accelerators' counters read only positions, so a Bernoulli plane
+ * draws no normal: each cell takes one Rng::next() draw r, is kept iff
+ * (r >> 11) < Rng::bernoulliThreshold(1 - sparsity), and a kept cell's
+ * value is bernoulliValue(r & 0xff) = (-1)^[m >= 128] (1 + (m mod 128)
+ * / 128) of the low byte m, which the trial does not read
+ * (tensor/sparsify.hh): non-zero and bf16-exact. Only functional runs
+ * (collect_output) read values. Everything is keyed by a deterministic
+ * seed hierarchy so runs reproduce bit-for-bit; kTraceGeneratorVersion
+ * names the stream.
  *
  * Every plane comes from one fused generator, which draws the
  * identical random stream as the legacy generatePlane -> bf16Round ->
@@ -36,9 +38,11 @@
  * whole kernel stack in one CsrStack slab, drawing exactly the stream
  * of that many generateCsrPlane calls. The legacy pipeline is the
  * tests' oracle (tests/oracles/legacy_planes.hh). The generator's
- * columns, rowPtr and Rng post-state equal the legacy pipeline's for
- * both methods, and so do its top-K values; its Bernoulli values
- * follow the rule above (tests/census_property_test.cc proves both).
+ * planes and Rng post-state equal the legacy pipeline's for both
+ * methods, and its Bernoulli planes also equal an arithmetic replay of
+ * the rule above (tests/census_property_test.cc proves both); a
+ * Bernoulli plane of H x W cells consumes exactly H x W draws
+ * (tests/workload_test.cc).
  * Its top-K path anticipates which cells can never be kept: a radius
  * pre-filter (TopKCut) evaluates the Box-Muller transform only for
  * cells whose radius can reach the keep threshold, and falls back to
@@ -107,16 +111,22 @@ struct PlaneRecipe
 };
 
 /**
+ * Version of the trace generator's random stream, written to every
+ * report as metadata.trace_generator_version. A change that moves any
+ * plane a seed generates bumps it, so reports from different streams
+ * are never compared silently. v2: one draw per Bernoulli cell.
+ */
+constexpr const char *kTraceGeneratorVersion = "tracegen-v2";
+
+/**
  * Generate the plane described by (@p recipe, @p rng) as CSR directly.
- * Consumes exactly the same random stream and produces bit-identical
- * columns/rowPtr arrays as the legacy dense pipeline, and top-K values
- * too; a kept Bernoulli cell's value follows the rule in the file
- * comment, and its trial is bernoulli()'s exact integer form
- * (Rng::bernoulliThreshold). The entries are written through cursors
- * into thread-local scratch that holds the largest plane's entries so
- * far (a rotation reverses them in place), so the plane's arena slab
- * is its one allocation. Top-K recipes are pre-filtered with
- * TopKCut::forPlane's cut.
+ * Consumes exactly the same random stream and produces a bit-identical
+ * plane as the legacy dense pipeline; a Bernoulli cell follows the
+ * one-draw rule in the file comment, without a branch on its trial.
+ * The entries are written through cursors into thread-local scratch
+ * that holds the largest plane so far (a rotation reverses them in
+ * place), so the plane's arena slab is its one allocation. Top-K
+ * recipes are pre-filtered with TopKCut::forPlane's cut.
  */
 CsrMatrix generateCsrPlane(const PlaneRecipe &recipe, Rng &rng);
 

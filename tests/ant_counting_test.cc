@@ -403,10 +403,10 @@ TEST(AntCounting, TracedCountingRunsKeepTheirTraceBytes)
     });
     const auto &conv_hist =
         conv_trace.histograms.get(obs::HistId::FnirValidPartners);
-    EXPECT_EQ(conv_trace.chromeJson.size(), 16066u);
-    EXPECT_EQ(fnv1a(conv_trace.chromeJson), 0x12a27f9c85b4f67aull);
+    EXPECT_EQ(conv_trace.chromeJson.size(), 15765u);
+    EXPECT_EQ(fnv1a(conv_trace.chromeJson), 0x4c760918042a6fbcull);
     EXPECT_EQ(conv_hist.bins(),
-              (std::vector<std::uint64_t>{42, 134, 379, 0, 0, 0, 0, 0, 0, 0,
+              (std::vector<std::uint64_t>{45, 112, 392, 0, 0, 0, 0, 0, 0, 0,
                                           0, 0, 0, 0, 0, 0, 0}));
 
     AntPeConfig kernel_stationary = tracedConfig();
@@ -417,10 +417,10 @@ TEST(AntCounting, TracedCountingRunsKeepTheirTraceBytes)
     });
     const auto &ks_hist =
         ks_trace.histograms.get(obs::HistId::FnirValidPartners);
-    EXPECT_EQ(ks_trace.chromeJson.size(), 3857u);
-    EXPECT_EQ(fnv1a(ks_trace.chromeJson), 0x85cb5160f5027f67ull);
+    EXPECT_EQ(ks_trace.chromeJson.size(), 3928u);
+    EXPECT_EQ(fnv1a(ks_trace.chromeJson), 0xf50b5d1cb0ce573cull);
     EXPECT_EQ(ks_hist.bins(),
-              (std::vector<std::uint64_t>{25, 134, 1247, 0, 0, 0, 0, 0, 0,
+              (std::vector<std::uint64_t>{26, 104, 1345, 0, 0, 0, 0, 0, 0,
                                           0, 0, 0, 0, 0, 0, 0, 0}));
 
     const PlanePair matmul = matmulUnit();
@@ -444,11 +444,11 @@ TEST(AntCounting, ConvUnitKeepsItsCounters)
     const StackTask conv = convUnit();
     const std::pair<AntDataflow, CounterValues> pinned[] = {
         {AntDataflow::ImageStationary,
-         {1784, 1380, 404, 31732, 1380, 1784, 9468, 611, 653, 756, 1380,
-          28551, 5, 513, 244, 762, 0}},
+         {1792, 1379, 413, 30940, 1379, 1792, 9372, 602, 647, 756, 1379,
+          27835, 5, 504, 253, 762, 0}},
         {AntDataflow::KernelStationary,
-         {5250, 1380, 3870, 28266, 1380, 5250, 23180, 1467, 1492, 127,
-          1380, 20382, 5, 1381, 25, 1411, 0}},
+         {5582, 1379, 4203, 27150, 1379, 5582, 24268, 1533, 1559, 127,
+          1379, 18928, 5, 1449, 26, 1480, 0}},
     };
     for (const auto &[dataflow, want] : pinned) {
         AntPeConfig config = tracedConfig();

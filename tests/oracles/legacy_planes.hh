@@ -3,13 +3,14 @@
  * The legacy dense plane pipeline, a test oracle.
  *
  * It builds a trace plane densely: draw the plane (generatePlane: a
- * Bernoulli mask, or i.i.d. normals cut to their top-K magnitudes,
+ * Bernoulli plane of one draw per cell, tensor/sparsify.hh's
+ * bernoulliPlane, or i.i.d. normals cut to their top-K magnitudes,
  * rounded to bf16), embed it into its padded or dilated plane
  * (embedPlane), compress it (CsrMatrix::fromDense) and rotate it
  * (rotated180) for backward kernels. The fused CSR generator
  * (workload/tracegen.hh, generateCsrPlane) draws the identical random
- * stream and emits the same positions, so census_property_test checks
- * it against this pipeline; other tests use these planes as fixtures.
+ * stream and emits the same planes, so census_property_test checks it
+ * against this pipeline; other tests use these planes as fixtures.
  */
 
 #ifndef ANTSIM_ORACLES_LEGACY_PLANES_HH

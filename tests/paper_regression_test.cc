@@ -140,9 +140,9 @@ TEST(PaperRegression, GoldenParallelResNet18DensityPoints)
         double rcpAvoided;
     };
     const GoldenPoint golden[] = {
-        {0.9, 3.86631132721166, 0.889537046896049},
-        {0.8, 6.29557219450641, 0.90622396381939},
-        {0.5, 8.57919770078069, 0.936087528738366},
+        {0.9, 3.84040468614297, 0.890905978760653},
+        {0.8, 6.15659435154923, 0.906052211476294},
+        {0.5, 8.6018518391857, 0.935386446862816},
     };
     RunConfig cfg = fastConfig();
     cfg.numThreads = 4;

@@ -24,6 +24,7 @@
 #include "report/rollup.hh"
 #include "scnn/scnn_pe.hh"
 #include "workload/runner.hh"
+#include "workload/tracegen.hh"
 
 namespace antsim {
 namespace {
@@ -184,6 +185,7 @@ TEST(Report, RunReportDocumentShape)
     metadata.seed = 7;
     metadata.threads = 2;
     metadata.energyTableVersion = "pj-test";
+    metadata.traceGeneratorVersion = kTraceGeneratorVersion;
     report.setMetadata(metadata);
     report.addMetric("speedup_geomean", 3.71);
     report.addMetric("tasks", std::uint64_t{12});
@@ -202,6 +204,8 @@ TEST(Report, RunReportDocumentShape)
     EXPECT_EQ(doc.at("metadata").at("binary").asString(), "report_test");
     EXPECT_EQ(doc.at("metadata").at("energy_table_version").asString(),
               "pj-test");
+    EXPECT_EQ(doc.at("metadata").at("trace_generator_version").asString(),
+              "tracegen-v2");
     EXPECT_DOUBLE_EQ(doc.at("metrics").at("speedup_geomean").asDouble(),
                      3.71);
     EXPECT_EQ(doc.at("networks").size(), 1u);

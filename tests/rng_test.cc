@@ -96,10 +96,10 @@ TEST(Rng, BernoulliRate)
 
 TEST(Rng, BernoulliThresholdIsTheExactIntegerTrial)
 {
-    // The trace generator's Bernoulli planes test bernoulliBelow of a
-    // hoisted threshold in place of bernoulli(p): the two must agree on
-    // every 53-bit draw, at the edges of [0, 1], at rates that are not
-    // dyadic, and at random ones.
+    // The trace generator's Bernoulli planes test each draw's top 53
+    // bits against a hoisted threshold in place of bernoulli(p): the
+    // two must agree on every 53-bit draw, at the edges of [0, 1], at
+    // rates that are not dyadic, and at random ones.
     std::vector<double> probabilities = {
         0.0, 0x1.0p-53, 0.25, 0.3, 1.0 / 3.0, 0.42, 0.5, 1.0 - 0x1.0p-53,
         1.0};
@@ -128,7 +128,7 @@ TEST(Rng, BernoulliThresholdIsTheExactIntegerTrial)
         Rng by_double(1000 + i);
         Rng by_threshold(1000 + i);
         for (int draw = 0; draw < 10000; ++draw) {
-            ASSERT_EQ(by_threshold.bernoulliBelow(threshold),
+            ASSERT_EQ((by_threshold.next() >> 11) < threshold,
                       by_double.bernoulli(p))
                 << "draw " << draw;
         }
@@ -167,36 +167,6 @@ TEST(Rng, NormalIsBoxMullerOfItsDraw)
         ASSERT_LT(draw.u2, 1.0);
         ASSERT_EQ(x, Rng::boxMuller(draw)) << "draw " << i;
         ASSERT_EQ(whole.state(), split.state()) << "draw " << i;
-    }
-}
-
-TEST(Rng, NormalAngleByteIsDrawNormalsIntegerForm)
-{
-    // A kept Bernoulli trace cell reads only floor(256 u2) of its
-    // normal's draw. With m = next() >> 11, u1 <= 0 iff m == 0 and
-    // floor(256 m 2^-53) == m >> 45 == next() >> 56; check the second
-    // identity at the edges of each byte bucket.
-    constexpr std::uint64_t kBucket = std::uint64_t{1} << 45;
-    for (const std::uint64_t m :
-         {std::uint64_t{0}, kBucket - 1, kBucket, 127 * kBucket + 1,
-          128 * kBucket - 1, 128 * kBucket, 256 * kBucket - 1}) {
-        EXPECT_EQ(static_cast<std::uint32_t>(static_cast<double>(m) *
-                                             0x1.0p-53 * 256.0),
-                  m >> 45)
-            << "m " << m;
-    }
-    // Draw for draw on streams, which both forms consume alike.
-    for (const std::uint64_t seed :
-         {std::uint64_t{7}, std::uint64_t{42}, std::uint64_t{2026}}) {
-        Rng by_double(seed);
-        Rng by_integer(seed);
-        for (int draw = 0; draw < 100000; ++draw) {
-            ASSERT_EQ(by_integer.drawNormalAngleByte(),
-                      static_cast<std::uint32_t>(
-                          by_double.drawNormal().u2 * 256.0))
-                << "seed " << seed << " draw " << draw;
-        }
-        EXPECT_EQ(by_integer.state(), by_double.state()) << "seed " << seed;
     }
 }
 

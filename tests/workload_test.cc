@@ -15,6 +15,7 @@
 #include "conv/dense_conv.hh"
 #include "obs/metrics.hh"
 #include "oracles/legacy_planes.hh"
+#include "tensor/sparsify.hh"
 #include "workload/layer.hh"
 #include "workload/networks.hh"
 #include "workload/tracegen.hh"
@@ -351,6 +352,115 @@ TEST(TracegenStack, SinglePlaneAndAllEmptyStacks)
         const CsrStack stack = generateCsrStack(recipe, 64, rng);
         for (const CsrMatrix &plane : stack)
             EXPECT_EQ(plane.nnz(), 0u);
+    }
+}
+
+/**
+ * The one-draw contract of a Bernoulli plane, replayed on a copy of
+ * the Rng: each of the plane's H x W inner cells takes one next() draw
+ * r in row-major order, and the plane's entries are exactly the cells
+ * whose own draw passed the trial (r >> 11) < bernoulliThreshold(1 -
+ * sparsity), at their embedded (and rotated) position, each holding
+ * bernoulliValue(r & 0xff). Returns what differs, empty when nothing.
+ */
+std::string
+oneDrawMismatch(const PlaneRecipe &recipe, const CsrMatrix &plane,
+                Rng &replay)
+{
+    const std::uint64_t keep =
+        Rng::bernoulliThreshold(1.0 - recipe.sparsity);
+    std::map<std::pair<std::uint32_t, std::uint32_t>, float> kept;
+    for (std::uint32_t y = 0; y < recipe.height; ++y) {
+        for (std::uint32_t x = 0; x < recipe.width; ++x) {
+            const std::uint64_t r = replay.next();
+            if ((r >> 11) >= keep)
+                continue;
+            std::uint32_t row = recipe.offset + recipe.dilation * y;
+            std::uint32_t col = recipe.offset + recipe.dilation * x;
+            if (recipe.rotate) {
+                row = recipe.outHeight - 1 - row;
+                col = recipe.outWidth - 1 - col;
+            }
+            kept[{row, col}] =
+                bernoulliValue(static_cast<std::uint32_t>(r & 0xffu));
+        }
+    }
+    std::size_t stray = 0;
+    std::size_t wrong = 0;
+    for (const SparseEntry &e : plane.entries()) {
+        const auto it = kept.find({e.y, e.x});
+        stray += it == kept.end() ? 1 : 0;
+        wrong += it != kept.end() && it->second != e.value ? 1 : 0;
+    }
+    std::string mismatch;
+    if (plane.nnz() != kept.size())
+        mismatch += " nnz " + std::to_string(plane.nnz()) + " vs " +
+            std::to_string(kept.size()) + " kept draws;";
+    if (stray > 0)
+        mismatch += " " + std::to_string(stray) +
+            " entries without a kept draw;";
+    if (wrong > 0)
+        mismatch += " " + std::to_string(wrong) +
+            " values not of their draw;";
+    return mismatch;
+}
+
+TEST(TracegenBernoulli, OneDrawPerCellOnRandomRecipesAndStacks)
+{
+    Rng pick(2029);
+    for (int trial = 0; trial < 60; ++trial) {
+        PlaneRecipe recipe;
+        recipe.height = static_cast<std::uint32_t>(pick.range(1, 20));
+        recipe.width = static_cast<std::uint32_t>(pick.range(1, 20));
+        // Two recipes in ten sit at the ends of the sparsity range.
+        recipe.sparsity = trial % 10 == 0 ? 0.0
+            : trial % 10 == 5             ? 1.0
+                                          : pick.uniform();
+        recipe.method = SparsifyMethod::Bernoulli;
+        recipe.offset = static_cast<std::uint32_t>(pick.range(0, 3));
+        recipe.dilation = static_cast<std::uint32_t>(pick.range(1, 3));
+        recipe.outHeight = recipe.offset +
+            recipe.dilation * (recipe.height - 1) + 1 +
+            static_cast<std::uint32_t>(pick.range(0, 3));
+        recipe.outWidth = recipe.offset +
+            recipe.dilation * (recipe.width - 1) + 1 +
+            static_cast<std::uint32_t>(pick.range(0, 3));
+        recipe.rotate = pick.bernoulli(0.5);
+        const auto count = static_cast<std::uint32_t>(pick.range(1, 9));
+        const std::uint64_t seed = pick.next();
+        const std::uint64_t cells =
+            static_cast<std::uint64_t>(recipe.height) * recipe.width;
+        SCOPED_TRACE(std::to_string(recipe.height) + "x" +
+                     std::to_string(recipe.width) + " sparsity " +
+                     std::to_string(recipe.sparsity) + " offset " +
+                     std::to_string(recipe.offset) + " dilation " +
+                     std::to_string(recipe.dilation) + " rotate " +
+                     std::to_string(recipe.rotate) + " stack " +
+                     std::to_string(count));
+
+        // One plane: exactly H x W draws.
+        Rng plane_rng(seed);
+        const CsrMatrix plane = generateCsrPlane(recipe, plane_rng);
+        Rng replay(seed);
+        EXPECT_EQ(oneDrawMismatch(recipe, plane, replay), "");
+        Rng advanced(seed);
+        for (std::uint64_t i = 0; i < cells; ++i)
+            advanced.next();
+        EXPECT_EQ(plane_rng.state(), advanced.state());
+        EXPECT_EQ(replay.state(), advanced.state());
+
+        // A stack: exactly K x H x W draws, plane after plane.
+        Rng stack_rng(seed);
+        const CsrStack stack = generateCsrStack(recipe, count, stack_rng);
+        ASSERT_EQ(stack.size(), count);
+        Rng stack_replay(seed);
+        for (std::uint32_t i = 0; i < count; ++i)
+            EXPECT_EQ(oneDrawMismatch(recipe, stack[i], stack_replay), "")
+                << "plane " << i;
+        Rng stack_advanced(seed);
+        for (std::uint64_t i = 0; i < count * cells; ++i)
+            stack_advanced.next();
+        EXPECT_EQ(stack_rng.state(), stack_advanced.state());
     }
 }
 
